@@ -181,7 +181,10 @@ bool CheckParity() {
     if (rec.name.find("/CLFTJ-int") != std::string::npos) int_rec = &rec;
   }
   if (string_rec == nullptr || int_rec == nullptr) return true;  // filtered
-  if (string_rec->result.timed_out || int_rec->result.timed_out) return true;
+  if (string_rec->result.status == RunStatus::kTimeout ||
+      int_rec->result.status == RunStatus::kTimeout) {
+    return true;
+  }
   if (string_rec->result.count != int_rec->result.count ||
       string_rec->result.stats.memory_accesses !=
           int_rec->result.stats.memory_accesses) {

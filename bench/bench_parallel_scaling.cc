@@ -15,7 +15,6 @@
 #include "bench/bench_util.h"
 #include "clftj/cached_trie_join.h"
 #include "engine/engine.h"
-#include "engine/sharded.h"
 #include "query/patterns.h"
 
 namespace clftj::bench {
@@ -72,10 +71,10 @@ void RegisterAll() {
       benchmark::RegisterBenchmark(
           bench_name.c_str(),
           [&w, cache, threads, bench_name](benchmark::State& state) {
-            ShardedCachedTrieJoin::Options options;
+            CachedTrieJoin::Options options;
             options.threads = threads;
             options.cache = cache;
-            ShardedCachedTrieJoin engine(options);
+            CachedTrieJoin engine(options);
             CountOnce(state, engine, w.query, SnapDb(w.profile), bench_name,
                       "CLFTJ-P threads=" + std::to_string(threads) + " " +
                           cache.ToString());

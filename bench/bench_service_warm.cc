@@ -47,7 +47,8 @@ RunResult ToRunResult(const QueryResponse& response, double seconds) {
   r.count = response.count;
   r.seconds = seconds;
   r.stats = response.stats;
-  r.SetStatus(response.status, response.message);
+  r.status = response.status;
+  r.message = response.message;
   return r;
 }
 

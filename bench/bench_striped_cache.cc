@@ -24,7 +24,6 @@
 #include "bench/bench_util.h"
 #include "clftj/cached_trie_join.h"
 #include "engine/engine.h"
-#include "engine/sharded.h"
 #include "query/patterns.h"
 
 namespace clftj::bench {
@@ -97,10 +96,10 @@ void RegisterAll() {
         benchmark::RegisterBenchmark(
             bench_name.c_str(),
             [&w, sharing, threads, bench_name](benchmark::State& state) {
-              ShardedCachedTrieJoin::Options options;
+              CachedTrieJoin::Options options;
               options.threads = threads;
               options.cache = MakeCache(w.cache_capacity, sharing);
-              ShardedCachedTrieJoin engine(options);
+              CachedTrieJoin engine(options);
               CountOnce(state, engine, w.query, SnapDb(w.profile), bench_name,
                         "CLFTJ-P threads=" + std::to_string(threads) + " " +
                             options.cache.ToString());

@@ -127,8 +127,8 @@ inline void FlushJson(const char* argv0) {
         JsonEscape(rec.name).c_str(), JsonEscape(rec.config).c_str(),
         rec.result.seconds,
         static_cast<unsigned long long>(rec.result.count),
-        rec.result.timed_out ? "true" : "false",
-        rec.result.out_of_memory ? "true" : "false",
+        rec.result.status == RunStatus::kTimeout ? "true" : "false",
+        rec.result.status == RunStatus::kOutOfMemory ? "true" : "false",
         static_cast<unsigned long long>(s.memory_accesses),
         static_cast<unsigned long long>(s.intermediate_tuples),
         static_cast<unsigned long long>(s.cache_hits),
@@ -159,8 +159,8 @@ inline void PublishResult(benchmark::State& state, const RunResult& r,
       static_cast<double>(r.stats.cache_entries_peak);
   state.counters["intermediates"] =
       static_cast<double>(r.stats.intermediate_tuples);
-  state.counters["TIMEOUT"] = r.timed_out ? 1 : 0;
-  state.counters["OOM"] = r.out_of_memory ? 1 : 0;
+  state.counters["TIMEOUT"] = r.status == RunStatus::kTimeout ? 1 : 0;
+  state.counters["OOM"] = r.status == RunStatus::kOutOfMemory ? 1 : 0;
   state.SetIterationTime(r.seconds);
   JsonLog().push_back({label, config, r});
 }

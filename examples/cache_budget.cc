@@ -32,7 +32,7 @@ int main() {
   const clftj::RunResult base = lftj.Count(query, db, limits);
   std::printf("LFTJ baseline: count=%llu time=%.2fs%s\n\n",
               static_cast<unsigned long long>(base.count), base.seconds,
-              base.timed_out ? " (TIMEOUT)" : "");
+              base.ok() ? "" : " (TIMEOUT)");
 
   std::printf("%-12s %10s %10s %12s %10s\n", "cache cap", "time(ms)",
               "speedup", "hits", "evictions");
@@ -45,7 +45,7 @@ int main() {
     options.cache.eviction = clftj::CacheOptions::Eviction::kLru;
     clftj::CachedTrieJoin engine(options);
     const clftj::RunResult r = engine.Count(query, db, limits);
-    if (r.count != base.count && !base.timed_out && !r.timed_out) {
+    if (r.count != base.count && base.ok() && r.ok()) {
       std::fprintf(stderr, "BUG: count mismatch at capacity %llu\n",
                    static_cast<unsigned long long>(capacity));
       return 1;

@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
     for (const std::string& name : engines) {
       const auto engine = clftj::MakeEngine(name);
       const clftj::RunResult r = engine->Count(w.query, db, limits);
-      if (r.timed_out) {
+      if (r.status == clftj::RunStatus::kTimeout) {
         std::printf(" %14s", "TIMEOUT");
-      } else if (r.out_of_memory) {
+      } else if (r.status == clftj::RunStatus::kOutOfMemory) {
         std::printf(" %14s", "OOM");
       } else {
         std::printf(" %12.3fms", r.seconds * 1e3);

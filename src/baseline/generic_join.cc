@@ -163,8 +163,8 @@ RunResult GenericJoin::Count(const Query& q, const Database& db,
   std::uint64_t count = 0;
   run.Go([&count](const Tuple&) { ++count; });
   result.count = count;
-  result.SetStatus(MergeRunStatus(run.timed_out(), /*any_out_of_memory=*/false,
-                                  limits.cancel));
+  result.status = MergeRunStatus(
+      run.timed_out(), /*any_out_of_memory=*/false, limits.cancel);
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
   return result;
@@ -182,8 +182,8 @@ RunResult GenericJoin::Evaluate(const Query& q, const Database& db,
     cb(t);
   });
   result.count = count;
-  result.SetStatus(MergeRunStatus(run.timed_out(), /*any_out_of_memory=*/false,
-                                  limits.cancel));
+  result.status = MergeRunStatus(
+      run.timed_out(), /*any_out_of_memory=*/false, limits.cancel);
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
   return result;

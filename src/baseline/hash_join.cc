@@ -162,8 +162,8 @@ RunResult RunPairwise(const Query& q, const Database& db,
     alive = JoinStep(&acc, tables[order[step]], &result.stats, &deadline,
                      limits.max_intermediate_tuples, &out_of_memory);
   }
-  result.SetStatus(
-      MergeRunStatus(!alive && !out_of_memory, out_of_memory, limits.cancel));
+  result.status =
+      MergeRunStatus(!alive && !out_of_memory, out_of_memory, limits.cancel);
   if (alive) {
     result.count = acc.rows.size();
     if (cb != nullptr) {

@@ -52,15 +52,16 @@ struct CacheOptions {
   enum class Eviction { kRejectNew, kLru };
   Eviction eviction = Eviction::kLru;
 
-  /// Cache placement for parallel (sharded) execution. kPrivate: each shard
-  /// owns a CacheManager sized capacity/K — no cross-shard coordination on
-  /// the hot path, but shards recompute each other's subtrees. kStriped:
-  /// all shards probe and fill one StripedCacheManager — S lock-striped
-  /// segments whose per-stripe budgets sum to the global capacity — so a
-  /// subtree computed by any shard is a hit for every other shard
-  /// (cross-shard reuse at the price of a stripe mutex per cache call).
-  /// Single-threaded CachedTrieJoin ignores the knob: one run with one
-  /// private cache already *is* the global budget.
+  /// Cache placement across the K shards of a CachedTrieJoin run. kPrivate:
+  /// each shard owns a CacheManager sized capacity/K — no cross-shard
+  /// coordination on the hot path, but shards recompute each other's
+  /// subtrees. kStriped: all shards probe and fill one StripedCacheManager
+  /// — S lock-striped segments whose per-stripe budgets sum to the global
+  /// capacity — so a subtree computed by any shard is a hit for every
+  /// other shard (cross-shard reuse at the price of a stripe mutex per
+  /// cache call). There is no separate single-thread engine: a one-thread
+  /// run is one shard, whose kPrivate cache holds the whole budget and
+  /// whose kStriped table has a single prober.
   enum class Sharing { kPrivate, kStriped };
   Sharing sharing = Sharing::kPrivate;
 

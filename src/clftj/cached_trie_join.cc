@@ -1,7 +1,13 @@
 #include "clftj/cached_trie_join.h"
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
@@ -217,34 +223,221 @@ std::shared_ptr<FactorizedSet> EvalRun::TakeRootSet() {
   return set;
 }
 
-CachedPlan CachedTrieJoin::ResolvePlan(const Query& q,
-                                       const Database& db) const {
-  return CachedPlan::Resolve(q, db, options_.plan, options_.planner,
-                             options_.cache);
+namespace {
+
+// The shard layout of one parallel run: the per-shard first-variable
+// ranges and the per-shard cache budget.
+struct ShardSetup {
+  std::vector<FirstVarRange> shards;
+  CacheOptions cache;
+};
+
+// Splits the first variable's domain into at most `threads` contiguous
+// shards and derives the per-shard cache budget. Under Sharing::kPrivate
+// the global entry and byte budgets are split evenly over K private caches
+// (floored, min 1 so a tiny budget over many shards still caches
+// something). Under Sharing::kStriped the budgets are left whole: the
+// run-wide StripedCacheManager carries the global budget itself (split
+// across its stripes, not across shards), and the per-run cache options
+// only configure admission/eviction policy.
+//
+// The boundaries come from an O(K) index split of one depth-0 atom's
+// top-level sibling array — the smallest one, since the intersection is a
+// subset of each participant. No leapfrog pass, no key buffer, no deadline
+// concern: materializing the depth-0 intersection would cost O(n) serial
+// accesses before any shard started. The split is near-equal in that
+// atom's value array, not in the intersection, so shards can be less
+// balanced than the exact split — the price of an O(K) prelude. A single
+// thread needs no boundaries at all and runs the one unbounded shard:
+// sequential CLFTJ.
+ShardSetup PrepareShards(const TrieJoinSubstrate& substrate, int threads,
+                         const CacheOptions& global_cache) {
+  ShardSetup setup;
+  setup.cache = global_cache;
+  if (threads <= 1) {
+    setup.shards.emplace_back();  // whole domain
+    return setup;
+  }
+
+  const std::vector<int>& participants = substrate.atoms_at_depth()[0];
+  const std::vector<Value>* split = nullptr;
+  for (const int a : participants) {
+    const std::vector<Value>& top = substrate.views()[a].trie->values(0);
+    if (split == nullptr || top.size() < split->size()) split = &top;
+  }
+  CLFTJ_CHECK(split != nullptr);
+  // Two-tier views split on the main tier's top level only (the intervals
+  // partition the whole value space, so added values land in some shard
+  // regardless). A view whose main tier is empty but whose overlay is not
+  // offers no boundaries at all — run the one unbounded shard.
+  if (split->empty()) {
+    setup.shards.emplace_back();
+    return setup;
+  }
+  const std::size_t n = split->size();
+  const std::size_t k =
+      std::min<std::size_t>(static_cast<std::size_t>(threads), n);
+  setup.shards.reserve(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    const std::size_t begin = s * n / k;
+    const std::size_t end = (s + 1) * n / k;
+    if (begin == end) continue;  // k <= n makes this unreachable; belt+braces
+    FirstVarRange range;
+    // Sibling arrays hold distinct sorted values, so consecutive [begin,
+    // end) index windows yield disjoint half-open value intervals that
+    // jointly cover the atom's whole top level — and therefore every
+    // depth-0 intersection key. The first shard is left unbounded below
+    // and the last unbounded above for the same reason.
+    if (s > 0) range.lo = (*split)[begin];
+    if (end < n) {
+      range.has_hi = true;
+      range.hi = (*split)[end];
+    }
+    setup.shards.push_back(range);
+  }
+  if (setup.cache.sharing == CacheOptions::Sharing::kPrivate) {
+    if (k > 1 && setup.cache.capacity > 0) {
+      setup.cache.capacity =
+          std::max<std::uint64_t>(1, setup.cache.capacity / k);
+    }
+    if (k > 1 && setup.cache.capacity_bytes > 0) {
+      setup.cache.capacity_bytes =
+          std::max<std::uint64_t>(1, setup.cache.capacity_bytes / k);
+    }
+  }
+  return setup;
 }
 
-// The two reuse seams shared by Count/Evaluate/EvaluateFactorized: a
-// prepared plan replaces local resolution, and a prepared substrate
-// replaces the context's private trie build. Both are pure input
-// substitutions — the run logic never knows which path provided them.
+// The run's striped table: the injected persistent cache when there is
+// one, else — under Sharing::kStriped — a run-owned table stored into
+// *owned, else null (private caches). A run-owned table carries the
+// *global* budget, split across its stripes, never across shards. Only a
+// run-owned table's stats are folded into the run: that merge is sound
+// only on a quiescent table, and an injected cache stays live across runs.
+template <typename V>
+StripedCacheManager<V>* StripedFor(
+    StripedCacheManager<V>* injected, const CacheOptions& cache,
+    const CachedPlan& plan, std::size_t workers,
+    std::unique_ptr<StripedCacheManager<V>>* owned) {
+  if (injected != nullptr) return injected;
+  if (cache.sharing != CacheOptions::Sharing::kStriped) return nullptr;
+  *owned = std::make_unique<StripedCacheManager<V>>(
+      static_cast<int>(plan.cacheable.size()), cache,
+      static_cast<int>(workers));
+  return owned->get();
+}
 
-const CachedPlan* CachedTrieJoin::PlanFor(const Query& q, const Database& db,
-                                          std::optional<CachedPlan>* local) {
+// Runs work(0..n-1): shard 0 on the calling thread, the rest on their own
+// threads. n == 1 stays entirely thread-free: the one-shard run is the
+// sequential execution.
+void RunShards(std::size_t n, const std::function<void(std::size_t)>& work) {
+  if (n <= 1) {
+    if (n == 1) work(0);
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(n - 1);
+  for (std::size_t s = 1; s < n; ++s) pool.emplace_back(work, s);
+  work(0);
+  for (std::thread& t : pool) t.join();
+}
+
+// What one shard leaves behind; each entry point fills the fields it uses.
+struct ShardOutcome {
+  ExecStats stats;
+  /// Count: the shard's count. Evaluate: tuples passed to its callback.
+  std::uint64_t count = 0;
+  /// Evaluate with K > 1 shards: the buffered tuple stream.
+  std::vector<Tuple> tuples;
+  /// EvaluateFactorized: the shard's root set (null after a failed run).
+  std::shared_ptr<FactorizedSet> root;
+  bool timed_out = false;
+  bool out_of_memory = false;
+};
+
+// Merges the shards' stats into *into and returns the run's typed status.
+// Counters sum (ExecStats::Merge), but cache peaks are re-accumulated as
+// sums because the K private caches coexist — the run's true peak
+// footprint is the sum of shard peaks, not their max. A run-owned striped
+// table's counters live in per-stripe stats (shards charge cache traffic
+// to the owning stripe, not to their own sinks); its deterministic
+// stripe-order aggregate is folded in after the join, and since shard
+// cache peaks are zero then, Merge's max-merge passes the summed stripe
+// peaks through unchanged.
+template <typename V>
+RunStatus MergeShards(const std::vector<ShardOutcome>& out,
+                      const StripedCacheManager<V>* owned,
+                      const AbortFlag* abort, ExecStats* into) {
+  std::uint64_t entries_peak = into->cache_entries_peak;
+  std::uint64_t bytes_peak = into->cache_bytes_peak;
+  bool any_timed_out = false;
+  bool any_out_of_memory = false;
+  for (const ShardOutcome& o : out) {
+    into->Merge(o.stats);
+    entries_peak += o.stats.cache_entries_peak;
+    bytes_peak += o.stats.cache_bytes_peak;
+    any_timed_out |= o.timed_out;
+    any_out_of_memory |= o.out_of_memory;
+  }
+  into->cache_entries_peak = entries_peak;
+  into->cache_bytes_peak = bytes_peak;
+  if (owned != nullptr) into->Merge(owned->AggregatedStats());
+  return MergeRunStatus(any_timed_out, any_out_of_memory, abort);
+}
+
+// The wall-clock budget left after the time this run has already spent
+// (plan resolution, substrate build), preserving 0 = unlimited. Handing
+// shards the *remaining* budget instead of the original one keeps the
+// whole run inside a single timeout window — setup and shards do not each
+// get a fresh timer. A fully consumed budget becomes a tiny positive value
+// so downstream DeadlineCheckers trip at their first stride instead of
+// reading 0 as "unlimited".
+RunLimits RemainingLimits(const RunLimits& limits, const Timer& timer) {
+  RunLimits remaining = limits;
+  if (limits.timeout_seconds > 0.0) {
+    remaining.timeout_seconds =
+        std::max(1e-9, limits.timeout_seconds - timer.Seconds());
+  }
+  return remaining;
+}
+
+// The run's shared stop flag: the caller-provided cancel handle when one
+// is set (so an external Trip(kCancelled) stops every shard and the run
+// reports the typed reason), else a run-local flag. Typed-status folding —
+// OOM dominates, then an external cancel, then timeout — lives in
+// MergeRunStatus (engine.cc): secondary "timeouts" of shards that only
+// observed a sibling's trip are artifacts of the stop signal, not real
+// deadlines.
+AbortFlag* SharedAbort(const RunLimits& limits, AbortFlag* local) {
+  return limits.cancel != nullptr ? limits.cancel : local;
+}
+
+}  // namespace
+
+int CachedTrieJoin::EffectiveThreads() const {
+  if (options_.threads > 0) return options_.threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+const CachedPlan* CachedTrieJoin::PlanFor(
+    const Query& q, const Database& db,
+    std::optional<CachedPlan>* local) const {
   if (options_.prepared_plan != nullptr) return options_.prepared_plan.get();
-  return &local->emplace(ResolvePlan(q, db));
+  return &local->emplace(CachedPlan::Resolve(q, db, options_.plan,
+                                             options_.planner, options_.cache));
 }
 
-void CachedTrieJoin::MakeContext(const Query& q, const Database& db,
-                                 const CachedPlan& plan, ExecStats* stats,
-                                 std::optional<TrieJoinContext>* ctx) {
+const TrieJoinSubstrate* CachedTrieJoin::SubstrateFor(
+    const Query& q, const Database& db, const CachedPlan& plan,
+    std::optional<TrieJoinSubstrate>* local) const {
   if (options_.prepared_substrate != nullptr) {
     // The substrate was built for one specific variable order; a mismatch
     // means the caller paired a plan and substrate from different shapes.
     CLFTJ_CHECK(options_.prepared_substrate->order() == plan.order);
-    ctx->emplace(*options_.prepared_substrate, stats);
-  } else {
-    ctx->emplace(q, db, plan.order, stats);
+    return options_.prepared_substrate.get();
   }
+  return &local->emplace(q, db, plan.order);
 }
 
 RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
@@ -252,16 +445,104 @@ RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
   RunResult result;
   Timer timer;
   std::optional<CachedPlan> local_plan;
-  const CachedPlan* plan = PlanFor(q, db, &local_plan);
-  std::optional<TrieJoinContext> ctx;
-  MakeContext(q, db, *plan, &result.stats, &ctx);
-  if (!ctx->HasEmptyAtom()) {
-    CountRun run(*plan, options_.cache, &*ctx, &result.stats, limits,
-                 FirstVarRange{}, limits.cancel, options_.shared_count_cache);
-    result.count = run.Run();
-    result.SetStatus(
-        MergeRunStatus(run.timed_out(), /*any_out_of_memory=*/false,
-                       limits.cancel));
+  const CachedPlan& plan = *PlanFor(q, db, &local_plan);
+  std::optional<TrieJoinSubstrate> local_substrate;
+  const TrieJoinSubstrate& substrate =
+      *SubstrateFor(q, db, plan, &local_substrate);
+  if (!substrate.HasEmptyAtom()) {
+    const ShardSetup setup =
+        PrepareShards(substrate, EffectiveThreads(), options_.cache);
+    const std::vector<FirstVarRange>& shards = setup.shards;
+    const RunLimits shard_limits = RemainingLimits(limits, timer);
+    AbortFlag local_abort;
+    AbortFlag* abort = SharedAbort(limits, &local_abort);
+    std::unique_ptr<StripedCacheManager<std::uint64_t>> owned;
+    StripedCacheManager<std::uint64_t>* striped =
+        StripedFor(options_.shared_count_cache, options_.cache, plan,
+                   shards.size(), &owned);
+    std::vector<ShardOutcome> out(shards.size());
+    RunShards(shards.size(), [&](std::size_t s) {
+      ShardOutcome& o = out[s];
+      TrieJoinContext ctx(substrate, &o.stats);
+      CountRun run(plan, setup.cache, &ctx, &o.stats, shard_limits, shards[s],
+                   abort, striped);
+      o.count = run.Run();
+      o.timed_out = run.timed_out();
+    });
+    for (const ShardOutcome& o : out) result.count += o.count;
+    result.status = MergeShards(out, owned.get(), abort, &result.stats);
+  }
+  result.stats.output_tuples = result.count;
+  result.seconds = timer.Seconds();
+  return result;
+}
+
+RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
+                                   const TupleCallback& cb,
+                                   const RunLimits& limits) {
+  RunResult result;
+  Timer timer;
+  std::optional<CachedPlan> local_plan;
+  const CachedPlan& plan = *PlanFor(q, db, &local_plan);
+  std::optional<TrieJoinSubstrate> local_substrate;
+  const TrieJoinSubstrate& substrate =
+      *SubstrateFor(q, db, plan, &local_substrate);
+  if (!substrate.HasEmptyAtom()) {
+    const ShardSetup setup =
+        PrepareShards(substrate, EffectiveThreads(), options_.cache);
+    const std::vector<FirstVarRange>& shards = setup.shards;
+    const RunLimits shard_limits = RemainingLimits(limits, timer);
+    AbortFlag local_abort;
+    AbortFlag* abort = SharedAbort(limits, &local_abort);
+    std::unique_ptr<StripedCacheManager<FactorizedSetPtr>> owned;
+    StripedCacheManager<FactorizedSetPtr>* striped =
+        StripedFor(options_.shared_eval_cache, options_.cache, plan,
+                   shards.size(), &owned);
+    // One shard streams into `cb` directly. K > 1 shards buffer their
+    // tuples for a deterministic drain in shard order below, and buffered
+    // tuples draw on the same run-wide materialization budget as the
+    // shards' intermediate entries, so parallel evaluation keeps one
+    // bounded footprint overall.
+    const bool buffered = shards.size() > 1;
+    std::atomic<std::uint64_t> materialized{0};  // run-wide, all shards
+    std::vector<ShardOutcome> out(shards.size());
+    RunShards(shards.size(), [&](std::size_t s) {
+      ShardOutcome& o = out[s];
+      TrieJoinContext ctx(substrate, &o.stats);
+      const TupleCallback buffer = [&o, &shard_limits, abort,
+                                    &materialized](const Tuple& t) {
+        if (shard_limits.max_intermediate_tuples > 0 &&
+            materialized.fetch_add(1, std::memory_order_relaxed) + 1 >
+                shard_limits.max_intermediate_tuples) {
+          if (!o.out_of_memory) {
+            o.out_of_memory = true;
+            abort->Trip(RunStatus::kOutOfMemory);
+          }
+          return;
+        }
+        o.tuples.push_back(t);
+      };
+      EvalRun run(plan, setup.cache, &ctx, &o.stats, buffered ? buffer : cb,
+                  shard_limits, /*expand_at_leaf=*/true, shards[s], abort,
+                  &materialized, striped);
+      o.count = run.Run();
+      o.timed_out = run.timed_out();
+      o.out_of_memory |= run.out_of_memory();
+    });
+    result.status = MergeShards(out, owned.get(), abort, &result.stats);
+    if (!buffered) result.count = out.front().count;
+    // Drain buffers in shard order — ascending first-variable intervals, so
+    // the stream is the same for every run at this thread count (its
+    // interleaving may differ from the one-shard stream; see the class
+    // comment). On a failed run this is a partial prefix-per-shard result,
+    // mirroring the partial emission of a failed one-shard run.
+    for (ShardOutcome& o : out) {
+      for (Tuple& t : o.tuples) {
+        ++result.count;
+        cb(t);
+      }
+      o.tuples.clear();
+    }
   }
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
@@ -275,61 +556,71 @@ std::optional<FactorizedQueryResult> CachedTrieJoin::EvaluateFactorized(
   *run = RunResult();
   Timer timer;
   // A prepared plan is shared and immutable — copy it before the maintain
-  // fill below mutates it. (The shared striped caches are NOT consulted
-  // here: maintain-everything runs build different factorized sets than
-  // plan-default runs, so their payloads must not mix.)
+  // fill mutates it. The shared striped caches are NOT consulted here:
+  // maintain-everything runs build different factorized sets than
+  // plan-default runs, so their payloads must not mix (a run-owned striped
+  // table is still fine — it dies with the run).
   auto plan = options_.prepared_plan != nullptr
                   ? std::make_shared<CachedPlan>(*options_.prepared_plan)
-                  : std::make_shared<CachedPlan>(ResolvePlan(q, db));
+                  : std::make_shared<CachedPlan>(CachedPlan::Resolve(
+                        q, db, options_.plan, options_.planner,
+                        options_.cache));
   // Intermediate sets must be collected everywhere so the root's set is the
-  // complete (factorized) result.
+  // complete (factorized) result. Done before shards start: the plan is
+  // immutable once shared.
   std::fill(plan->maintain.begin(), plan->maintain.end(), true);
-  std::optional<TrieJoinContext> ctx_storage;
-  MakeContext(q, db, *plan, &run->stats, &ctx_storage);
-  TrieJoinContext& ctx = *ctx_storage;
-  FactorizedSetPtr root;
-  if (!ctx.HasEmptyAtom()) {
+  std::optional<TrieJoinSubstrate> local_substrate;
+  const TrieJoinSubstrate& substrate =
+      *SubstrateFor(q, db, *plan, &local_substrate);
+
+  // An empty atom view makes the result empty: an entry-less root set.
+  auto root = std::make_shared<FactorizedSet>();
+  root->node = plan->root;
+  if (!substrate.HasEmptyAtom()) {
+    const ShardSetup setup =
+        PrepareShards(substrate, EffectiveThreads(), options_.cache);
+    const std::vector<FirstVarRange>& shards = setup.shards;
+    const RunLimits shard_limits = RemainingLimits(limits, timer);
+    AbortFlag local_abort;
+    AbortFlag* abort = SharedAbort(limits, &local_abort);
+    std::unique_ptr<StripedCacheManager<FactorizedSetPtr>> owned;
+    StripedCacheManager<FactorizedSetPtr>* striped =
+        StripedFor<FactorizedSetPtr>(nullptr, options_.cache, *plan,
+                                     shards.size(), &owned);
+    std::atomic<std::uint64_t> materialized{0};  // run-wide, all shards
+    std::vector<ShardOutcome> out(shards.size());
     const TupleCallback noop = [](const Tuple&) {};
-    EvalRun eval(*plan, options_.cache, &ctx, &run->stats, noop, limits,
-                 /*expand_at_leaf=*/false, FirstVarRange{}, limits.cancel);
-    eval.Run();
-    run->SetStatus(MergeRunStatus(eval.timed_out(), eval.out_of_memory(),
-                                  limits.cancel));
-    if (run->ok()) root = eval.TakeRootSet();
-  } else {
-    // An empty atom view makes the result empty: an entry-less root set.
-    auto empty_root = std::make_shared<FactorizedSet>();
-    empty_root->node = plan->root;
-    root = std::move(empty_root);
+    RunShards(shards.size(), [&](std::size_t s) {
+      ShardOutcome& o = out[s];
+      TrieJoinContext ctx(substrate, &o.stats);
+      EvalRun eval(*plan, setup.cache, &ctx, &o.stats, noop, shard_limits,
+                   /*expand_at_leaf=*/false, shards[s], abort, &materialized,
+                   striped);
+      eval.Run();
+      o.timed_out = eval.timed_out();
+      o.out_of_memory = eval.out_of_memory();
+      if (!o.timed_out && !o.out_of_memory) o.root = eval.TakeRootSet();
+    });
+    run->status = MergeShards(out, owned.get(), abort, &run->stats);
+    if (run->ok()) {
+      // Concatenate shard roots in shard order: ascending contiguous
+      // first-variable intervals reproduce the one-shard entry order.
+      std::size_t total = 0;
+      for (const ShardOutcome& o : out) total += o.root->entries.size();
+      root->entries.reserve(total);
+      for (ShardOutcome& o : out) {
+        std::move(o.root->entries.begin(), o.root->entries.end(),
+                  std::back_inserter(root->entries));
+        o.root = nullptr;
+      }
+    }
   }
   run->seconds = timer.Seconds();
   if (!run->ok()) return std::nullopt;
-  run->count = root == nullptr ? 0 : FactorizedCount(*root);
+  run->count = FactorizedCount(*root);
   run->stats.output_tuples = run->count;
-  return FactorizedQueryResult(std::move(plan), std::move(root));
-}
-
-RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
-                                   const TupleCallback& cb,
-                                   const RunLimits& limits) {
-  RunResult result;
-  Timer timer;
-  std::optional<CachedPlan> local_plan;
-  const CachedPlan* plan = PlanFor(q, db, &local_plan);
-  std::optional<TrieJoinContext> ctx;
-  MakeContext(q, db, *plan, &result.stats, &ctx);
-  if (!ctx->HasEmptyAtom()) {
-    EvalRun run(*plan, options_.cache, &*ctx, &result.stats, cb, limits,
-                /*expand_at_leaf=*/true, FirstVarRange{}, limits.cancel,
-                /*shared_intermediates=*/nullptr,
-                options_.shared_eval_cache);
-    result.count = run.Run();
-    result.SetStatus(MergeRunStatus(run.timed_out(), run.out_of_memory(),
-                                    limits.cancel));
-  }
-  result.stats.output_tuples = result.count;
-  result.seconds = timer.Seconds();
-  return result;
+  return FactorizedQueryResult(std::move(plan),
+                               FactorizedSetPtr(std::move(root)));
 }
 
 }  // namespace clftj

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,10 +20,10 @@
 namespace clftj {
 
 /// Restriction of a CLFTJ run to first-variable values in the half-open
-/// interval [lo, hi) — the sharding unit of the parallel executor
-/// (ShardedCachedTrieJoin splits the first variable's sibling range into
-/// contiguous shards of these). The default range covers the whole domain,
-/// which makes an unrestricted run just the 1-shard special case.
+/// interval [lo, hi) — the sharding unit of a multi-threaded CachedTrieJoin
+/// (it splits the first variable's sibling range into contiguous shards of
+/// these). The default range covers the whole domain, which makes an
+/// unrestricted run just the 1-shard special case.
 struct FirstVarRange {
   Value lo = std::numeric_limits<Value>::min();
   /// When false, the range is unbounded above and `hi` is ignored.
@@ -179,24 +180,66 @@ class EvalRun {
 /// entry — any admission/eviction decision preserves correctness — so the
 /// memory footprint can be bounded dynamically.
 ///
-/// This class is the single-threaded frontend over CountRun/EvalRun; the
-/// parallel frontend over the same run states is ShardedCachedTrieJoin
-/// (engine/sharded.h).
+/// One run builds the shared immutable state once — CachedPlan and
+/// TrieJoinSubstrate, both data-race-free under concurrent reads — then
+/// splits the first join variable's domain into K contiguous near-equal
+/// value ranges and executes each range as an independent CountRun/EvalRun
+/// with a private TrieJoinContext cursor and private ExecStats. K = 1 (the
+/// default, Options::threads == 1) is the paper's sequential CLFTJ: one
+/// unbounded shard on the calling thread, no worker threads. K > 1 is
+/// CLFTJ-P, one shard per thread. CacheOptions::sharing selects the cache
+/// placement: kPrivate gives each shard a CacheManager sized capacity/K
+/// (no synchronization, no cross-shard reuse); kStriped gives all shards
+/// one StripedCacheManager carrying the undivided global budget, so a
+/// subtree computed by any shard is a hit for every other shard — the
+/// paper's cache benefit preserved under parallelism at the price of a
+/// stripe mutex per cache call. A single shared AbortFlag propagates the
+/// first deadline expiry or materialization-budget hit to every shard
+/// within one deadline stride. The whole run — plan resolution and trie
+/// builds included — shares one RunLimits::timeout_seconds window.
+///
+/// Determinism: shards are ascending value intervals and the trie
+/// enumerates ascending, so summing counts and concatenating factorized
+/// root entries in shard order reproduce the one-shard result — identical
+/// counts and identical tuple sets at every thread count and under either
+/// sharing mode (cached entries are exact subtree results, so any hit/miss
+/// pattern preserves correctness), and a tuple stream that is deterministic
+/// for a given thread count under kPrivate (its interleaving can differ
+/// from the one-shard stream, because cache hits expand skipped subtrees at
+/// the emission point and private shard caches hit differently than one
+/// shared cache). Stats under kPrivate are fully deterministic (each
+/// shard's traversal is fixed; the merged stats report the shard sum, with
+/// cache peaks summed because the private caches coexist). Under kStriped
+/// the merge procedure stays deterministic — per-stripe counters aggregated
+/// in ascending stripe order after the join — but the counter *values* can
+/// vary slightly across multi-shard runs: whether shard B hits a subtree
+/// shard A computes depends on which worker inserted first, so hit/miss
+/// splits and memory-access sums are interleaving-dependent (counts and
+/// tuple sets are not).
 class CachedTrieJoin : public JoinEngine {
  public:
   struct Options {
+    /// Worker count: 1 is sequential CLFTJ; <= 0 means one per hardware
+    /// thread. The effective shard count is min(threads, size of the
+    /// smallest depth-0 atom's top level), so a domain smaller than the
+    /// thread count simply runs fewer shards.
+    int threads = 1;
     /// Explicit plan (e.g. a hand-built TD for the Figure 11/13
     /// experiments); when absent, PlanQuery chooses one per query.
     std::optional<TdPlan> plan;
     PlannerOptions planner;
+    /// The *global* cache budget: under Sharing::kPrivate each of K shards
+    /// receives capacity/K (and capacity_bytes/K); under Sharing::kStriped
+    /// the undivided budget goes to one shared striped table whose
+    /// per-stripe slices sum to it.
     CacheOptions cache;
 
     // Cross-query reuse injection (the serving loop's CrossQueryReuse).
     // When set, the run skips its own plan resolution / trie builds and
     // uses the shared immutable state instead; the striped cache pointers
-    // (borrowed, must outlive the run) replace the run's private cache so
-    // successive requests of the same shape warm each other. Results are
-    // identical either way.
+    // (borrowed, must outlive the run) replace the run-owned cache so all
+    // shards of all requests of this shape share one table — an injected
+    // cache wins over `cache.sharing`. Results are identical either way.
     std::shared_ptr<const CachedPlan> prepared_plan;
     std::shared_ptr<const TrieJoinSubstrate> prepared_substrate;
     StripedCacheManager<std::uint64_t>* shared_count_cache = nullptr;
@@ -206,33 +249,49 @@ class CachedTrieJoin : public JoinEngine {
   CachedTrieJoin() = default;
   explicit CachedTrieJoin(Options options) : options_(std::move(options)) {}
 
-  std::string name() const override { return "CLFTJ"; }
+  std::string name() const override {
+    return options_.threads == 1 ? "CLFTJ" : "CLFTJ-P";
+  }
 
   RunResult Count(const Query& q, const Database& db,
                   const RunLimits& limits) override;
 
+  /// One shard streams tuples straight into `cb`; streamed tuples are not
+  /// materialized, so they draw nothing from max_intermediate_tuples.
+  /// K > 1 shards each buffer their tuples, and the buffers are drained
+  /// through `cb` in shard order after the workers join — the same stream
+  /// for every run at a given thread count (see the class comment on
+  /// ordering). Buffered tuples and intermediate entries draw on one
+  /// run-wide max_intermediate_tuples budget shared by all shards (a
+  /// single atomic counter), so a parallel run whose buffered output would
+  /// exceed the budget reports kOutOfMemory where one shard would have
+  /// streamed through. Callers that need unbounded streaming of huge
+  /// results should run one thread, or EvaluateFactorized (whose
+  /// factorized root is usually far smaller than the flat result).
   RunResult Evaluate(const Query& q, const Database& db,
                      const TupleCallback& cb, const RunLimits& limits) override;
 
   /// Computes q(D) as a persistent factorized representation instead of a
   /// flat tuple stream (Section 3.4): intermediate sets are maintained at
   /// every TD node and the root's set *is* the result — counting and
-  /// enumeration happen on demand via FactorizedQueryResult. Returns
+  /// enumeration happen on demand via FactorizedQueryResult. The root set
+  /// is the shard roots' entries concatenated in shard order. Returns
   /// nullopt if the run hit a limit (limits/result details in *run).
   std::optional<FactorizedQueryResult> EvaluateFactorized(
       const Query& q, const Database& db, const RunLimits& limits,
       RunResult* run);
 
  private:
-  CachedPlan ResolvePlan(const Query& q, const Database& db) const;
+  int EffectiveThreads() const;
 
   /// Returns the prepared plan if injected, else resolves into *local.
   const CachedPlan* PlanFor(const Query& q, const Database& db,
-                            std::optional<CachedPlan>* local);
-  /// Emplaces a cursor over the prepared substrate if injected (checking
-  /// its order matches the plan), else over a freshly built private one.
-  void MakeContext(const Query& q, const Database& db, const CachedPlan& plan,
-                   ExecStats* stats, std::optional<TrieJoinContext>* ctx);
+                            std::optional<CachedPlan>* local) const;
+  /// Returns the prepared substrate if injected (checking its order matches
+  /// the plan), else builds a private one into *local.
+  const TrieJoinSubstrate* SubstrateFor(
+      const Query& q, const Database& db, const CachedPlan& plan,
+      std::optional<TrieJoinSubstrate>* local) const;
 
   Options options_;
 };

@@ -4,7 +4,6 @@
 #include "baseline/hash_join.h"
 #include "baseline/nested_loop.h"
 #include "clftj/cached_trie_join.h"
-#include "engine/sharded.h"
 #include "lftj/trie_join.h"
 #include "yannakakis/ytd.h"
 
@@ -107,24 +106,15 @@ std::unique_ptr<JoinEngine> MakeEngine(const std::string& name) {
 std::unique_ptr<JoinEngine> MakeEngine(const std::string& name,
                                        const EngineOptions& options) {
   if (name == "LFTJ") return std::make_unique<LeapfrogTrieJoin>();
-  if (name == "CLFTJ") {
+  if (name == "CLFTJ" || name == "CLFTJ-P") {
     CachedTrieJoin::Options engine_options;
+    engine_options.threads = name == "CLFTJ" ? 1 : options.threads;
     engine_options.cache = options.cache;
     engine_options.prepared_plan = options.prepared_plan;
     engine_options.prepared_substrate = options.prepared_substrate;
     engine_options.shared_count_cache = options.shared_count_cache;
     engine_options.shared_eval_cache = options.shared_eval_cache;
     return std::make_unique<CachedTrieJoin>(engine_options);
-  }
-  if (name == "CLFTJ-P") {
-    ShardedCachedTrieJoin::Options engine_options;
-    engine_options.threads = options.threads;
-    engine_options.cache = options.cache;
-    engine_options.prepared_plan = options.prepared_plan;
-    engine_options.prepared_substrate = options.prepared_substrate;
-    engine_options.shared_count_cache = options.shared_count_cache;
-    engine_options.shared_eval_cache = options.shared_eval_cache;
-    return std::make_unique<ShardedCachedTrieJoin>(engine_options);
   }
   if (name == "YTD") return std::make_unique<YannakakisTd>();
   if (name == "PairwiseHJ") return std::make_unique<PairwiseHashJoin>();

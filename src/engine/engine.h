@@ -85,31 +85,17 @@ struct RunLimits {
 
 /// Outcome of one engine run. `count` is the number of result tuples (for
 /// Count) or the number of tuples emitted (for Evaluate). A run that hits a
-/// limit reports partial stats with the typed status (and the legacy
-/// timed_out/out_of_memory shims) set.
+/// limit reports partial stats with the typed status set.
 struct RunResult {
   std::uint64_t count = 0;
   /// Typed outcome; kOk unless the run terminated abnormally.
   RunStatus status = RunStatus::kOk;
   /// Human-readable detail for non-kOk statuses (may be empty).
   std::string message;
-  /// Legacy shims, kept in sync by SetStatus: prefer `status`.
-  bool timed_out = false;
-  bool out_of_memory = false;
   double seconds = 0.0;
   ExecStats stats;
 
-  /// Sets the typed status and keeps the legacy bool shims consistent.
-  void SetStatus(RunStatus s, std::string msg = std::string()) {
-    status = s;
-    if (!msg.empty()) message = std::move(msg);
-    timed_out = s == RunStatus::kTimeout;
-    out_of_memory = s == RunStatus::kOutOfMemory;
-  }
-
-  bool ok() const {
-    return status == RunStatus::kOk && !timed_out && !out_of_memory;
-  }
+  bool ok() const { return status == RunStatus::kOk; }
 };
 
 /// Receives one full result tuple, indexed by VarId (size = num_vars()).
@@ -229,9 +215,8 @@ std::vector<std::string> EngineNames();
 bool IsKnownEngine(const std::string& name);
 
 /// Cross-engine construction knobs for MakeEngine. Engines that have no
-/// use for a knob ignore it (only CLFTJ consumes `cache`, only CLFTJ-P
-/// consumes `threads` — including `cache.sharing`, which selects between
-/// private capacity/K shard caches and the striped shared table).
+/// use for a knob ignore it (only CLFTJ/CLFTJ-P consume `cache`, only
+/// CLFTJ-P consumes `threads` — MakeEngine("CLFTJ") fixes one thread).
 struct EngineOptions {
   /// CLFTJ-P worker count; <= 0 means one per hardware thread.
   int threads = 0;

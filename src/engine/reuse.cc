@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
 #include <utility>
 
 #include "query/shape.h"
-#include "util/timer.h"
 
 namespace clftj {
 
@@ -146,28 +144,8 @@ CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
                                                    ExecStats* stats) {
   Prepared out;
   if (!options_.enabled) return out;
-  const bool needs_plan =
-      options_.plan_cache || options_.share_substrates ||
-      options_.persistent_cache;
-  if (!needs_plan) return out;
-
-  if (options_.plan_cache) {
-    out.plan = plan_cache_.Resolve(q, db, planner_, cache_, stats);
-  } else {
-    // Plan caching is off but a later layer needs the resolved order /
-    // node count; resolve fresh without charging the plan-cache counters.
-    Timer timer;
-    out.plan = std::make_shared<const CachedPlan>(
-        CachedPlan::Resolve(q, db, std::nullopt, planner_, cache_));
-    if (stats != nullptr) {
-      stats->plan_resolve_ns +=
-          static_cast<std::uint64_t>(timer.Seconds() * 1e9);
-    }
-  }
-
-  if (options_.share_substrates) {
-    out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
-  }
+  out.plan = plan_cache_.Resolve(q, db, planner_, cache_, stats);
+  out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
   if (options_.persistent_cache) {
     out.caches = AcquireShapeCaches(q, db, out.plan, stats);
   }

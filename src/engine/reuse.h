@@ -21,18 +21,18 @@
 
 namespace clftj {
 
-/// Knobs for the serving loop's cross-query reuse layer. Every layer can be
-/// switched off independently so the cold path stays testable; `enabled`
-/// is the master switch (off = every request plans, builds and caches from
-/// scratch, exactly the pre-reuse behavior).
+/// Knobs for the serving loop's cross-query reuse layer. `enabled` is the
+/// master switch (off = every request plans, builds and caches from
+/// scratch, exactly the pre-reuse behavior, which keeps the cold path
+/// testable). When on, the plan cache and the shared tries always run; the
+/// persistent caches can be switched off on their own.
 struct ReuseOptions {
   bool enabled = true;
-  /// LRU of resolved CachedPlans keyed on (shape, generation).
-  bool plan_cache = true;
+  /// Capacity of the LRU of resolved CachedPlans keyed on (shape,
+  /// generation).
   std::size_t plan_cache_capacity = 64;
-  /// Long-lived shared tries (SubstrateRegistry).
-  bool share_substrates = true;
-  /// Byte budget for retained tries; 0 = unbounded.
+  /// Byte budget for the long-lived shared tries (SubstrateRegistry); 0 =
+  /// unbounded.
   std::uint64_t substrate_budget_bytes = 0;
   /// Persistent striped subtree-result caches, one per shape, that
   /// successive requests warm for each other. NodeId keyspaces are
@@ -85,7 +85,8 @@ class CrossQueryReuse {
                   CacheOptions cache, int stripes_hint = 0);
 
   /// Everything Prepare resolved for one request. Null fields mean "the
-  /// engine does that part itself" (the corresponding layer is off).
+  /// engine does that part itself": all three when reuse is off, `caches`
+  /// alone when persistent_cache is off.
   struct Prepared {
     std::shared_ptr<const CachedPlan> plan;
     std::shared_ptr<const TrieJoinSubstrate> substrate;

@@ -162,8 +162,8 @@ RunResult LeapfrogTrieJoin::Count(const Query& q, const Database& db,
     const bool ok =
         run.Join(0, &assignment, [&count](const Tuple&) { ++count; });
     result.count = count;
-    result.SetStatus(
-        MergeRunStatus(!ok, /*any_out_of_memory=*/false, limits.cancel));
+    result.status =
+        MergeRunStatus(!ok, /*any_out_of_memory=*/false, limits.cancel);
   }
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
@@ -190,8 +190,8 @@ RunResult LeapfrogTrieJoin::Evaluate(const Query& q, const Database& db,
                                cb(t);
                              });
     result.count = count;
-    result.SetStatus(
-        MergeRunStatus(!ok, /*any_out_of_memory=*/false, limits.cancel));
+    result.status =
+        MergeRunStatus(!ok, /*any_out_of_memory=*/false, limits.cancel);
   }
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();

@@ -19,110 +19,8 @@
 
 namespace clftj {
 
-namespace {
-
-bool FailTransport(std::string* error, const std::string& why) {
-  if (error != nullptr) *error = why;
-  return false;
-}
-
-}  // namespace
-
 QueryClient::QueryClient(std::string socket_path, ClientOptions options)
     : socket_path_(std::move(socket_path)), options_(options) {}
-
-bool QueryClient::Attempt(const QueryRequest& request,
-                          QueryResponse* response,
-                          std::string* transport_error) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path_.size() >= sizeof(addr.sun_path)) {
-    return FailTransport(transport_error, "socket path too long");
-  }
-  std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return FailTransport(transport_error, std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    return FailTransport(transport_error, "connect: " + why);
-  }
-
-  std::string wire = FormatRequest(request);
-  wire += '\n';
-  std::size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n =
-        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      ::close(fd);
-      return FailTransport(transport_error, "send failed");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-
-  // Read lines until the terminal OK/ERR, bounded by request_timeout_ms of
-  // wall clock across the whole read.
-  Timer timer;
-  std::vector<std::string> lines;
-  std::string buffer;
-  char chunk[4096];
-  bool done = false;
-  while (!done) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      lines.push_back(line);
-      done = IsTerminalResponseLine(lines.back());
-      continue;
-    }
-    const double elapsed_ms = timer.Seconds() * 1000.0;
-    const double remaining_ms =
-        static_cast<double>(options_.request_timeout_ms) - elapsed_ms;
-    if (options_.request_timeout_ms > 0 && remaining_ms <= 0) {
-      ::close(fd);
-      return FailTransport(transport_error, "response timed out");
-    }
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int wait_ms =
-        options_.request_timeout_ms == 0
-            ? -1
-            : std::max(1, static_cast<int>(remaining_ms));
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready == 0) {
-      ::close(fd);
-      return FailTransport(transport_error, "response timed out");
-    }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return FailTransport(transport_error, std::strerror(errno));
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      ::close(fd);
-      return FailTransport(transport_error,
-                           "connection closed before a terminal line");
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-
-  std::string parse_error;
-  if (!ParseResponse(lines, response, &parse_error)) {
-    return FailTransport(transport_error, "bad response: " + parse_error);
-  }
-  return true;
-}
 
 std::vector<ClientResult> QueryClient::RunBatch(
     const std::vector<QueryRequest>& requests) {
@@ -264,17 +162,13 @@ ClientResult QueryClient::Run(const QueryRequest& request) {
       backoff_ms = std::min(backoff_ms * options_.backoff_multiplier,
                             static_cast<double>(options_.max_backoff_ms));
     }
+    // Each attempt is a batch of one over a fresh connection.
+    ClientResult tried = std::move(RunBatch({request}).front());
     ++result.attempts;
-    QueryResponse response;
-    std::string transport_error;
-    if (!Attempt(request, &response, &transport_error)) {
-      result.transport_ok = false;
-      result.transport_error = transport_error;
-      continue;  // transport failures are always retryable
-    }
-    result.transport_ok = true;
-    result.transport_error.clear();
-    result.response = std::move(response);
+    result.transport_ok = tried.transport_ok;
+    result.transport_error = std::move(tried.transport_error);
+    if (!result.transport_ok) continue;  // transport failures always retry
+    result.response = std::move(tried.response);
     if (!IsRetryable(result.response.status)) return result;
   }
   return result;

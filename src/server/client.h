@@ -51,7 +51,8 @@ class QueryClient {
  public:
   QueryClient(std::string socket_path, ClientOptions options);
 
-  /// Runs one request to completion under the retry policy.
+  /// Runs one request to completion under the retry policy. Each attempt
+  /// is RunBatch of that one request, over a fresh connection.
   ClientResult Run(const QueryRequest& request);
 
   /// Runs all requests pipelined over ONE connection: every request is
@@ -67,11 +68,6 @@ class QueryClient {
       const std::vector<QueryRequest>& requests);
 
  private:
-  /// One attempt: connect, send, read TUPLE*/OK|ERR. Returns false on
-  /// transport failure (with *transport_error set).
-  bool Attempt(const QueryRequest& request, QueryResponse* response,
-               std::string* transport_error);
-
   std::string socket_path_;
   ClientOptions options_;
 };

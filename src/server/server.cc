@@ -158,6 +158,12 @@ void QueryServer::ServeConnection(int fd) {
     }
     if (!write_ok) break;
   }
+  // Deregister and close under mu_: Stop() shuts down registered fds under
+  // the same lock, so it can never reach this number after the close hands
+  // it to some other socket.
+  std::lock_guard<std::mutex> lock(mu_);
+  connection_fds_.erase(
+      std::find(connection_fds_.begin(), connection_fds_.end(), fd));
   ::close(fd);
 }
 
@@ -171,16 +177,15 @@ void QueryServer::Stop() {
     listen_fd_ = -1;
     if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
   }
-  std::vector<int> fds;
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fds.swap(connection_fds_);
+    // Shutdown unblocks handlers stuck in recv; they observe stopping_ and
+    // deregister and close their own fd. Every fd still registered here is
+    // open and owned by its handler (see ServeConnection).
+    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
     threads.swap(connection_threads_);
   }
-  // Shutdown unblocks handlers stuck in recv; they observe stopping_ and
-  // close their own fd.
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }

@@ -229,33 +229,7 @@ void QueryService::WorkerLoop() {
       // into several mini-batches.
       if (!batch.front()->shape_key.empty()) CollectBatchLocked(&batch, lock);
     }
-    if (batch.size() > 1) {
-      RunBatch(batch);
-      continue;
-    }
-    const std::shared_ptr<Pending> pending = std::move(batch.front());
-
-    // Injected slow worker: stalls here build real queue pressure, which is
-    // what drives the admission-control chaos scenarios.
-    fault::MaybeDelay(fault::Site::kWorkerDelay);
-
-    QueryResponse response;
-    if (pending->cancel.Tripped()) {
-      response = MakeError(RunStatus::kCancelled,
-                           "cancelled while queued");
-    } else {
-      response = RunRequest(*pending);
-    }
-    // Release the charge *before* resolving the future: a caller that
-    // observes its response must also observe the budget it held as freed
-    // (ChargedBytes() settling is part of the response contract).
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      charged_bytes_ -= pending->charge;
-      in_flight_.erase(
-          std::find(in_flight_.begin(), in_flight_.end(), pending));
-    }
-    pending->promise.set_value(std::move(response));
+    RunBatch(batch);
   }
 }
 
@@ -333,8 +307,9 @@ void QueryService::CollectBatchLocked(
 }
 
 void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
-  // One slow-worker fire per member: the injected-fault site observes the
-  // same number of dispatches FIFO would have produced.
+  // Injected slow worker, one fire per member: stalls here build real queue
+  // pressure (the admission-control chaos scenarios), and the fault site
+  // observes the same number of dispatches FIFO would have produced.
   for (std::size_t i = 0; i < batch.size(); ++i) {
     fault::MaybeDelay(fault::Site::kWorkerDelay);
   }
@@ -349,24 +324,31 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
       active.push_back(i);
     }
   }
-  if (!active.empty()) {
+  if (!active.empty() && batch.front()->request.kind == "delta") {
+    // A delta carries no shape key, so it is always a batch of one.
+    responses.front() = RunDelta(*batch.front());
+  } else if (!active.empty()) {
     // One shared data-lock hold for the whole batch: every member observes
     // the same database state, exactly as if it had run alone between the
-    // same two deltas.
+    // same two deltas. A read-only service has no writers, so the lock is
+    // skipped entirely.
     std::shared_lock<std::shared_mutex> data_lock(data_mu_, std::defer_lock);
     if (mutable_db_ != nullptr) data_lock.lock();
     Pending& head = *batch[active.front()];
     ExecStats reuse_stats;
+    // Must outlive the engine runs: engines borrow the striped caches by
+    // raw pointer and the plan/substrate by shared_ptr.
     CrossQueryReuse::Prepared prepared;
     std::optional<SubstrateRegistry::PinScope> pin;
     bool prepare_ok = true;
     QueryResponse prepare_error;
     try {
-      if (reuse_ != nullptr) {
-        // Pin the registry for the whole batch so the byte budget cannot
-        // evict a view between the shared Prepare and the last member's
-        // run; the deferred sweep runs when the pin drops.
-        pin.emplace(reuse_->registry());
+      if (reuse_ != nullptr && (head.request.engine == "CLFTJ" ||
+                                head.request.engine == "CLFTJ-P")) {
+        // Pin the registry for a multi-member batch so the byte budget
+        // cannot evict a view between the shared Prepare and the last
+        // member's run; the deferred sweep runs when the pin drops.
+        if (n > 1) pin.emplace(reuse_->registry());
         prepared = reuse_->Prepare(head.query, db_, &reuse_stats);
       }
     } catch (const std::exception& e) {
@@ -440,7 +422,10 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
           shared.stats = result.stats;
           if (shared.status != RunStatus::kOk) shared.tuples.clear();
           if (group.size() >= 2) shared.stats.batch_shared_execs = 1;
-          for (const std::size_t i : group) responses[i] = shared;
+          for (std::size_t k = 0; k + 1 < group.size(); ++k) {
+            responses[group[k]] = shared;
+          }
+          responses[group.back()] = std::move(shared);
         } catch (const std::exception& e) {
           for (const std::size_t i : group) {
             responses[i] = MakeError(RunStatus::kInternal, e.what());
@@ -452,11 +437,16 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
     // one Prepare, so batch-total counters must read as one request's.
     responses[active.front()].stats.Merge(reuse_stats);
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    responses[i].stats.batch_size = static_cast<std::uint64_t>(n);
+  // A lone request reports batch_size 0: it shared nothing.
+  if (n > 1) {
+    for (QueryResponse& response : responses) {
+      response.stats.batch_size = static_cast<std::uint64_t>(n);
+    }
   }
-  // Same ordering contract as the single-request path: charges released
-  // and in-flight entries retired before any promise resolves.
+  // Release the charges and retire the in-flight entries *before*
+  // resolving any future: a caller that observes its response must also
+  // observe the budget it held as freed (ChargedBytes() settling is part of
+  // the response contract).
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::shared_ptr<Pending>& member : batch) {
@@ -468,66 +458,6 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
   for (std::size_t i = 0; i < n; ++i) {
     batch[i]->promise.set_value(std::move(responses[i]));
   }
-}
-
-QueryResponse QueryService::RunRequest(Pending& pending) {
-  if (pending.request.kind == "delta") return RunDelta(pending);
-  // A read-write service interleaves queries and deltas: queries share the
-  // data lock, each delta takes it exclusively. A read-only service has no
-  // writers, so the lock is skipped entirely (same hot path as before).
-  std::shared_lock<std::shared_mutex> data_lock(data_mu_, std::defer_lock);
-  if (mutable_db_ != nullptr) data_lock.lock();
-  QueryResponse response;
-  try {
-    EngineOptions engine_options = options_.engine_options;
-    ExecStats reuse_stats;
-    // Must outlive the engine run: the engine borrows the striped caches
-    // by raw pointer and the plan/substrate by shared_ptr.
-    CrossQueryReuse::Prepared prepared;
-    if (reuse_ != nullptr && (pending.request.engine == "CLFTJ" ||
-                              pending.request.engine == "CLFTJ-P")) {
-      // Prepare shares a throw path with the run itself (a cold trie build
-      // can fault); inside the try so it maps to kInternal like any other
-      // engine-level failure.
-      prepared = reuse_->Prepare(pending.query, db_, &reuse_stats);
-      engine_options.prepared_plan = prepared.plan;
-      engine_options.prepared_substrate = prepared.substrate;
-      if (prepared.caches != nullptr) {
-        if (pending.request.mode == "count") {
-          engine_options.shared_count_cache = &prepared.caches->count;
-        } else {
-          engine_options.shared_eval_cache = &prepared.caches->eval;
-        }
-      }
-    }
-    const std::unique_ptr<JoinEngine> engine =
-        MakeEngine(pending.request.engine, engine_options);
-    RunResult result;
-    if (pending.request.mode == "count") {
-      result = engine->Count(pending.query, db_, pending.limits);
-    } else {
-      result = engine->Evaluate(
-          pending.query, db_,
-          [&response](const Tuple& t) { response.tuples.push_back(t); },
-          pending.limits);
-    }
-    response.status = result.status;
-    response.message = result.message;
-    response.count = result.count;
-    response.seconds = result.seconds;
-    response.stats = result.stats;
-    response.stats.Merge(reuse_stats);
-    if (response.status != RunStatus::kOk) response.tuples.clear();
-  } catch (const std::bad_alloc& e) {
-    // Real or injected allocation failure mid-run: the request dies, the
-    // worker (and every other request) survives. Transient, so retryable.
-    response = MakeError(RunStatus::kInternal, e.what());
-    response.tuples.clear();
-  } catch (const std::exception& e) {
-    response = MakeError(RunStatus::kInternal, e.what());
-    response.tuples.clear();
-  }
-  return response;
 }
 
 QueryResponse QueryService::RunDelta(Pending& pending) {

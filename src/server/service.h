@@ -169,7 +169,6 @@ class QueryService {
   };
 
   void WorkerLoop();
-  QueryResponse RunRequest(Pending& pending);
   QueryResponse RunDelta(Pending& pending);
   /// Resolves the effective limits for a request and its byte charge.
   void ResolveLimits(const QueryRequest& request, RunLimits* limits,
@@ -183,9 +182,11 @@ class QueryService {
   /// batch under one shared data-lock hold.
   void CollectBatchLocked(std::vector<std::shared_ptr<Pending>>* batch,
                           std::unique_lock<std::mutex>& lock);
-  /// Executes a collected batch (>= 2 members) and resolves every member's
-  /// promise. One reuse Prepare, one substrate pin; members with identical
-  /// resolved limits share one engine run.
+  /// Executes a popped head plus the matches collected with it and resolves
+  /// every member's promise. A lone request is a batch of one; a delta is
+  /// always alone and goes on to RunDelta. One reuse Prepare (CLFTJ-family
+  /// engines only) and, for two or more members, one substrate pin; members
+  /// with identical resolved limits share one engine run.
   void RunBatch(std::vector<std::shared_ptr<Pending>>& batch);
   /// First queue entry a non-leader worker may pop: skips entries claimed
   /// by an open batch collection (the leader will drain them), and treats

@@ -64,8 +64,8 @@ struct ExecStats {
 
   /// Merges counters from another run (peaks are max-merged: right for
   /// sequential reuse of one cache). Parallel shards whose private caches
-  /// coexist must instead *sum* per-shard peaks — ShardedCachedTrieJoin
-  /// does that explicitly after merging.
+  /// coexist must instead *sum* per-shard peaks — CachedTrieJoin does
+  /// that explicitly after merging.
   void Merge(const ExecStats& other);
 
   /// Human-readable one-line summary for logs and benches.

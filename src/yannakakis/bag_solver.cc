@@ -74,7 +74,7 @@ BagRelation SolveBag(const Query& q, const Database& db,
   const RunResult r = lftj.Evaluate(
       local, local_db,
       [&out](const Tuple& t) { out.rows.push_back(t); }, limits);
-  out.timed_out = r.timed_out;
+  out.timed_out = r.status == RunStatus::kTimeout;
   stats->Merge(r.stats);
   stats->intermediate_tuples += out.rows.size();
   return out;

@@ -52,6 +52,8 @@ RunResult YannakakisTd::Count(const Query& q, const Database& db,
   std::string why;
   CLFTJ_CHECK_MSG(td.IsValidFor(q, &why), why.c_str());
   DeadlineChecker deadline(limits.timeout_seconds, limits.cancel);
+  bool timed_out = false;
+  bool out_of_memory = false;
 
   // Bottom-up dynamic program: per bag tuple, the number of subtree
   // extensions; children are folded in as adhesion-grouped count maps, so
@@ -64,12 +66,12 @@ RunResult YannakakisTd::Count(const Query& q, const Database& db,
     const BagRelation bag =
         SolveBag(q, db, td.bag(v), &result.stats, limits);
     if (bag.timed_out) {
-      result.timed_out = true;
+      timed_out = true;
       break;
     }
     if (limits.max_intermediate_tuples > 0 &&
         result.stats.intermediate_tuples > limits.max_intermediate_tuples) {
-      result.out_of_memory = true;
+      out_of_memory = true;
       break;
     }
     // Child fold maps keyed by the child's adhesion (its intersection with
@@ -83,7 +85,7 @@ RunResult YannakakisTd::Count(const Query& q, const Database& db,
     KeyCountMap& mine = folded[v];
     for (const Tuple& row : bag.rows) {
       if (deadline.Expired()) {
-        result.timed_out = true;
+        timed_out = true;
         break;
       }
       std::uint64_t count = 1;
@@ -99,17 +101,16 @@ RunResult YannakakisTd::Count(const Query& q, const Database& db,
       result.stats.memory_accesses += 1;
       mine[Project(row, own_adhesion_positions)] += count;
     }
-    if (result.timed_out) break;
+    if (timed_out) break;
     // Child maps are no longer needed.
     for (const NodeId c : td.children(v)) folded[c].clear();
   }
-  if (result.ok()) {
+  if (!timed_out && !out_of_memory) {
     // The root's adhesion is empty: a single entry keyed by the empty tuple.
     const auto& root_map = folded[td.root()];
     for (const auto& [key, count] : root_map) result.count += count;
   }
-  result.SetStatus(
-      MergeRunStatus(result.timed_out, result.out_of_memory, limits.cancel));
+  result.status = MergeRunStatus(timed_out, out_of_memory, limits.cancel);
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
   return result;
@@ -124,13 +125,15 @@ RunResult YannakakisTd::Evaluate(const Query& q, const Database& db,
   std::string why;
   CLFTJ_CHECK_MSG(td.IsValidFor(q, &why), why.c_str());
   DeadlineChecker deadline(limits.timeout_seconds, limits.cancel);
+  bool timed_out = false;
+  bool out_of_memory = false;
 
-  const auto over_memory = [&result, &limits]() {
+  const auto over_memory = [&result, &limits, &out_of_memory]() {
     if (limits.max_intermediate_tuples > 0 &&
         result.stats.intermediate_tuples > limits.max_intermediate_tuples) {
-      result.out_of_memory = true;
+      out_of_memory = true;
     }
-    return result.out_of_memory;
+    return out_of_memory;
   };
 
   // Stage 1: materialize all bag relations.
@@ -138,13 +141,13 @@ RunResult YannakakisTd::Evaluate(const Query& q, const Database& db,
   std::vector<BagRelation> bags(td.num_nodes());
   for (const NodeId v : preorder) {
     bags[v] = SolveBag(q, db, td.bag(v), &result.stats, limits);
-    if (bags[v].timed_out) result.timed_out = true;
-    if (result.timed_out || over_memory()) break;
+    if (bags[v].timed_out) timed_out = true;
+    if (timed_out || over_memory()) break;
   }
 
   // Stage 2: full reducer. Bottom-up then top-down semijoins on adhesions
   // guarantee no dangling tuples, so stage 3 joins never shrink.
-  if (result.ok()) {
+  if (!timed_out && !out_of_memory) {
     const auto semijoin = [&result](BagRelation* target,
                                     const BagRelation& source,
                                     const std::vector<VarId>& on) {
@@ -180,7 +183,7 @@ RunResult YannakakisTd::Evaluate(const Query& q, const Database& db,
   // Stage 3: bottom-up join, materializing each subtree relation — the
   // memory-hungry part the paper's evaluation figures highlight.
   std::vector<BagRelation> joined(td.num_nodes());
-  if (result.ok()) {
+  if (!timed_out && !out_of_memory) {
     for (auto it = preorder.rbegin(); it != preorder.rend(); ++it) {
       const NodeId v = *it;
       BagRelation current = std::move(bags[v]);
@@ -211,7 +214,7 @@ RunResult YannakakisTd::Evaluate(const Query& q, const Database& db,
                             extra_vars.end());
         for (const Tuple& row : current.rows) {
           if (deadline.Expired()) {
-            result.timed_out = true;
+            timed_out = true;
             break;
           }
           result.stats.memory_accesses += 1;
@@ -231,14 +234,14 @@ RunResult YannakakisTd::Evaluate(const Query& q, const Database& db,
         }
         child.rows.clear();
         current = std::move(next);
-        if (result.timed_out || over_memory()) break;
+        if (timed_out || over_memory()) break;
       }
       joined[v] = std::move(current);
-      if (result.timed_out || over_memory()) break;
+      if (timed_out || over_memory()) break;
     }
   }
 
-  if (result.ok()) {
+  if (!timed_out && !out_of_memory) {
     // Emit root rows re-indexed by VarId. The union of all bags covers all
     // query variables, so the root's joined relation is the full result.
     const BagRelation& root = joined[td.root()];
@@ -252,8 +255,7 @@ RunResult YannakakisTd::Evaluate(const Query& q, const Database& db,
       cb(assignment);
     }
   }
-  result.SetStatus(
-      MergeRunStatus(result.timed_out, result.out_of_memory, limits.cancel));
+  result.status = MergeRunStatus(timed_out, out_of_memory, limits.cancel);
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
   return result;

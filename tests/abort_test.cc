@@ -198,20 +198,15 @@ TEST(RunStatusNames, RetryTaxonomy) {
   EXPECT_FALSE(IsRetryable(RunStatus::kCancelled));
 }
 
-TEST(RunResult, SetStatusKeepsLegacyShimsInSync) {
+TEST(RunResult, OkIsStatusOk) {
   RunResult result;
-  result.SetStatus(RunStatus::kTimeout);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_FALSE(result.out_of_memory);
-  EXPECT_FALSE(result.ok());
-  result.SetStatus(RunStatus::kOutOfMemory, "budget blown");
-  EXPECT_FALSE(result.timed_out);
-  EXPECT_TRUE(result.out_of_memory);
-  EXPECT_EQ(result.message, "budget blown");
-  result.SetStatus(RunStatus::kOk);
-  EXPECT_FALSE(result.timed_out);
-  EXPECT_FALSE(result.out_of_memory);
   EXPECT_TRUE(result.ok());
+  for (const RunStatus status :
+       {RunStatus::kTimeout, RunStatus::kOutOfMemory, RunStatus::kShed,
+        RunStatus::kCancelled, RunStatus::kBadQuery, RunStatus::kInternal}) {
+    result.status = status;
+    EXPECT_FALSE(result.ok()) << RunStatusName(status);
+  }
 }
 
 // External cancellation through RunLimits::cancel terminates a real

@@ -44,7 +44,7 @@ TEST(NestedLoop, TimeoutStopsRun) {
   NestedLoopJoin nl;
   RunLimits limits;
   limits.timeout_seconds = 1e-9;
-  EXPECT_TRUE(nl.Count(PathQuery(6), db, limits).timed_out);
+  EXPECT_EQ(nl.Count(PathQuery(6), db, limits).status, RunStatus::kTimeout);
 }
 
 TEST(PairwiseHJ, CountMatchesReferenceOnZoo) {
@@ -84,7 +84,7 @@ TEST(PairwiseHJ, RowLimitTriggersOutOfMemory) {
   RunLimits limits;
   limits.max_intermediate_tuples = 5;
   const RunResult r = engine.Count(PathQuery(5), db, limits);
-  EXPECT_TRUE(r.out_of_memory);
+  EXPECT_EQ(r.status, RunStatus::kOutOfMemory);
 }
 
 TEST(PairwiseHJ, ConstantsAndSelfJoins) {
@@ -157,7 +157,7 @@ TEST(GenericJoin, TimeoutStopsRun) {
   GenericJoin engine;
   RunLimits limits;
   limits.timeout_seconds = 1e-9;
-  EXPECT_TRUE(engine.Count(PathQuery(6), db, limits).timed_out);
+  EXPECT_EQ(engine.Count(PathQuery(6), db, limits).status, RunStatus::kTimeout);
 }
 
 TEST(GenericJoin, ConstantsInAtoms) {

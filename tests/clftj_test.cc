@@ -297,7 +297,7 @@ TEST(Clftj, TimeoutPropagates) {
   RunLimits limits;
   limits.timeout_seconds = 1e-9;
   const RunResult r = engine.Count(PathQuery(6), db, limits);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status, RunStatus::kTimeout);
 }
 
 TEST(Clftj, EvalRowLimitTriggersOutOfMemory) {
@@ -307,7 +307,7 @@ TEST(Clftj, EvalRowLimitTriggersOutOfMemory) {
   limits.max_intermediate_tuples = 3;
   const RunResult r = engine.Evaluate(
       PathQuery(5), db, [](const Tuple&) {}, limits);
-  EXPECT_TRUE(r.out_of_memory);
+  EXPECT_EQ(r.status, RunStatus::kOutOfMemory);
 }
 
 TEST(Clftj, EmptyRelation) {

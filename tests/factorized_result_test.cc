@@ -84,7 +84,7 @@ TEST(FactorizedResult, RowLimitReturnsNullopt) {
   const auto result =
       engine.EvaluateFactorized(PathQuery(5), db, limits, &run);
   EXPECT_FALSE(result.has_value());
-  EXPECT_TRUE(run.out_of_memory);
+  EXPECT_EQ(run.status, RunStatus::kOutOfMemory);
 }
 
 TEST(FactorizedResult, WorksOnCliquesViaSingletonTd) {

@@ -118,7 +118,7 @@ TEST(Integration, TimeoutShapesMatchPaperProtocol) {
   RunLimits limits;
   limits.timeout_seconds = 0.05;
   const auto r = MakeEngine("LFTJ")->Count(PathQuery(7), db, limits);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status, RunStatus::kTimeout);
   EXPECT_GT(r.seconds, 0.0);
 }
 

@@ -159,7 +159,7 @@ TEST(Lftj, TimeoutReportsPartialRun) {
   RunLimits limits;
   limits.timeout_seconds = 1e-9;  // expire immediately
   const RunResult r = lftj.Count(PathQuery(6), db, limits);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status, RunStatus::kTimeout);
   EXPECT_FALSE(r.ok());
 }
 

@@ -5,12 +5,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -311,6 +315,71 @@ TEST_F(ServerEndToEnd, StopIsCleanAndIdempotent) {
   QueryClient late_client(socket_path_, fast);
   const ClientResult late = late_client.Run(request);
   EXPECT_FALSE(late.transport_ok);
+}
+
+// The fd numbers open in this process (an fcntl probe of the low range).
+std::vector<int> OpenFds() {
+  std::vector<int> fds;
+  for (int fd = 0; fd < 1024; ++fd) {
+    if (::fcntl(fd, F_GETFD) != -1) fds.push_back(fd);
+  }
+  return fds;
+}
+
+// Polls `done` every millisecond for up to ten seconds.
+template <typename Predicate>
+bool WaitFor(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST_F(ServerEndToEnd, StopLeavesReusedFdNumbersAlone) {
+  StartServer("fdreuse");
+  const std::vector<int> before = OpenFds();
+  const int client_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(client_fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
+  ASSERT_EQ(::connect(client_fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // The connection's server-side fd: the one that is new besides ours.
+  int handler_fd = -1;
+  ASSERT_TRUE(WaitFor([&] {
+    for (const int fd : OpenFds()) {
+      if (fd != client_fd &&
+          std::find(before.begin(), before.end(), fd) == before.end()) {
+        handler_fd = fd;
+      }
+    }
+    return handler_fd >= 0;
+  }));
+  // Disconnect; the handler sees EOF, exits and closes its fd.
+  ::close(client_fd);
+  ASSERT_TRUE(WaitFor([&] { return ::fcntl(handler_fd, F_GETFD) == -1; }));
+
+  // A new socket takes the freed numbers; stopping the server must not
+  // shut it down.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_TRUE(pair[0] == handler_fd || pair[1] == handler_fd);
+  server_->Stop();
+  for (const auto& [from, to] : {std::make_pair(pair[0], pair[1]),
+                                 std::make_pair(pair[1], pair[0])}) {
+    const char out = 'x';
+    EXPECT_EQ(::send(from, &out, 1, MSG_NOSIGNAL), 1);
+    char in = 0;
+    EXPECT_EQ(::recv(to, &in, 1, MSG_DONTWAIT), 1);
+    EXPECT_EQ(in, out);
+  }
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Differential and failure-propagation tests for CLFTJ-P, the parallel
-// sharded executor: at every thread count the sharded run must reproduce
-// single-thread CLFTJ bit for bit — counts, emission order, and factorized
-// structure — and a limit hit in any worker must stop and be reported by
+// Differential and failure-propagation tests for CachedTrieJoin's sharded
+// runs: at every thread count the run must reproduce the one-shard run
+// (sequential CLFTJ) bit for bit — counts, emission order, and factorized
+// structure — and a limit hit in any shard must stop and be reported by
 // the whole run. Also exercises the re-entrant run states directly
 // (FirstVarRange shard arithmetic over one shared plan/substrate).
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "clftj/cached_trie_join.h"
-#include "engine/sharded.h"
 #include "query/patterns.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -44,19 +43,11 @@ Instance MakeInstance(std::uint64_t seed) {
   return inst;
 }
 
-ShardedCachedTrieJoin MakeSharded(int threads, CacheOptions cache = {}) {
-  ShardedCachedTrieJoin::Options options;
+CachedTrieJoin MakeSharded(int threads, CacheOptions cache = {}) {
+  CachedTrieJoin::Options options;
   options.threads = threads;
   options.cache = cache;
-  return ShardedCachedTrieJoin(options);
-}
-
-// Unsorted collection: pins the emission *order*, not just the set.
-std::vector<Tuple> RawTuples(JoinEngine& engine, const Query& q,
-                             const Database& db) {
-  std::vector<Tuple> out;
-  engine.Evaluate(q, db, [&out](const Tuple& t) { out.push_back(t); }, {});
-  return out;
+  return CachedTrieJoin(options);
 }
 
 class ShardedDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -66,7 +57,7 @@ TEST_P(ShardedDifferentialTest, CountsMatchAtAllThreadCounts) {
   CachedTrieJoin single;
   const RunResult anchor = single.Count(inst.query, inst.db, {});
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     const RunResult got = parallel.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor.count)
         << inst.query.ToString() << " threads=" << threads;
@@ -77,18 +68,13 @@ TEST_P(ShardedDifferentialTest, CountsMatchAtAllThreadCounts) {
 TEST_P(ShardedDifferentialTest, TupleSetsMatchAtAllThreadCounts) {
   const Instance inst = MakeInstance(GetParam());
   CachedTrieJoin single;
-  // Raw emission order is reproducible only at one shard: cache hits expand
-  // skipped subtrees at the emission point, so the interleaving depends on
-  // the hit pattern, and private shard caches hit differently than the one
-  // shared cache. The result *set* is identical at every thread count.
-  const std::vector<Tuple> raw_anchor = RawTuples(single, inst.query, inst.db);
-  ShardedCachedTrieJoin one_shard = MakeSharded(1);
-  EXPECT_EQ(RawTuples(one_shard, inst.query, inst.db), raw_anchor)
-      << inst.query.ToString();
-
+  // Sorted: cache hits expand skipped subtrees at the emission point, so the
+  // raw interleaving depends on the hit pattern, and private shard caches
+  // hit differently than the one shared cache. The result *set* is
+  // identical at every thread count.
   const std::vector<Tuple> anchor = CollectTuples(single, inst.query, inst.db);
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     EXPECT_EQ(CollectTuples(parallel, inst.query, inst.db), anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
@@ -102,7 +88,7 @@ TEST_P(ShardedDifferentialTest, FactorizedResultMatchesSingleThread) {
       single.EvaluateFactorized(inst.query, inst.db, {}, &single_run);
   ASSERT_TRUE(anchor.has_value());
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     RunResult run;
     const auto got = parallel.EvaluateFactorized(inst.query, inst.db, {}, &run);
     ASSERT_TRUE(got.has_value()) << "threads=" << threads;
@@ -130,7 +116,7 @@ TEST_P(ShardedDifferentialTest, BoundedPrivateCachesStayCorrect) {
   CachedTrieJoin single(single_options);
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads, cache);
+    CachedTrieJoin parallel = MakeSharded(threads, cache);
     EXPECT_EQ(parallel.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
@@ -152,7 +138,7 @@ TEST(Sharded, DomainSmallerThanThreadCount) {
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(q, db, {}).count;
   EXPECT_EQ(anchor, 3u);  // the 3 rotations of the directed triangle
-  ShardedCachedTrieJoin parallel = MakeSharded(8);
+  CachedTrieJoin parallel = MakeSharded(8);
   const RunResult got = parallel.Count(q, db, {});
   EXPECT_EQ(got.count, anchor);
   EXPECT_TRUE(got.ok());
@@ -168,7 +154,7 @@ TEST(Sharded, EmptyResultAndEmptyIntersection) {
   db.Put(std::move(e));
   const Query q = Q("E(x,y), E(y,x)");
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin parallel = MakeSharded(threads);
+    CachedTrieJoin parallel = MakeSharded(threads);
     const RunResult got = parallel.Count(q, db, {});
     EXPECT_EQ(got.count, 0u);
     EXPECT_TRUE(got.ok());
@@ -216,9 +202,9 @@ TEST(Sharded, TimeoutPropagatesToAllWorkers) {
   const Query q = CycleQuery(5);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;  // expires at the first stride sample
-  ShardedCachedTrieJoin parallel = MakeSharded(4);
+  CachedTrieJoin parallel = MakeSharded(4);
   const RunResult got = parallel.Count(q, db, limits);
-  EXPECT_TRUE(got.timed_out);
+  EXPECT_EQ(got.status, RunStatus::kTimeout);
   EXPECT_FALSE(got.ok());
 }
 
@@ -227,13 +213,13 @@ TEST(Sharded, OutOfMemoryInOneWorkerFailsTheRun) {
   const Query q = CycleQuery(4);
   RunLimits limits;
   limits.max_intermediate_tuples = 5;  // far below the real intermediate load
-  ShardedCachedTrieJoin parallel = MakeSharded(4);
+  CachedTrieJoin parallel = MakeSharded(4);
   RunResult run;
   const auto got = parallel.EvaluateFactorized(q, db, limits, &run);
   EXPECT_FALSE(got.has_value());
-  EXPECT_TRUE(run.out_of_memory);
+  EXPECT_EQ(run.status, RunStatus::kOutOfMemory);
   // OOM dominates the secondary abort-flag "timeouts" of sibling workers.
-  EXPECT_FALSE(run.timed_out);
+  EXPECT_NE(run.status, RunStatus::kTimeout);
 }
 
 TEST(Sharded, EvaluateBufferRespectsMaterializationBudget) {
@@ -241,13 +227,37 @@ TEST(Sharded, EvaluateBufferRespectsMaterializationBudget) {
   const Query q = Q("E(x,y), E(y,z)");
   RunLimits limits;
   limits.max_intermediate_tuples = 10;  // the 2-path result is much larger
-  ShardedCachedTrieJoin parallel = MakeSharded(2);
+  CachedTrieJoin parallel = MakeSharded(2);
   std::uint64_t emitted = 0;
   const RunResult got = parallel.Evaluate(
       q, db, [&emitted](const Tuple&) { ++emitted; }, limits);
-  EXPECT_TRUE(got.out_of_memory);
+  EXPECT_EQ(got.status, RunStatus::kOutOfMemory);
   // The budget is run-wide: both shards together stay within it.
   EXPECT_LE(emitted, limits.max_intermediate_tuples);
+}
+
+TEST(Sharded, OneShardStreamsOutputOutsideTheBudget) {
+  // One shard is sequential CLFTJ: it streams tuples into the callback
+  // instead of buffering them, so only intermediate entries draw on the
+  // materialization budget. The budget below fits the 2-path's
+  // intermediates but not its output, which a buffering run would charge.
+  Database db = testing::SmallSkewedDb(13, /*nodes=*/80, /*edges_per_node=*/4);
+  const Query q = Q("E(x,y), E(y,z)");
+  CachedTrieJoin one_shard = MakeSharded(1);
+  const RunResult unbounded =
+      one_shard.Evaluate(q, db, [](const Tuple&) {}, {});
+  ASSERT_TRUE(unbounded.ok());
+  RunLimits limits;
+  limits.max_intermediate_tuples = unbounded.stats.intermediate_tuples;
+  ASSERT_GT(unbounded.count, limits.max_intermediate_tuples);
+
+  std::vector<Tuple> got;
+  const RunResult run = one_shard.Evaluate(
+      q, db, [&got](const Tuple& t) { got.push_back(t); }, limits);
+  EXPECT_EQ(run.status, RunStatus::kOk);
+  EXPECT_EQ(run.count, unbounded.count);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, testing::ReferenceTuples(q, db));
 }
 
 TEST(Sharded, MemoryAccessSumIsReportedAndSane) {
@@ -261,7 +271,7 @@ TEST(Sharded, MemoryAccessSumIsReportedAndSane) {
       nocache_single.Count(inst.query, inst.db, {}).stats.memory_accesses;
 
   const int threads = 4;
-  ShardedCachedTrieJoin parallel = MakeSharded(threads);
+  CachedTrieJoin parallel = MakeSharded(threads);
   const RunResult got = parallel.Count(inst.query, inst.db, {});
   const std::uint64_t sum = got.stats.memory_accesses;
   EXPECT_GT(sum, 0u);

@@ -25,7 +25,6 @@
 #include "data/generators.h"
 #include "data/loader.h"
 #include "data/relation.h"
-#include "engine/sharded.h"
 #include "lftj/trie_join.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -175,11 +174,11 @@ std::vector<EngineCase> AllEngines() {
   engines.push_back({"LFTJ", std::make_unique<LeapfrogTrieJoin>()});
   engines.push_back({"CLFTJ", std::make_unique<CachedTrieJoin>()});
   for (const int threads : {1, 2, 8}) {
-    ShardedCachedTrieJoin::Options options;
+    CachedTrieJoin::Options options;
     options.threads = threads;
     engines.push_back(
         {"CLFTJ-P/" + std::to_string(threads),
-         std::make_unique<ShardedCachedTrieJoin>(options)});
+         std::make_unique<CachedTrieJoin>(options)});
   }
   return engines;
 }

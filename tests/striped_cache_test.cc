@@ -23,7 +23,6 @@
 
 #include "clftj/cache.h"
 #include "clftj/cached_trie_join.h"
-#include "engine/sharded.h"
 #include "query/patterns.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -177,11 +176,11 @@ Instance MakeInstance(std::uint64_t seed) {
   return inst;
 }
 
-ShardedCachedTrieJoin MakeSharded(int threads, CacheOptions cache) {
-  ShardedCachedTrieJoin::Options options;
+CachedTrieJoin MakeSharded(int threads, CacheOptions cache) {
+  CachedTrieJoin::Options options;
   options.threads = threads;
   options.cache = cache;
-  return ShardedCachedTrieJoin(options);
+  return CachedTrieJoin(options);
 }
 
 class StripedDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -191,12 +190,12 @@ TEST_P(StripedDifferentialTest, CountsMatchPrivateAndSingleThread) {
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin striped = MakeSharded(threads, Striped());
+    CachedTrieJoin striped = MakeSharded(threads, Striped());
     const RunResult got = striped.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor)
         << inst.query.ToString() << " threads=" << threads;
     EXPECT_TRUE(got.ok());
-    ShardedCachedTrieJoin priv = MakeSharded(threads, CacheOptions{});
+    CachedTrieJoin priv = MakeSharded(threads, CacheOptions{});
     EXPECT_EQ(priv.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
@@ -207,7 +206,7 @@ TEST_P(StripedDifferentialTest, TupleSetsMatchSingleThread) {
   CachedTrieJoin single;
   const std::vector<Tuple> anchor = CollectTuples(single, inst.query, inst.db);
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin striped = MakeSharded(threads, Striped());
+    CachedTrieJoin striped = MakeSharded(threads, Striped());
     EXPECT_EQ(CollectTuples(striped, inst.query, inst.db), anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
@@ -224,7 +223,7 @@ TEST_P(StripedDifferentialTest, FactorizedExpansionMatchesSingleThread) {
   anchor->Enumerate([&](const Tuple& t) { anchor_tuples.push_back(t); });
   std::sort(anchor_tuples.begin(), anchor_tuples.end());
   for (const int threads : kThreadCounts) {
-    ShardedCachedTrieJoin striped = MakeSharded(threads, Striped());
+    CachedTrieJoin striped = MakeSharded(threads, Striped());
     RunResult run;
     const auto got =
         striped.EvaluateFactorized(inst.query, inst.db, {}, &run);
@@ -244,10 +243,10 @@ TEST_P(StripedDifferentialTest, BoundedStripedCacheStaysCorrect) {
   for (const int threads : kThreadCounts) {
     // A tight global entry budget (forces eviction churn in every stripe)
     // and a tight byte budget must both preserve the result.
-    ShardedCachedTrieJoin tight = MakeSharded(threads, Striped(16));
+    CachedTrieJoin tight = MakeSharded(threads, Striped(16));
     EXPECT_EQ(tight.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
-    ShardedCachedTrieJoin bytes =
+    CachedTrieJoin bytes =
         MakeSharded(threads, Striped(0, 0, /*capacity_bytes=*/2048));
     EXPECT_EQ(bytes.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
@@ -263,7 +262,7 @@ TEST(StripedSharing, BytePeakStaysWithinGlobalBudget) {
   Database db = testing::SmallSkewedDb(19, /*nodes=*/70, /*edges_per_node=*/3);
   const Query q = CycleQuery(4);
   const std::uint64_t budget = 16 * 1024;
-  ShardedCachedTrieJoin striped =
+  CachedTrieJoin striped =
       MakeSharded(4, Striped(0, 0, /*capacity_bytes=*/budget));
   RunResult run;
   const auto got = striped.EvaluateFactorized(q, db, {}, &run);
@@ -278,7 +277,7 @@ TEST(StripedSharing, EntryPeakStaysWithinGlobalBudget) {
   Database db = testing::SmallSkewedDb(23, /*nodes=*/70, /*edges_per_node=*/3);
   const Query q = CycleQuery(5);
   const std::uint64_t capacity = 64;
-  ShardedCachedTrieJoin striped = MakeSharded(4, Striped(capacity));
+  CachedTrieJoin striped = MakeSharded(4, Striped(capacity));
   const RunResult got = striped.Count(q, db, {});
   EXPECT_TRUE(got.ok());
   EXPECT_GT(got.stats.cache_inserts, 0u);
@@ -311,9 +310,9 @@ TEST(StripedSharing, TimeoutPropagates) {
   const Query q = CycleQuery(5);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;  // expires at the first stride sample
-  ShardedCachedTrieJoin striped = MakeSharded(4, Striped());
+  CachedTrieJoin striped = MakeSharded(4, Striped());
   const RunResult got = striped.Count(q, db, limits);
-  EXPECT_TRUE(got.timed_out);
+  EXPECT_EQ(got.status, RunStatus::kTimeout);
   EXPECT_FALSE(got.ok());
 }
 
@@ -466,7 +465,7 @@ TEST(StripedStress, ManyThreadEngineRunsStayCorrect) {
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(q, db, {}).count;
   for (int round = 0; round < 3; ++round) {
-    ShardedCachedTrieJoin striped = MakeSharded(8, Striped(32, /*stripes=*/2));
+    CachedTrieJoin striped = MakeSharded(8, Striped(32, /*stripes=*/2));
     EXPECT_EQ(striped.Count(q, db, {}).count, anchor) << "round " << round;
   }
 }

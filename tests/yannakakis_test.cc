@@ -112,7 +112,7 @@ TEST(Ytd, EvalRowLimitTriggersOutOfMemory) {
   limits.max_intermediate_tuples = 10;
   const RunResult r =
       ytd.Evaluate(PathQuery(5), db, [](const Tuple&) {}, limits);
-  EXPECT_TRUE(r.out_of_memory);
+  EXPECT_EQ(r.status, RunStatus::kOutOfMemory);
   EXPECT_FALSE(r.ok());
 }
 
