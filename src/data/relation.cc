@@ -69,6 +69,7 @@ Relation::Relation(const Relation& other)
       compaction_threshold_(other.compaction_threshold_) {
   std::lock_guard<std::mutex> lock(other.stats_mutex_);
   stats_ = other.stats_;
+  prefix_distinct_ = other.prefix_distinct_;
   stats_builds_ = other.stats_builds_;
   stats_present_ = other.stats_present_;
 }
@@ -111,6 +112,7 @@ Relation::Relation(Relation&& other) noexcept
       compactions_(other.compactions_),
       compaction_threshold_(other.compaction_threshold_),
       stats_(std::move(other.stats_)),
+      prefix_distinct_(std::move(other.prefix_distinct_)),
       stats_builds_(other.stats_builds_),
       stats_present_(other.stats_present_) {
   other.delta_engaged_ = false;
@@ -138,6 +140,7 @@ Relation& Relation::operator=(const Relation& other) {
   compaction_threshold_ = other.compaction_threshold_;
   std::scoped_lock lock(stats_mutex_, other.stats_mutex_);
   stats_ = other.stats_;
+  prefix_distinct_ = other.prefix_distinct_;
   stats_builds_ = other.stats_builds_;
   stats_present_ = other.stats_present_;
   return *this;
@@ -161,6 +164,7 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   compactions_ = other.compactions_;
   compaction_threshold_ = other.compaction_threshold_;
   stats_ = std::move(other.stats_);
+  prefix_distinct_ = std::move(other.prefix_distinct_);
   stats_builds_ = other.stats_builds_;
   stats_present_ = other.stats_present_;
   other.delta_engaged_ = false;
@@ -360,6 +364,65 @@ const ColumnStats& Relation::Stats(int col) const {
     stats_present_ = true;
   }
   return *slot;
+}
+
+namespace {
+
+// Level sizes of a trie over `cols` of the first n rows, by the same
+// permutation sort and first-differing-level scan as Trie::FromColumns:
+// every row that is not a duplicate of its predecessor opens one new node
+// on each level from the first column where they differ.
+std::vector<std::size_t> ComputePrefixDistinct(
+    const std::vector<std::vector<Value>>& columns, std::size_t n,
+    const std::vector<int>& cols) {
+  const int depth = static_cast<int>(cols.size());
+  std::vector<std::size_t> counts(cols.size(), 0);
+  CLFTJ_CHECK(n < 0xFFFFFFFFull);
+  std::vector<const Value*> c(cols.size());
+  for (int l = 0; l < depth; ++l) c[l] = columns[cols[l]].data();
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::sort(perm.begin(), perm.end(),
+            [&c, depth](std::uint32_t a, std::uint32_t b) {
+              for (int l = 0; l < depth; ++l) {
+                if (c[l][a] != c[l][b]) return c[l][a] < c[l][b];
+              }
+              return false;
+            });
+  for (std::size_t i = 0; i < n; ++i) {
+    int first_diff = 0;
+    if (i > 0) {
+      while (first_diff < depth &&
+             c[first_diff][perm[i]] == c[first_diff][perm[i - 1]]) {
+        ++first_diff;
+      }
+    }
+    for (int l = first_diff; l < depth; ++l) ++counts[l];
+  }
+  return counts;
+}
+
+}  // namespace
+
+const std::vector<std::size_t>& Relation::PrefixDistinct(
+    const std::vector<int>& cols) const {
+  CLFTJ_CHECK(static_cast<int>(cols.size()) == arity_);
+  std::vector<bool> seen(cols.size(), false);
+  for (const int col : cols) {
+    CLFTJ_CHECK(col >= 0 && col < arity_ && !seen[col]);
+    seen[col] = true;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    const auto it = prefix_distinct_.find(cols);
+    if (it != prefix_distinct_.end()) return it->second;
+  }
+  // Compute outside the lock, install at most once (as in Stats).
+  std::vector<std::size_t> fresh =
+      ComputePrefixDistinct(columns_, num_rows_, cols);
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_present_ = true;
+  return prefix_distinct_.try_emplace(cols, std::move(fresh)).first->second;
 }
 
 std::size_t Relation::MemoryBytes() const {
@@ -586,6 +649,7 @@ void Relation::InvalidateStats() {
   if (!stats_present_) return;  // nothing memoized: skip the lock
   std::lock_guard<std::mutex> lock(stats_mutex_);
   for (auto& slot : stats_) slot.reset();
+  prefix_distinct_.clear();
   stats_present_ = false;
 }
 

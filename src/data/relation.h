@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -94,11 +95,11 @@ struct DeltaResult {
 /// bumps compactions() — the signal for overlay-holding caches to rebuild.
 ///
 /// Statistics: DistinctInColumn / MaxFrequencyInColumn / Stats are memoized
-/// per column (installed at most once between mutations); any Add or
-/// Normalize invalidates the memo. The memo is mutex-guarded (the compute
-/// itself runs outside the lock), so concurrent *readers* of one relation
-/// are safe; mutation is not safe against concurrent access, like any
-/// container.
+/// per column and PrefixDistinct per column order (each installed at most
+/// once between mutations); any Add, Normalize or ApplyDelta invalidates
+/// the memo. The memo is mutex-guarded (the compute itself runs outside the
+/// lock), so concurrent *readers* of one relation are safe; mutation is not
+/// safe against concurrent access, like any container.
 class Relation {
  public:
   /// Creates an empty relation. Requires arity >= 1.
@@ -147,6 +148,16 @@ class Relation {
   /// mutation.
   const ColumnStats& Stats(int col) const;
 
+  /// Memoized trie level sizes of the visible rows under a column order:
+  /// element l is the number of distinct projections onto cols[0..l], i.e.
+  /// the size of level l of a trie built over those columns in that order
+  /// (Trie::FromColumns), without building it. `cols` must be a permutation
+  /// of the relation's columns, so at most arity()! orders are memoized.
+  /// Same memo contract as Stats; the reference stays valid until the next
+  /// mutation.
+  const std::vector<std::size_t>& PrefixDistinct(
+      const std::vector<int>& cols) const;
+
   /// Returns the i-th tuple as a copy. Requires i < size(). Compatibility
   /// shim: hot paths should stream Column(c) instead.
   Tuple TupleAt(std::size_t i) const;
@@ -193,8 +204,9 @@ class Relation {
   std::size_t MemoryBytes() const;
 
   /// Number of per-column stats blocks computed since construction — each
-  /// column contributes at most one between mutations. Exposed so tests can
-  /// pin the memoization contract.
+  /// column contributes at most one between mutations (PrefixDistinct
+  /// entries are not counted). Exposed so tests can pin the memoization
+  /// contract.
   std::uint64_t stats_builds() const;
 
   // --- Incremental maintenance (two-tier storage) ---------------------------
@@ -295,11 +307,14 @@ class Relation {
   std::uint64_t compactions_ = 0;
   std::size_t compaction_threshold_ = 0;  // 0 = default policy
 
-  // Lazily built per-column stats; mutex guards lazy engagement so
-  // concurrent readers (e.g. plan resolution on several threads over one
-  // shared Database) are safe.
+  // Lazily built per-column stats and per-order prefix counts; mutex guards
+  // lazy engagement so concurrent readers (e.g. plan resolution on several
+  // threads over one shared Database) are safe. A map, so installing one
+  // order never moves another's counts out from under a returned reference.
   mutable std::mutex stats_mutex_;
   mutable std::vector<std::optional<ColumnStats>> stats_;
+  mutable std::map<std::vector<int>, std::vector<std::size_t>>
+      prefix_distinct_;
   mutable std::uint64_t stats_builds_ = 0;
   // Fast-path flag so per-row Add calls skip the invalidation lock while no
   // stats are memoized. Only mutators read it, and mutation is exclusive by

@@ -18,6 +18,12 @@ std::vector<VarId> Atom::Vars() const {
   return vars;
 }
 
+bool Atom::IsPlain() const {
+  return std::all_of(terms.begin(), terms.end(),
+                     [](const Term& t) { return t.is_variable; }) &&
+         Vars().size() == terms.size();
+}
+
 VarId Query::AddVariable(const std::string& name) {
   const VarId existing = FindVariable(name);
   if (existing != kNone) return existing;

@@ -25,6 +25,10 @@ struct Atom {
 
   /// The distinct variables of this atom in order of first occurrence.
   std::vector<VarId> Vars() const;
+
+  /// True iff every term is a variable and no variable repeats: the atom's
+  /// view keeps every row of its relation, one trie level per column.
+  bool IsPlain() const;
 };
 
 /// A full conjunctive query (no projection): a sequence of atoms over a set

@@ -5,10 +5,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <future>
+#include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -87,16 +88,52 @@ void QueryServer::AcceptLoop() {
       ::close(fd);
       return;
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Finished handlers are joined here: an exited but unjoined thread
+    // keeps its stack mapped, so one-shot connections would otherwise pile
+    // them up until Stop(). A done handler's last act was to release mu_,
+    // so joining it under the lock cannot deadlock.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->done) {
+        it->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    Connection& conn = connections_.emplace_back();
+    conn.fd = fd;
+    try {
+      conn.thread = std::thread([this, &conn] { ServeConnection(&conn); });
+    } catch (const std::system_error&) {
+      // No thread to serve it: drop this connection, keep accepting.
+      ::close(fd);
+      connections_.pop_back();
+    }
   }
 }
 
-void QueryServer::ServeConnection(int fd) {
+void QueryServer::ServeConnection(Connection* conn) {
+  const int fd = conn->fd;
   std::string buffer;
+  // buffer[0, scanned) holds no newline, so every received byte is
+  // searched once however long the line grows.
+  std::size_t scanned = 0;
   char chunk[4096];
   while (!stopping_.load()) {
-    if (buffer.find('\n') == std::string::npos) {
+    const std::size_t first_newline = buffer.find('\n', scanned);
+    scanned =
+        first_newline == std::string::npos ? buffer.size() : first_newline;
+    if (scanned > kMaxRequestLineBytes) {
+      // The first buffered line is over the cap: answer once, then close
+      // rather than buffer a peer that may never send a newline.
+      QueryResponse response;
+      response.status = RunStatus::kBadQuery;
+      response.message = "request line exceeds " +
+                         std::to_string(kMaxRequestLineBytes) + " bytes";
+      WriteAll(fd, FormatResponse(response).back() + '\n');
+      break;
+    }
+    if (first_newline == std::string::npos) {
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
@@ -143,6 +180,7 @@ void QueryServer::ServeConnection(int fd) {
       slots.push_back(std::move(slot));
     }
 
+    scanned = buffer.size();  // the drain left at most a partial line
     bool write_ok = true;
     for (Slot& slot : slots) {
       const QueryResponse response =
@@ -158,13 +196,12 @@ void QueryServer::ServeConnection(int fd) {
     }
     if (!write_ok) break;
   }
-  // Deregister and close under mu_: Stop() shuts down registered fds under
-  // the same lock, so it can never reach this number after the close hands
-  // it to some other socket.
+  // Close and mark done under mu_: Stop() shuts down the fds of handlers
+  // not yet done under the same lock, so it can never reach this number
+  // after the close hands it to some other socket.
   std::lock_guard<std::mutex> lock(mu_);
-  connection_fds_.erase(
-      std::find(connection_fds_.begin(), connection_fds_.end(), fd));
   ::close(fd);
+  conn->done = true;
 }
 
 void QueryServer::Stop() {
@@ -177,17 +214,20 @@ void QueryServer::Stop() {
     listen_fd_ = -1;
     if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
   }
-  std::vector<std::thread> threads;
+  std::list<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Shutdown unblocks handlers stuck in recv; they observe stopping_ and
-    // deregister and close their own fd. Every fd still registered here is
-    // open and owned by its handler (see ServeConnection).
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(connection_threads_);
+    // close their own fd. The fd of every handler not yet done is open and
+    // owned by it (see ServeConnection). The swap moves no list node, so
+    // the handlers' Connection pointers stay valid.
+    for (const Connection& conn : connections_) {
+      if (!conn.done) ::shutdown(conn.fd, SHUT_RDWR);
+    }
+    connections.swap(connections_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
+  for (Connection& conn : connections) {
+    if (conn.thread.joinable()) conn.thread.join();
   }
 }
 

@@ -2,11 +2,11 @@
 #define CLFTJ_SERVER_SERVER_H_
 
 #include <atomic>
-#include <memory>
+#include <cstddef>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "server/service.h"
 
@@ -19,8 +19,18 @@ namespace clftj {
 /// lines *after* framing and *before* parsing, so chaos runs exercise the
 /// full malformed-input path: a corrupted request must come back as a
 /// typed BAD-QUERY error, never crash the server or poison the stream.
+/// A request line longer than kMaxRequestLineBytes gets one BAD-QUERY
+/// error, after which the connection is closed. Handlers that have exited
+/// are joined at the next accept, so a stream of short-lived connections
+/// holds no more than a few finished threads.
 class QueryServer {
  public:
+  /// Longest request line accepted, newline excluded. Requests in this
+  /// repository are far shorter (a client's DELTA is one argv string,
+  /// which Linux caps at 128 KiB); the cap bounds what a peer that never
+  /// sends a newline can make the server buffer.
+  static constexpr std::size_t kMaxRequestLineBytes = std::size_t{16} << 20;
+
   /// `service` is borrowed and must outlive the server.
   explicit QueryServer(QueryService* service);
   ~QueryServer();
@@ -40,8 +50,17 @@ class QueryServer {
   const std::string& socket_path() const { return socket_path_; }
 
  private:
+  /// One accepted connection and its handler thread.
+  struct Connection {
+    int fd = -1;
+    /// Set by the handler, under mu_, as it closes fd: from then on the
+    /// thread only has to exit, and the accept loop may join it.
+    bool done = false;
+    std::thread thread;
+  };
+
   void AcceptLoop();
-  void ServeConnection(int fd);
+  void ServeConnection(Connection* conn);
 
   QueryService* service_;
   std::string socket_path_;
@@ -49,8 +68,7 @@ class QueryServer {
   std::atomic<bool> stopping_{false};
 
   std::mutex mu_;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  std::list<Connection> connections_;  // a list: handlers hold pointers
   std::thread accept_thread_;
 };
 

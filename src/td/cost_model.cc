@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "trie/trie.h"
 #include "util/check.h"
@@ -44,77 +45,60 @@ double StructuralTdCost(const Query& q, const TreeDecomposition& td,
   return cost;
 }
 
-double ChuOrderCost(const Query& q, const Database& db,
-                    const std::vector<VarId>& order) {
+namespace {
+
+// Variable ranks of an order: var_rank[order[d]] = d.
+std::vector<int> RanksOf(const Query& q, const std::vector<VarId>& order) {
   CLFTJ_CHECK(static_cast<int>(order.size()) == q.num_vars());
   std::vector<int> var_rank(q.num_vars(), kNone);
   for (int d = 0; d < static_cast<int>(order.size()); ++d) {
     var_rank[order[d]] = d;
   }
-
-  // Per-atom trie level statistics under this order.
-  struct AtomStats {
-    std::vector<VarId> level_vars;
-    std::vector<double> level_counts;  // distinct prefixes per level
-  };
-  std::vector<AtomStats> stats;
-  for (const Atom& atom : q.atoms()) {
-    const Relation& rel = db.Get(atom.relation);
-    const AtomView view = BuildAtomView(rel, atom, var_rank);
-    AtomStats s;
-    s.level_vars = view.level_vars;
-    for (int l = 0; l < view.trie->depth(); ++l) {
-      s.level_counts.push_back(
-          static_cast<double>(view.trie->values(l).size()));
-    }
-    if (view.trie->depth() == 0 || view.trie->num_tuples() == 0) {
-      return 0.0;  // empty view: the join is empty, any order is free
-    }
-    stats.push_back(std::move(s));
-  }
-
-  double cost = 0.0;
-  double prefix_count = 1.0;
-  for (const VarId x : order) {
-    double best_branch = -1.0;
-    for (const AtomStats& s : stats) {
-      for (std::size_t l = 0; l < s.level_vars.size(); ++l) {
-        if (s.level_vars[l] != x) continue;
-        const double denom = l == 0 ? 1.0 : s.level_counts[l - 1];
-        const double branch = s.level_counts[l] / std::max(1.0, denom);
-        best_branch =
-            best_branch < 0.0 ? branch : std::min(best_branch, branch);
-      }
-    }
-    CLFTJ_CHECK_MSG(best_branch >= 0.0, "variable not covered by any atom");
-    prefix_count *= best_branch;
-    cost += prefix_count;
-  }
-  return cost;
+  return var_rank;
 }
 
-namespace {
-
 // Per-atom trie level statistics under an order (shared by the two
-// data-aware cost models). Returns false if some view is empty (join is
-// empty, cost 0).
+// data-aware cost models).
 struct AtomLevelStats {
   std::vector<VarId> level_vars;
-  std::vector<double> level_counts;
+  std::vector<double> level_counts;  // distinct prefixes per level
 };
 
+// Collects every atom's level statistics; returns false if some view is
+// empty (the join is empty, any order is free). A plain atom keeps every
+// row of its relation, so its level sizes are the relation's memoized
+// PrefixDistinct under the atom's column order and no trie is built. An
+// atom with constants or repeated variables filters its relation first;
+// it builds its (small) view, which a relation-level memo keyed on the
+// constants could not bound.
 bool CollectAtomStats(const Query& q, const Database& db,
                       const std::vector<int>& var_rank,
                       std::vector<AtomLevelStats>* stats) {
   for (const Atom& atom : q.atoms()) {
     const Relation& rel = db.Get(atom.relation);
-    const AtomView view = BuildAtomView(rel, atom, var_rank);
-    if (view.trie->depth() == 0 || view.trie->num_tuples() == 0) return false;
     AtomLevelStats s;
-    s.level_vars = view.level_vars;
-    for (int l = 0; l < view.trie->depth(); ++l) {
-      s.level_counts.push_back(
-          static_cast<double>(view.trie->values(l).size()));
+    if (atom.IsPlain()) {
+      // Trie levels are the atom's variables in rank order; each level
+      // reads the column where its variable sits.
+      std::vector<int> cols(atom.terms.size());
+      std::iota(cols.begin(), cols.end(), 0);
+      std::sort(cols.begin(), cols.end(), [&](int a, int b) {
+        return var_rank[atom.terms[a].var] < var_rank[atom.terms[b].var];
+      });
+      const std::vector<std::size_t>& counts = rel.PrefixDistinct(cols);
+      if (counts.back() == 0) return false;
+      for (const int col : cols) s.level_vars.push_back(atom.terms[col].var);
+      s.level_counts.assign(counts.begin(), counts.end());
+    } else {
+      const AtomView view = BuildAtomView(rel, atom, var_rank);
+      if (view.trie->depth() == 0 || view.trie->num_tuples() == 0) {
+        return false;
+      }
+      s.level_vars = view.level_vars;
+      for (int l = 0; l < view.trie->depth(); ++l) {
+        s.level_counts.push_back(
+            static_cast<double>(view.trie->values(l).size()));
+      }
     }
     stats->push_back(std::move(s));
   }
@@ -157,16 +141,24 @@ double EffectiveDistinct(const Query& q, const Database& db, VarId x) {
 
 }  // namespace
 
+double ChuOrderCost(const Query& q, const Database& db,
+                    const std::vector<VarId>& order) {
+  std::vector<AtomLevelStats> stats;
+  if (!CollectAtomStats(q, db, RanksOf(q, order), &stats)) return 0.0;
+  double cost = 0.0;
+  double prefix_count = 1.0;
+  for (const VarId x : order) {
+    prefix_count *= MinBranch(stats, x);
+    cost += prefix_count;
+  }
+  return cost;
+}
+
 double CachedPlanCost(const Query& q, const Database& db,
                       const TreeDecomposition& td,
                       const std::vector<VarId>& order) {
-  CLFTJ_CHECK(static_cast<int>(order.size()) == q.num_vars());
-  std::vector<int> var_rank(q.num_vars(), kNone);
-  for (int d = 0; d < static_cast<int>(order.size()); ++d) {
-    var_rank[order[d]] = d;
-  }
   std::vector<AtomLevelStats> stats;
-  if (!CollectAtomStats(q, db, var_rank, &stats)) return 0.0;
+  if (!CollectAtomStats(q, db, RanksOf(q, order), &stats)) return 0.0;
 
   const std::vector<NodeId> owners = td.Owners(q.num_vars());
   // Owned depths per node, in order.

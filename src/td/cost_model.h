@@ -51,7 +51,9 @@ double CachedPlanCost(const Query& q, const Database& db,
 ///
 /// and returns sum_d N_d. Branching factors come from the actual per-atom
 /// trie level cardinalities under this order, so the estimate reflects the
-/// data, not just the query shape. Lower is better.
+/// data, not just the query shape. A plain atom's cardinalities are read
+/// from Relation::PrefixDistinct, so costing builds no trie for it. Lower
+/// is better.
 double ChuOrderCost(const Query& q, const Database& db,
                     const std::vector<VarId>& order);
 

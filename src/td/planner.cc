@@ -25,10 +25,8 @@ TdPlan MakePlanFromTd(const Query& q, const Database& db,
   TdPlan plan;
   plan.order = StronglyCompatibleOrder(td, q.num_vars());
   plan.structural_cost = StructuralTdCost(q, td, options.weights);
-  plan.order_cost =
-      options.use_order_cost ? ChuOrderCost(q, db, plan.order) : 0.0;
-  plan.cached_cost =
-      options.use_order_cost ? CachedPlanCost(q, db, td, plan.order) : 0.0;
+  plan.order_cost = ChuOrderCost(q, db, plan.order);
+  plan.cached_cost = CachedPlanCost(q, db, td, plan.order);
   plan.td = std::move(td);
   CLFTJ_CHECK(plan.td.IsStronglyCompatibleWith(plan.order));
   return plan;

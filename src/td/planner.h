@@ -27,9 +27,6 @@ struct TdPlan {
 struct PlannerOptions {
   DecomposeOptions decompose;
   StructuralCostWeights weights;
-  /// Whether to break structural-cost ties with the data-aware Chu order
-  /// cost (this is what separates the isomorphic TD1/TD2 of Figure 13).
-  bool use_order_cost = true;
 };
 
 /// Builds a TdPlan from an explicit TD: derives the canonical strongly

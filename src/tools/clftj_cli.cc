@@ -11,9 +11,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
-
 #include <utility>
 #include <vector>
 
@@ -72,8 +72,10 @@ void Usage() {
       "                         iteration — later iterations run on mutated\n"
       "                         data with plans/tries/caches surviving via\n"
       "                         targeted invalidation (repeatable flag)\n"
-      "  --explain              print the chosen tree decomposition, the\n"
-      "                         variable order and plan costs, then exit\n"
+      "  --explain              print every candidate tree decomposition,\n"
+      "                         best first, with its variable order and\n"
+      "                         its structural, order and cached costs\n"
+      "                         (round-trip precision), then exit\n"
       "Exit codes: 0 success; 2 usage error or unparsable query;\n"
       "            3 TIMEOUT (--timeout expired); 4 OUT-OF-MEMORY\n"
       "            (--max-rows budget exceeded); 5 other failure.\n"
@@ -281,12 +283,16 @@ int main(int argc, char** argv) {
 
   if (explain) {
     const auto plans = clftj::EnumeratePlans(*query, db);
+    // Costs at round-trip precision, so the dumps of two builds diff
+    // exactly when some candidate's cost moved.
+    std::cout.precision(std::numeric_limits<double>::max_digits10);
     std::cout << plans.size() << " candidate decomposition(s); best first:\n";
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const clftj::TdPlan& plan = plans[i];
       std::cout << "#" << (i + 1) << " " << plan.td.ToString(*query)
                 << "\n   structural_cost=" << plan.structural_cost
-                << " order_cost=" << plan.order_cost << " order=";
+                << " order_cost=" << plan.order_cost
+                << " cached_cost=" << plan.cached_cost << " order=";
       for (const clftj::VarId v : plan.order) {
         std::cout << query->var_name(v) << " ";
       }

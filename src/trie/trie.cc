@@ -148,12 +148,9 @@ Trie BuildFilteredTrie(const Atom& atom, const std::vector<VarId>& level_vars,
   const std::size_t levels = level_vars.size();
   // An atom with only distinct variables (no constants, no repeats) keeps
   // every row: each level column is a straight contiguous copy.
-  const bool plain = levels == atom.terms.size() &&
-                     std::all_of(atom.terms.begin(), atom.terms.end(),
-                                 [](const Term& t) { return t.is_variable; });
   std::vector<std::vector<Value>> columns(levels);
   std::size_t num_rows = 0;
-  if (plain) {
+  if (atom.IsPlain()) {
     for (std::size_t l = 0; l < levels; ++l) {
       const ColumnSpan src = term_col[level_pos[l]];
       columns[l].assign(src.begin(), src.end());

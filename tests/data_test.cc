@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "data/database.h"
 #include "data/generators.h"
@@ -118,14 +119,30 @@ TEST(Relation, StatsMemoizedOncePerColumnPerNormalize) {
     (void)r.DistinctInColumn(1);
   }
   EXPECT_EQ(r.stats_builds(), 2u);
+  // Prefix counts are memoized per column order under the same contract
+  // (a repeat returns the same block) and are not counted as stats blocks.
+  using Counts = std::vector<std::size_t>;
+  const Counts& xy = r.PrefixDistinct({0, 1});
+  EXPECT_EQ(xy, (Counts{7, 21}));
+  EXPECT_EQ(&r.PrefixDistinct({0, 1}), &xy);
+  EXPECT_EQ(r.PrefixDistinct({1, 0}), (Counts{3, 21}));
+  EXPECT_EQ(r.stats_builds(), 2u);
   // A mutation invalidates; the next query recomputes once.
   r.AddPair(100, 100);
+  EXPECT_EQ(r.PrefixDistinct({0, 1}), (Counts{8, 22}));
   r.Normalize();
   (void)r.DistinctInColumn(0);
   (void)r.DistinctInColumn(0);
   EXPECT_EQ(r.stats_builds(), 3u);
   // Stats reflect the new data, not the stale memo.
   EXPECT_EQ(r.DistinctInColumn(0), 8u);
+  // Normalize drops only duplicates, which the counts ignore anyway.
+  EXPECT_EQ(r.PrefixDistinct({0, 1}), (Counts{8, 22}));
+  EXPECT_EQ(r.PrefixDistinct({1, 0}), (Counts{4, 22}));
+  r.ApplyDelta({{200, 1}}, {{0, 0}});
+  EXPECT_EQ(r.PrefixDistinct({0, 1}), (Counts{9, 22}));
+  EXPECT_EQ(r.PrefixDistinct({1, 0}), (Counts{4, 22}));
+  EXPECT_EQ(r.DistinctInColumn(0), 9u);
 }
 
 TEST(Relation, StatsInvalidatedByAddWithoutNormalize) {
@@ -142,13 +159,19 @@ TEST(Relation, StatsSurviveCopyAndMove) {
   r.AddPair(1, 2);
   r.AddPair(1, 3);
   (void)r.Stats(0);
+  const std::vector<std::size_t> reversed = r.PrefixDistinct({1, 0});
+  EXPECT_EQ(reversed, (std::vector<std::size_t>{2, 2}));
   EXPECT_EQ(r.stats_builds(), 1u);
   Relation copy = r;
   EXPECT_EQ(copy.DistinctInColumn(0), 1u);
   EXPECT_EQ(copy.stats_builds(), 1u);  // memo carried over, no recompute
+  EXPECT_EQ(copy.PrefixDistinct({1, 0}), reversed);
+  const std::vector<std::size_t>* in_copy = &copy.PrefixDistinct({1, 0});
   Relation moved = std::move(copy);
   EXPECT_EQ(moved.DistinctInColumn(0), 1u);
   EXPECT_EQ(moved.stats_builds(), 1u);
+  // The prefix memo moves with the relation: the same block, not a rebuild.
+  EXPECT_EQ(&moved.PrefixDistinct({1, 0}), in_copy);
 }
 
 TEST(Relation, FromColumnsMatchesRowwiseAdds) {

@@ -3,9 +3,11 @@
 // retries, typed errors surviving on a live connection, clean shutdown.
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -338,17 +341,26 @@ bool WaitFor(Predicate done) {
   return true;
 }
 
+// A raw client socket connected to `path`, or -1.
+int ConnectTo(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST_F(ServerEndToEnd, StopLeavesReusedFdNumbersAlone) {
   StartServer("fdreuse");
   const std::vector<int> before = OpenFds();
-  const int client_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int client_fd = ConnectTo(socket_path_);
   ASSERT_GE(client_fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-  ASSERT_EQ(::connect(client_fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   // The connection's server-side fd: the one that is new besides ours.
   int handler_fd = -1;
   ASSERT_TRUE(WaitFor([&] {
@@ -380,6 +392,93 @@ TEST_F(ServerEndToEnd, StopLeavesReusedFdNumbersAlone) {
   }
   ::close(pair[0]);
   ::close(pair[1]);
+}
+
+// Lines of /proc/self/maps. An exited thread that was never joined keeps
+// its stack and guard page mapped, two lines per thread.
+std::size_t MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(ServerEndToEnd, FinishedHandlersAreJoined) {
+  StartServer("reap");
+  QueryClient client(socket_path_, ClientOptions{});
+  QueryRequest request;
+  request.query_text = "E(x,y)";
+  // Warm up (plan, allocator arenas, the stack cache) before the baseline.
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(client.Run(request).transport_ok);
+  const std::size_t fds = OpenFds().size();
+  ASSERT_TRUE(WaitFor([&] { return OpenFds().size() <= fds; }));
+  const std::size_t before = MappedRegions();
+  // Every Run is a fresh connection with its own handler thread.
+  constexpr std::size_t kConnections = 300;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    const ClientResult result = client.Run(request);
+    ASSERT_TRUE(result.transport_ok) << result.transport_error;
+    ASSERT_EQ(result.response.status, RunStatus::kOk);
+  }
+  // Each handler closes its fd as it exits.
+  ASSERT_TRUE(WaitFor([&] { return OpenFds().size() <= fds; }));
+  // Unjoined, the handlers would add 2 * kConnections lines; joined at
+  // accept, at most the last few stay.
+  EXPECT_LT(MappedRegions(), before + kConnections / 4);
+}
+
+// Reads from fd until EOF, for up to ten seconds; *eof says which ended it.
+std::string ReadUntilEof(int fd, bool* eof) {
+  std::string out;
+  *eof = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  char chunk[4096];
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, /*timeout_ms=*/100) <= 0) continue;
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n == 0) {
+      *eof = true;
+      break;
+    }
+    if (n < 0) break;
+    out.append(chunk, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+TEST_F(ServerEndToEnd, OverlongRequestLineGetsOneBadQueryThenClose) {
+  StartServer("longline");
+  const int fd = ConnectTo(socket_path_);
+  ASSERT_GE(fd, 0);
+  // One byte over the cap and no newline. The server has read every byte
+  // by the time it rejects, so its close leaves nothing unread (which
+  // would reset the connection instead of ending it).
+  const std::string flood(QueryServer::kMaxRequestLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(n);
+  }
+  bool eof = false;
+  const std::string reply = ReadUntilEof(fd, &eof);
+  ::close(fd);
+  EXPECT_TRUE(eof);
+  ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  EXPECT_EQ(reply.rfind("ERR status=BAD-QUERY ", 0), 0u) << reply;
+
+  // The server keeps serving other clients.
+  QueryClient client(socket_path_, ClientOptions{});
+  QueryRequest request;
+  request.query_text = kTriangle;
+  const ClientResult result = client.Run(request);
+  ASSERT_TRUE(result.transport_ok) << result.transport_error;
+  EXPECT_EQ(result.response.status, RunStatus::kOk);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "data/loader.h"
 #include "data/relation.h"
 #include "lftj/trie_join.h"
+#include "trie/trie.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -132,12 +134,17 @@ TEST(Storage, ConcurrentStatsReadersAgree) {
   for (int round = 0; round < 4; ++round) {
     Relation rel = source.relation;  // fresh memo every round
     constexpr int kThreads = 8;
+    // Every column order of the arity-3 relation.
+    const std::vector<std::vector<int>> orders = {
+        {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
     std::vector<std::array<std::size_t, 3>> distinct(kThreads);
     std::vector<Value> span_sum(kThreads, 0);
+    std::vector<std::vector<const std::vector<std::size_t>*>> prefix(
+        kThreads, std::vector<const std::vector<std::size_t>*>(6));
     std::vector<std::thread> pool;
     pool.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      pool.emplace_back([t, &rel, &distinct, &span_sum]() {
+      pool.emplace_back([t, &rel, &orders, &distinct, &span_sum, &prefix]() {
         for (int c = 0; c < 3; ++c) {
           // Rotate the starting column per thread so different columns'
           // first computations race each other, not just one.
@@ -147,17 +154,82 @@ TEST(Storage, ConcurrentStatsReadersAgree) {
           for (const Value v : rel.Column(col)) sum += v;
           span_sum[t] += sum;
         }
+        // The prefix-count memo races the same way, one order at a time.
+        for (int k = 0; k < 6; ++k) {
+          const int order = (t + k) % 6;
+          prefix[t][order] = &rel.PrefixDistinct(orders[order]);
+        }
       });
     }
     for (std::thread& t : pool) t.join();
     for (int t = 1; t < kThreads; ++t) {
       EXPECT_EQ(distinct[t], distinct[0]) << "thread " << t;
       EXPECT_EQ(span_sum[t], span_sum[0]) << "thread " << t;
+      // Installed once: every reader holds the same block.
+      EXPECT_EQ(prefix[t], prefix[0]) << "thread " << t;
     }
     // Install-once: racing first readers may duplicate a compute, but each
     // column's block is installed and counted exactly once.
     EXPECT_EQ(rel.stats_builds(), 3u);
   }
+}
+
+// --- Prefix counts against the trie the cost model used to build ---------
+
+// Relation::PrefixDistinct(cols)[l] must equal level l's size of the plain
+// atom view under the column order `cols`, for every order, on relations
+// with duplicates, after Normalize, and after ApplyDelta.
+TEST(Storage, PrefixDistinctMatchesAtomViewLevelSizes) {
+  Rng rng(211);
+  std::size_t cases = 0;
+  for (int arity = 1; arity <= 4; ++arity) {
+    Atom atom;
+    atom.relation = "R";
+    for (int p = 0; p < arity; ++p) atom.terms.push_back(Term::Var(p));
+    for (int trial = 0; trial < 40; ++trial) {
+      const Value domain = 2 + static_cast<Value>(rng.Uniform(12));
+      const int rows = static_cast<int>(rng.Uniform(300));
+      Relation rel =
+          MakeRandomRelation("R", arity, rows, domain, &rng).relation;
+      for (int state = 0; state < 3; ++state) {
+        if (state == 1) rel.Normalize();
+        if (state == 2) {
+          std::vector<Tuple> adds;
+          std::vector<Tuple> deletes;
+          for (int i = 0; i < 20; ++i) {
+            Tuple t(arity);
+            for (Value& v : t) {
+              v = static_cast<Value>(
+                      rng.Uniform(static_cast<std::size_t>(domain + 4))) -
+                  domain / 2;
+            }
+            adds.push_back(t);
+            if (!rel.empty()) {
+              deletes.push_back(rel.TupleAt(rng.Uniform(rel.size())));
+            }
+          }
+          rel.ApplyDelta(adds, deletes);
+        }
+        std::vector<int> cols(arity);
+        std::iota(cols.begin(), cols.end(), 0);
+        do {
+          // Variable p sits in column p; rank it at cols' position of p.
+          std::vector<int> var_rank(arity);
+          for (int l = 0; l < arity; ++l) var_rank[cols[l]] = l;
+          const AtomView view = BuildAtomView(rel, atom, var_rank);
+          const std::vector<std::size_t>& counts = rel.PrefixDistinct(cols);
+          ASSERT_EQ(counts.size(), static_cast<std::size_t>(arity));
+          for (int l = 0; l < arity; ++l) {
+            EXPECT_EQ(counts[l], view.trie->values(l).size())
+                << "arity " << arity << " trial " << trial << " state "
+                << state << " level " << l;
+            ++cases;
+          }
+        } while (std::next_permutation(cols.begin(), cols.end()));
+      }
+    }
+  }
+  EXPECT_GT(cases, 10000u);
 }
 
 // --- Cross-engine differential over the columnar storage -----------------

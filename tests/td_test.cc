@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "data/generators.h"
 #include "data/snap_profiles.h"
@@ -13,6 +15,7 @@
 #include "td/planner.h"
 #include "td/tree_decomposition.h"
 #include "tests/test_util.h"
+#include "util/fault.h"
 
 namespace clftj {
 namespace {
@@ -279,6 +282,29 @@ TEST(Planner, CacheAwareCostPrefersSkewedAdhesions) {
   const TdPlan pp = MakePlanFromTd(q, db, std::move(person));
   const TdPlan mp = MakePlanFromTd(q, db, std::move(movie));
   EXPECT_LT(pp.cached_cost, mp.cached_cost);
+}
+
+// Costing a plan reads a plain atom's level sizes from the relation's
+// memoized prefix counts: with every trie build failing, plain-atom shapes
+// still plan, and no build is even attempted.
+TEST(Planner, PlainAtomsAreCostedWithoutBuildingTries) {
+  const Database db = MakeSnapDatabase(SnapProfileByLabel("wiki-Vote"));
+  std::vector<Query> queries = {
+      PathQuery(3),        PathQuery(4),
+      CycleQuery(3),       CycleQuery(4),
+      CycleQuery(5),       LollipopQuery(3, 2),
+      Q("E(y,x), E(y,z), E(z,x)")};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    queries.push_back(RandomPatternQuery(4 + seed % 2, 0.5, seed));
+  }
+  (void)PlanQuery(queries.front(), db);  // warm the relation's memo
+  fault::Config config;
+  config.period[static_cast<int>(fault::Site::kTrieBuild)] = 1;
+  const fault::ScopedFaults faults(config);
+  for (const Query& q : queries) {
+    EXPECT_NO_THROW((void)PlanQuery(q, db)) << q.ToString();
+  }
+  EXPECT_EQ(fault::Seen(fault::Site::kTrieBuild), 0u);
 }
 
 TEST(Planner, MakePlanFromExplicitTd) {
