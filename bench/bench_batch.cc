@@ -74,16 +74,6 @@ std::uint64_t& AnchorBuilds() {
   return b;
 }
 
-RunResult ToRunResult(const QueryResponse& response, double seconds) {
-  RunResult r;
-  r.count = response.count;
-  r.seconds = seconds;
-  r.stats = response.stats;
-  r.status = response.status;
-  r.message = response.message;
-  return r;
-}
-
 QueryRequest BurstRequest(const char* text) {
   QueryRequest request;
   request.query_text = text;
@@ -229,11 +219,6 @@ void RegisterAll() {
   }
 }
 
-int Fail(const char* fmt, unsigned long long a, unsigned long long b) {
-  std::fprintf(stderr, fmt, a, b);
-  return 1;
-}
-
 // The PR's acceptance bars (see file comment). Counter gates run on the
 // cold burst; the >= 2x speed gate runs on the warm burst.
 int Gate() {
@@ -244,38 +229,38 @@ int Gate() {
   }
   if (ColdFifo().count != ColdBatched().count ||
       WarmFifo().count != WarmBatched().count) {
-    return Fail("bench_batch: FAIL — batched count %llu != fifo count %llu "
-                "(batching changed the answer)\n",
-                ColdBatched().count, ColdFifo().count);
+    return GateFail("bench_batch: FAIL — batched count %llu != fifo count "
+                    "%llu (batching changed the answer)\n",
+                    static_cast<unsigned long long>(ColdBatched().count),
+                    static_cast<unsigned long long>(ColdFifo().count));
   }
   if (ColdBatched().plan_misses != 1) {
-    return Fail("bench_batch: FAIL — cold batch-total plan_cache_misses "
-                "%llu (a batch of %llu must resolve its plan exactly "
-                "once)\n",
-                ColdBatched().plan_misses, kBurst);
+    return GateFail("bench_batch: FAIL — cold batch-total plan_cache_misses "
+                    "%llu (a batch of %llu must resolve its plan exactly "
+                    "once)\n",
+                    static_cast<unsigned long long>(ColdBatched().plan_misses),
+                    static_cast<unsigned long long>(kBurst));
   }
   if (AnchorBuilds() > 0 &&
       ColdBatched().substrate_builds != AnchorBuilds()) {
-    return Fail("bench_batch: FAIL — cold batch-total substrate_builds "
-                "%llu != lone cold run's %llu\n",
-                ColdBatched().substrate_builds, AnchorBuilds());
+    return GateFail(
+        "bench_batch: FAIL — cold batch-total substrate_builds %llu != lone "
+        "cold run's %llu\n",
+        static_cast<unsigned long long>(ColdBatched().substrate_builds),
+        static_cast<unsigned long long>(AnchorBuilds()));
   }
   const double cold_speedup = ColdFifo().seconds / ColdBatched().seconds;
   if (cold_speedup < 1.0) {
-    std::fprintf(stderr,
-                 "bench_batch: FAIL — cold batched %.3f ms slower than cold "
-                 "fifo %.3f ms\n",
-                 ColdBatched().seconds * 1e3, ColdFifo().seconds * 1e3);
-    return 1;
+    return GateFail("bench_batch: FAIL — cold batched %.3f ms slower than "
+                    "cold fifo %.3f ms\n",
+                    ColdBatched().seconds * 1e3, ColdFifo().seconds * 1e3);
   }
   const double warm_speedup = WarmFifo().seconds / WarmBatched().seconds;
   if (warm_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "bench_batch: FAIL — warm batched %.3f ms vs warm fifo "
-                 "%.3f ms is only %.2fx (need >= 2x)\n",
-                 WarmBatched().seconds * 1e3, WarmFifo().seconds * 1e3,
-                 warm_speedup);
-    return 1;
+    return GateFail("bench_batch: FAIL — warm batched %.3f ms vs warm fifo "
+                    "%.3f ms is only %.2fx (need >= 2x)\n",
+                    WarmBatched().seconds * 1e3, WarmFifo().seconds * 1e3,
+                    warm_speedup);
   }
   std::printf("bench_batch: batched-over-fifo speedup %.1fx warm / %.1fx "
               "cold on the 8-burst (warm fifo %.3f ms -> %.3f ms; cold "
@@ -291,10 +276,6 @@ int Gate() {
 }  // namespace clftj::bench
 
 int main(int argc, char** argv) {
-  clftj::bench::InitBench(&argc, argv);
-  clftj::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  clftj::bench::FlushJson(argv[0]);
-  return clftj::bench::Gate();
+  return clftj::bench::GatedBenchMain(argc, argv, clftj::bench::RegisterAll,
+                                      clftj::bench::Gate);
 }

@@ -79,16 +79,6 @@ std::uint64_t& ReloadPathCount() {
   return c;
 }
 
-RunResult ToRunResult(const QueryResponse& response, double seconds) {
-  RunResult r;
-  r.count = response.count;
-  r.seconds = seconds;
-  r.stats = response.stats;
-  r.status = response.status;
-  r.message = response.message;
-  return r;
-}
-
 QueryRequest CountRequest() {
   QueryRequest request;
   request.query_text = kPath;
@@ -249,28 +239,23 @@ int Gate() {
     return 0;
   }
   if (DeltaPathCount() != ReloadPathCount()) {
-    std::fprintf(stderr,
-                 "bench_delta: FAIL — delta-path count %llu != reload-path "
-                 "count %llu (incremental maintenance changed the answer)\n",
-                 static_cast<unsigned long long>(DeltaPathCount()),
-                 static_cast<unsigned long long>(ReloadPathCount()));
-    return 1;
+    return GateFail("bench_delta: FAIL — delta-path count %llu != "
+                    "reload-path count %llu (incremental maintenance changed "
+                    "the answer)\n",
+                    static_cast<unsigned long long>(DeltaPathCount()),
+                    static_cast<unsigned long long>(ReloadPathCount()));
   }
   const double speedup = ReloadSeconds() / ApplySeconds();
   if (speedup < 5.0) {
-    std::fprintf(stderr,
-                 "bench_delta: FAIL — delta apply %.3f ms vs full reload "
-                 "%.3f ms is only %.2fx (need >= 5x)\n",
-                 ApplySeconds() * 1e3, ReloadSeconds() * 1e3, speedup);
-    return 1;
+    return GateFail("bench_delta: FAIL — delta apply %.3f ms vs full reload "
+                    "%.3f ms is only %.2fx (need >= 5x)\n",
+                    ApplySeconds() * 1e3, ReloadSeconds() * 1e3, speedup);
   }
   if (WarmSeconds() > 0.0 && AfterDeltaSeconds() > 3.0 * WarmSeconds()) {
-    std::fprintf(stderr,
-                 "bench_delta: FAIL — warm latency after a small delta is "
-                 "%.3f ms vs %.3f ms before it (> 3x: the write de-warmed "
-                 "the service)\n",
-                 AfterDeltaSeconds() * 1e3, WarmSeconds() * 1e3);
-    return 1;
+    return GateFail("bench_delta: FAIL — warm latency after a small delta is "
+                    "%.3f ms vs %.3f ms before it (> 3x: the write "
+                    "de-warmed the service)\n",
+                    AfterDeltaSeconds() * 1e3, WarmSeconds() * 1e3);
   }
   std::printf("bench_delta: delta-over-reload write speedup %.1fx (apply "
               "%.3f ms, reload %.3f ms); warm query %.3f ms -> post-delta "
@@ -284,10 +269,6 @@ int Gate() {
 }  // namespace clftj::bench
 
 int main(int argc, char** argv) {
-  clftj::bench::InitBench(&argc, argv);
-  clftj::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  clftj::bench::FlushJson(argv[0]);
-  return clftj::bench::Gate();
+  return clftj::bench::GatedBenchMain(argc, argv, clftj::bench::RegisterAll,
+                                      clftj::bench::Gate);
 }

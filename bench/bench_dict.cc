@@ -14,7 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -170,8 +169,8 @@ void RegisterAll() {
 
 // Cross-checks the recorded parity pair: the string-keyed and
 // remapped-int runs must report identical counts and memory accesses.
-// Returns false (and says why) on divergence.
-bool CheckParity() {
+// Returns nonzero (and says why) on divergence.
+int Gate() {
   const JsonRecord* string_rec = nullptr;
   const JsonRecord* int_rec = nullptr;
   for (const JsonRecord& rec : JsonLog()) {
@@ -180,16 +179,15 @@ bool CheckParity() {
     }
     if (rec.name.find("/CLFTJ-int") != std::string::npos) int_rec = &rec;
   }
-  if (string_rec == nullptr || int_rec == nullptr) return true;  // filtered
+  if (string_rec == nullptr || int_rec == nullptr) return 0;  // filtered
   if (string_rec->result.status == RunStatus::kTimeout ||
       int_rec->result.status == RunStatus::kTimeout) {
-    return true;
+    return 0;
   }
   if (string_rec->result.count != int_rec->result.count ||
       string_rec->result.stats.memory_accesses !=
           int_rec->result.stats.memory_accesses) {
-    std::fprintf(
-        stderr,
+    return GateFail(
         "bench_dict: PARITY VIOLATION — string-keyed vs remapped-int runs "
         "diverged: count %llu vs %llu, memory_accesses %llu vs %llu\n",
         static_cast<unsigned long long>(string_rec->result.count),
@@ -198,19 +196,14 @@ bool CheckParity() {
             string_rec->result.stats.memory_accesses),
         static_cast<unsigned long long>(
             int_rec->result.stats.memory_accesses));
-    return false;
   }
-  return true;
+  return 0;
 }
 
 }  // namespace
 }  // namespace clftj::bench
 
 int main(int argc, char** argv) {
-  clftj::bench::InitBench(&argc, argv);
-  clftj::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  clftj::bench::FlushJson(argv[0]);
-  return clftj::bench::CheckParity() ? 0 : 1;
+  return clftj::bench::GatedBenchMain(argc, argv, clftj::bench::RegisterAll,
+                                      clftj::bench::Gate);
 }

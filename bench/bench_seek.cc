@@ -163,7 +163,7 @@ double& FilterScalarSeconds() { static double s = 0; return s; }
 double& FilterAvx2Seconds() { static double s = 0; return s; }
 double& NormalizeSerialSeconds() { static double s = 0; return s; }
 double& NormalizeShardedSeconds() { static double s = 0; return s; }
-bool& EqualityViolated() { static bool v = false; return v; }
+int& EqualityFailures() { static int failures = 0; return failures; }
 
 void PublishKernel(benchmark::State& state, const std::string& name,
                    const std::string& config, double seconds,
@@ -202,9 +202,8 @@ void SeekBody(benchmark::State& state, const SeekProfile& profile,
   const auto check = [&](const IntersectResult& got, const char* arm) {
     if (got.hits != expect.hits || got.probes != expect.probes ||
         got.checksum != expect.checksum) {
-      EqualityViolated() = true;
-      std::fprintf(stderr,
-                   "bench_seek: FAIL — %s arm diverged on %s (hits %llu vs "
+      EqualityFailures() +=
+          GateFail("bench_seek: FAIL — %s arm diverged on %s (hits %llu vs "
                    "%llu, probes %llu vs %llu)\n",
                    arm, profile.name.c_str(),
                    static_cast<unsigned long long>(got.hits),
@@ -282,9 +281,8 @@ void FilterBody(benchmark::State& state, const std::string& name,
     }
     const double seconds = timer.Seconds();
     if (keep != expect) {
-      EqualityViolated() = true;
-      std::fprintf(stderr,
-                   "bench_seek: FAIL — %s filter arm diverged (%zu kept vs "
+      EqualityFailures() +=
+          GateFail("bench_seek: FAIL — %s filter arm diverged (%zu kept vs "
                    "%zu)\n",
                    avx2 ? "avx2" : "scalar", keep.size(), expect.size());
     }
@@ -369,20 +367,17 @@ void RegisterAll() {
 }
 
 int Gate() {
-  int failures = 0;
-  if (EqualityViolated()) ++failures;  // diagnostics already printed
+  int failures = EqualityFailures();  // diagnostics already printed
   if (simd::Avx2Available()) {
     const double sparse_ratio =
         SparseAvx2Seconds() > 0 ? SparseScalarSeconds() / SparseAvx2Seconds()
                                 : 0.0;
     if (sparse_ratio < 1.2) {
-      std::fprintf(stderr,
-                   "bench_seek: FAIL — sparse-intersection AVX2 speedup "
-                   "%.2fx < 1.2x (scalar %.3fms, avx2 %.3fms, min over "
-                   "interleaved trials)\n",
-                   sparse_ratio, SparseScalarSeconds() * 1e3,
-                   SparseAvx2Seconds() * 1e3);
-      ++failures;
+      failures += GateFail(
+          "bench_seek: FAIL — sparse-intersection AVX2 speedup %.2fx < 1.2x "
+          "(scalar %.3fms, avx2 %.3fms, min over interleaved trials)\n",
+          sparse_ratio, SparseScalarSeconds() * 1e3,
+          SparseAvx2Seconds() * 1e3);
     } else {
       std::fprintf(stderr,
                    "bench_seek: sparse-intersection AVX2 speedup %.2fx "
@@ -394,12 +389,11 @@ int Gate() {
         FilterAvx2Seconds() > 0 ? FilterScalarSeconds() / FilterAvx2Seconds()
                                 : 0.0;
     if (filter_ratio < 1.5) {
-      std::fprintf(stderr,
-                   "bench_seek: FAIL — constant-filter AVX2 speedup %.2fx < "
-                   "1.5x (scalar %.3fms, avx2 %.3fms)\n",
-                   filter_ratio, FilterScalarSeconds() * 1e3,
-                   FilterAvx2Seconds() * 1e3);
-      ++failures;
+      failures += GateFail(
+          "bench_seek: FAIL — constant-filter AVX2 speedup %.2fx < 1.5x "
+          "(scalar %.3fms, avx2 %.3fms)\n",
+          filter_ratio, FilterScalarSeconds() * 1e3,
+          FilterAvx2Seconds() * 1e3);
     }
   } else {
     std::fprintf(stderr,
@@ -413,12 +407,11 @@ int Gate() {
             ? NormalizeSerialSeconds() / NormalizeShardedSeconds()
             : 0.0;
     if (norm_ratio < 1.5) {
-      std::fprintf(stderr,
-                   "bench_seek: FAIL — sharded Normalize speedup %.2fx < "
-                   "1.5x at 4 threads (serial %.3fms, sharded %.3fms)\n",
-                   norm_ratio, NormalizeSerialSeconds() * 1e3,
-                   NormalizeShardedSeconds() * 1e3);
-      ++failures;
+      failures += GateFail(
+          "bench_seek: FAIL — sharded Normalize speedup %.2fx < 1.5x at 4 "
+          "threads (serial %.3fms, sharded %.3fms)\n",
+          norm_ratio, NormalizeSerialSeconds() * 1e3,
+          NormalizeShardedSeconds() * 1e3);
     }
   } else {
     std::fprintf(stderr,
@@ -434,10 +427,6 @@ int Gate() {
 }  // namespace clftj::bench
 
 int main(int argc, char** argv) {
-  clftj::bench::InitBench(&argc, argv);
-  clftj::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  clftj::bench::FlushJson(argv[0]);
-  return clftj::bench::Gate();
+  return clftj::bench::GatedBenchMain(argc, argv, clftj::bench::RegisterAll,
+                                      clftj::bench::Gate);
 }

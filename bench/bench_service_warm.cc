@@ -42,16 +42,6 @@ std::uint64_t& WarmCount() {
   return c;
 }
 
-RunResult ToRunResult(const QueryResponse& response, double seconds) {
-  RunResult r;
-  r.count = response.count;
-  r.seconds = seconds;
-  r.stats = response.stats;
-  r.status = response.status;
-  r.message = response.message;
-  return r;
-}
-
 // Runs `reps` identical requests through one service and reports the mean
 // per-request wall clock. The engine-reported response.seconds excludes the
 // reuse layer's Prepare step, so the timer wraps the whole Execute — cold
@@ -113,20 +103,16 @@ int Gate() {
     return 0;
   }
   if (ColdCount() != WarmCount()) {
-    std::fprintf(stderr,
-                 "bench_service_warm: FAIL — warm count %llu != cold count "
-                 "%llu (reuse changed the answer)\n",
-                 static_cast<unsigned long long>(WarmCount()),
-                 static_cast<unsigned long long>(ColdCount()));
-    return 1;
+    return GateFail("bench_service_warm: FAIL — warm count %llu != cold count "
+                    "%llu (reuse changed the answer)\n",
+                    static_cast<unsigned long long>(WarmCount()),
+                    static_cast<unsigned long long>(ColdCount()));
   }
   const double speedup = ColdSeconds() / WarmSeconds();
   if (speedup < 2.0) {
-    std::fprintf(stderr,
-                 "bench_service_warm: FAIL — warm %.3f ms vs cold %.3f ms is "
-                 "only %.2fx (need >= 2x)\n",
-                 WarmSeconds() * 1e3, ColdSeconds() * 1e3, speedup);
-    return 1;
+    return GateFail("bench_service_warm: FAIL — warm %.3f ms vs cold %.3f ms "
+                    "is only %.2fx (need >= 2x)\n",
+                    WarmSeconds() * 1e3, ColdSeconds() * 1e3, speedup);
   }
   std::printf("bench_service_warm: warm-over-cold speedup %.1fx "
               "(cold %.3f ms, warm %.3f ms)\n",
@@ -138,10 +124,6 @@ int Gate() {
 }  // namespace clftj::bench
 
 int main(int argc, char** argv) {
-  clftj::bench::InitBench(&argc, argv);
-  clftj::bench::RegisterAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  clftj::bench::FlushJson(argv[0]);
-  return clftj::bench::Gate();
+  return clftj::bench::GatedBenchMain(argc, argv, clftj::bench::RegisterAll,
+                                      clftj::bench::Gate);
 }

@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,6 +15,7 @@
 #include "engine/engine.h"
 #include "query/parser.h"
 #include "query/query.h"
+#include "server/service.h"
 #include "util/check.h"
 
 namespace clftj::bench {
@@ -163,6 +165,45 @@ inline void PublishResult(benchmark::State& state, const RunResult& r,
   state.counters["OOM"] = r.status == RunStatus::kOutOfMemory ? 1 : 0;
   state.SetIterationTime(r.seconds);
   JsonLog().push_back({label, config, r});
+}
+
+/// A QueryService response as a bench record: the count, counters, status
+/// and message the service reported, timed by the caller's wall clock
+/// (which, unlike response.seconds, covers the reuse layer's Prepare).
+inline RunResult ToRunResult(const QueryResponse& response, double seconds) {
+  RunResult r;
+  r.count = response.count;
+  r.seconds = seconds;
+  r.stats = response.stats;
+  r.status = response.status;
+  r.message = response.message;
+  return r;
+}
+
+/// A failed self-gate check: prints the printf-style diagnostic to stderr
+/// and returns 1, the exit status of a failed gate. Gates either return it
+/// at once or add it to a failure count and report every check.
+__attribute__((format(printf, 1, 2))) inline int GateFail(const char* format,
+                                                          ...) {
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  return 1;
+}
+
+/// The main of a self-gating bench: strips --quick, registers the runs,
+/// runs them, writes BENCH_<name>.json, then returns gate() — 0 when every
+/// check held (or a --benchmark_filter left nothing to compare), nonzero
+/// otherwise — as the process exit status.
+inline int GatedBenchMain(int argc, char** argv, void (*register_all)(),
+                          int (*gate)()) {
+  InitBench(&argc, argv);
+  register_all();
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  FlushJson(argv[0]);
+  return gate();
 }
 
 /// Runs one count benchmark body: a single timed execution per iteration

@@ -49,7 +49,7 @@ def main():
                         metavar="SUBSTRING",
                         help="skip records whose config contains SUBSTRING "
                              "(for configurations whose counters are "
-                             "interleaving-dependent, e.g. sharing=striped)")
+                             "interleaving-dependent, e.g. racing)")
     args = parser.parse_args()
 
     shared_files = sorted(
@@ -75,8 +75,8 @@ def main():
                    for r in (base, cur)):
                 continue
             # Explicitly excluded configurations (nondeterministic counters
-            # — e.g. a striped shared cache, where hit/miss splits depend
-            # on worker interleaving).
+            # — e.g. requests racing through one shared cache, where
+            # hit/miss splits depend on worker interleaving).
             if any(s in key[1] for s in args.skip_config):
                 continue
             compared += 1

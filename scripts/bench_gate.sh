@@ -4,10 +4,10 @@
 # --quick mode (each writes BENCH_<name>.json into the build directory),
 # then, when a baseline directory of BENCH_*.json sidecars is given, diffs
 # against it with scripts/bench_diff.py and fails on memory-access
-# regressions >10% (wall clock only warns). Striped-sharing and "racing"
-# records are interleaving-dependent (who inserts first decides who hits),
-# so the diff skips them; they stay in the recorded JSON as trajectory
-# documentation.
+# regressions >10% (wall clock only warns). "racing" records are
+# interleaving-dependent (concurrent requests warm one shared cache, so who
+# inserts first decides who hits), so the diff skips them; they stay in the
+# recorded JSON as trajectory documentation.
 #
 # Usage: scripts/bench_gate.sh <build-dir> [baseline-dir]
 set -euo pipefail
@@ -36,7 +36,6 @@ BENCHES=(
   bench_fig5_count
   bench_fig10_cache_size
   bench_parallel_scaling
-  bench_striped_cache
   bench_build
   bench_dict
   bench_service_warm
@@ -61,5 +60,5 @@ done
 
 if [[ -n "$BASELINE_DIR" ]]; then
   python3 scripts/bench_diff.py "$BASELINE_DIR" "$BUILD_DIR" \
-    --skip-config "sharing=striped" --skip-config "racing"
+    --skip-config "racing"
 fi

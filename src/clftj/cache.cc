@@ -16,10 +16,6 @@ std::string CacheOptions::ToString() const {
   os << " eviction="
      << (eviction == Eviction::kRejectNew ? "reject-new" : "lru")
      << " max_dim=" << max_dimension;
-  if (sharing == Sharing::kStriped) {
-    os << " sharing=striped";
-    if (stripes > 0) os << " stripes=" << stripes;
-  }
   return os.str();
 }
 

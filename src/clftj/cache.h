@@ -52,24 +52,6 @@ struct CacheOptions {
   enum class Eviction { kRejectNew, kLru };
   Eviction eviction = Eviction::kLru;
 
-  /// Cache placement across the K shards of a CachedTrieJoin run. kPrivate:
-  /// each shard owns a CacheManager sized capacity/K — no cross-shard
-  /// coordination on the hot path, but shards recompute each other's
-  /// subtrees. kStriped: all shards probe and fill one StripedCacheManager
-  /// — S lock-striped segments whose per-stripe budgets sum to the global
-  /// capacity — so a subtree computed by any shard is a hit for every
-  /// other shard (cross-shard reuse at the price of a stripe mutex per
-  /// cache call). There is no separate single-thread engine: a one-thread
-  /// run is one shard, whose kPrivate cache holds the whole budget and
-  /// whose kStriped table has a single prober.
-  enum class Sharing { kPrivate, kStriped };
-  Sharing sharing = Sharing::kPrivate;
-
-  /// Stripe count for Sharing::kStriped; 0 picks one from the worker count
-  /// (see StripedCacheManager::ChooseStripes). Rounded up to a power of two
-  /// and clamped so every stripe's share of a bounded budget is >= 1.
-  int stripes = 0;
-
   /// Adhesions wider than this are never cached (the paper's implementation
   /// supports keys of up to two dimensions). Keys up to
   /// PackedKey::kInlineDims live entirely inside the table; wider keys take
@@ -89,6 +71,15 @@ struct CacheOptions {
 template <typename V>
 inline std::uint64_t CachePayloadBytes(const V&) {
   return sizeof(V);
+}
+
+/// The one hash of a (TD node, adhesion key) cache entry. A CacheManager
+/// indexes its table with the bottom bits; a StripedCacheManager picks the
+/// stripe from the top bits and the hot slot from bits 32-37, computes the
+/// hash once per call and hands it to the stripe's table.
+inline std::uint64_t CacheKeyHash(NodeId node, PackedKey key) {
+  return key.Hash(
+      HashCombine(0x2545f4914f6cdd1dull, static_cast<std::uint64_t>(node)));
 }
 
 /// The shared cache of CLFTJ: (TD node, adhesion assignment) -> payload,
@@ -117,9 +108,12 @@ class CacheManager {
 
   /// Returns the payload cached for (node, key), or nullptr. Counts a hit
   /// or miss; under a bounded capacity also refreshes LRU recency. The
-  /// returned pointer is invalidated by the next Insert.
+  /// returned pointer is invalidated by the next Insert. `hash` must be
+  /// CacheKeyHash(node, key); the two-argument form computes it.
   const V* Lookup(NodeId node, PackedKey key) {
-    const std::uint64_t hash = HashKey(node, key);
+    return Lookup(node, key, CacheKeyHash(node, key));
+  }
+  const V* Lookup(NodeId node, PackedKey key, std::uint64_t hash) {
     const std::uint32_t i = FindSlot(node, key, hash);
     if (i == kNil) {
       ++stats_->cache_misses;
@@ -135,7 +129,11 @@ class CacheManager {
   /// for the same key. Returns true when the entry resides in the table
   /// after the call, false when policy rejected it (callers layering a
   /// lock-free read cache on top must not publish rejected entries).
+  /// `hash` as for Lookup.
   bool Insert(NodeId node, PackedKey key, V value) {
+    return Insert(node, key, CacheKeyHash(node, key), std::move(value));
+  }
+  bool Insert(NodeId node, PackedKey key, std::uint64_t hash, V value) {
     if (fault::Fire(fault::Site::kCacheInsert)) {
       // Injected allocation failure at the insert: caching is optional per
       // entry, so the correct degradation is to drop this entry — results
@@ -143,7 +141,6 @@ class CacheManager {
       ++stats_->cache_rejects;
       return false;
     }
-    const std::uint64_t hash = HashKey(node, key);
     const std::uint64_t need = byte_bounded_ ? CachePayloadBytes(value) : 0;
     if (byte_bounded_ && need > options_.capacity_bytes) {
       // Larger than the whole budget: no sequence of evictions can fit it.
@@ -205,25 +202,15 @@ class CacheManager {
   template <typename Pred>
   std::size_t EvictIf(const Pred& pred) {
     std::vector<std::pair<NodeId, std::vector<Value>>> doomed;
-    for (const Slot& s : slots_) {
-      if (!s.occupied()) continue;
-      std::vector<Value> vals(s.dims);
-      if (s.wide()) {
-        for (std::uint32_t d = 0; d < s.dims; ++d) {
-          vals[d] = arena_[s.lo + d];
-        }
-      } else {
-        if (s.dims >= 1) vals[0] = static_cast<Value>(s.lo);
-        if (s.dims == 2) vals[1] = static_cast<Value>(s.hi);
+    ForEach([&](NodeId node, const Value* vals, int dims, const V&) {
+      if (pred(node, vals, dims)) {
+        doomed.emplace_back(node, std::vector<Value>(vals, vals + dims));
       }
-      if (pred(s.node, vals.data(), static_cast<int>(s.dims))) {
-        doomed.emplace_back(s.node, std::move(vals));
-      }
-    }
+    });
     for (const auto& [node, vals] : doomed) {
       const PackedKey key =
           PackedKey::Pack(vals.data(), static_cast<int>(vals.size()));
-      const std::uint32_t i = FindSlot(node, key, HashKey(node, key));
+      const std::uint32_t i = FindSlot(node, key, CacheKeyHash(node, key));
       if (i != kNil) EraseSlot(i);
     }
     return doomed.size();
@@ -231,10 +218,11 @@ class CacheManager {
 
   /// Read-only iteration over every live entry: fn(node, values, dims,
   /// value) with `values` pointing at the entry's adhesion key values
-  /// (reconstructed the same way EvictIf's collection pass does). Used by
-  /// cross-shape seeding (docs/serving.md "Batch admission") to copy count
-  /// entries between shapes; charges no stats and never mutates the table,
-  /// so recency and probe chains are untouched.
+  /// (decoded from the slot's inline words or its arena segment). Used by
+  /// EvictIf's collection pass and by cross-shape seeding (docs/serving.md
+  /// "Batch admission") to copy count entries between shapes; charges no
+  /// stats and never mutates the table, so recency and probe chains are
+  /// untouched.
   template <typename Fn>
   void ForEach(const Fn& fn) const {
     Value inline_vals[2];
@@ -292,11 +280,6 @@ class CacheManager {
              dims > static_cast<std::uint32_t>(PackedKey::kInlineDims);
     }
   };
-
-  std::uint64_t HashKey(NodeId node, PackedKey key) const {
-    return key.Hash(HashCombine(0x2545f4914f6cdd1dull,
-                                static_cast<std::uint64_t>(node)));
-  }
 
   bool SlotMatches(const Slot& s, NodeId node, PackedKey key,
                    std::uint64_t hash) const {
@@ -569,21 +552,23 @@ struct HotPayload<V, false> {
 
 }  // namespace cache_internal
 
-/// The shared cache of CLFTJ-P under CacheOptions::Sharing::kStriped: one
-/// logical (node, adhesion key) -> payload table that all shards of a
-/// parallel run probe and fill, so a subtree computed by any shard is a hit
-/// for every other shard — the cross-shard reuse that private capacity/K
-/// caches cannot provide.
+/// The persistent per-shape cache of the serving loop (CrossQueryReuse's
+/// ShapeCaches, injected into CachedTrieJoin through EngineOptions::
+/// shared_count_cache/shared_eval_cache): one logical (node, adhesion key)
+/// -> payload table that every shard of every request of one shape probes
+/// and fills, so a subtree computed by any run is a hit for every later
+/// one. Runs without an injected cache never touch this class — each shard
+/// owns a private, unlocked CacheManager (see RunCache).
 ///
 /// Layout: S lock-striped segments, each an independent CacheManager (the
 /// flat open-addressing table with intrusive LRU) behind its own mutex,
 /// with its own ExecStats sink and a per-stripe slice of the global
 /// entry/byte budget (slices sum exactly to the global budget). A key's
-/// stripe is chosen from the *top* bits of the same (node, key) hash the
-/// segment table indexes with its *bottom* bits, so striping never skews a
-/// segment's probe distribution. Eviction is LRU per stripe: recency is
-/// local to a segment, which is what keeps a cache call one mutex + one
-/// flat-table operation instead of a globally ordered structure.
+/// stripe is chosen from the *top* bits of CacheKeyHash, whose *bottom*
+/// bits index the segment table, so striping never skews a segment's probe
+/// distribution. Eviction is LRU per stripe: recency is local to a
+/// segment, which is what keeps a cache call one mutex + one flat-table
+/// operation instead of a globally ordered structure.
 ///
 /// Concurrency contract: Lookup copies the payload out under the stripe
 /// mutex (a pointer into a slot would dangle the moment another shard
@@ -591,7 +576,7 @@ struct HotPayload<V, false> {
 /// frozen-before-insert is safely readable by every other thread. Stats
 /// are charged to the owning stripe (hits, misses, probe memory accesses,
 /// evictions, peaks) and aggregated deterministically in ascending stripe
-/// order by AggregatedStats after the workers join.
+/// order by AggregatedStats, read while no run is using the table.
 ///
 /// Hot-slot read path (`hot_reads` in the constructor; used by the
 /// persistent per-shape caches, see docs/serving.md "Batch admission"):
@@ -613,7 +598,7 @@ struct HotPayload<V, false> {
 template <typename V>
 class StripedCacheManager {
  public:
-  /// `workers` sizes the auto stripe count; `options` carries the *global*
+  /// `workers` sizes the stripe count; `options` carries the *global*
   /// budget (split across stripes here — callers must not pre-divide).
   /// `hot_reads` engages the lock-free hot-slot read path above.
   StripedCacheManager(int num_nodes, const CacheOptions& options, int workers,
@@ -646,14 +631,14 @@ class StripedCacheManager {
   /// refresh and hot publication happen in the owning stripe under its
   /// mutex.
   bool Lookup(NodeId node, PackedKey key, V* out) {
-    const std::uint64_t hash = HashFor(node, key);
+    const std::uint64_t hash = CacheKeyHash(node, key);
     Stripe& s = StripeAt(hash);
     if (!s.hot.empty() && !key.wide() && HotProbe(s, hash, node, key, out)) {
       s.hot_hits.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     std::lock_guard<std::mutex> lock(s.mu);
-    const V* hit = s.cache.Lookup(node, key);
+    const V* hit = s.cache.Lookup(node, key, hash);
     if (hit == nullptr) return false;
     *out = *hit;
     if (!s.hot.empty() && !key.wide()) PublishHot(s, hash, node, key, *out);
@@ -666,12 +651,12 @@ class StripedCacheManager {
   /// cached subtree results for one key are equal by construction). Only
   /// entries the stripe *accepted* are published to the hot slots.
   void Insert(NodeId node, PackedKey key, V value) {
-    const std::uint64_t hash = HashFor(node, key);
+    const std::uint64_t hash = CacheKeyHash(node, key);
     Stripe& s = StripeAt(hash);
     std::lock_guard<std::mutex> lock(s.mu);
     const bool publish = !s.hot.empty() && !key.wide();
     V copy = publish ? value : V{};
-    if (s.cache.Insert(node, key, std::move(value)) && publish) {
+    if (s.cache.Insert(node, key, hash, std::move(value)) && publish) {
       PublishHot(s, hash, node, key, copy);
     }
   }
@@ -765,18 +750,11 @@ class StripedCacheManager {
   /// (clamped to [1, 64]) keeps the expected contention on any one mutex
   /// low without scattering a bounded budget too thin; a bounded budget
   /// additionally clamps the count so every stripe's slice is >= 1 entry
-  /// (and >= 1 byte in byte mode). An explicit CacheOptions::stripes wins,
-  /// rounded up to a power of two, under the same budget clamp.
+  /// (and >= 1 byte in byte mode).
   static int ChooseStripes(const CacheOptions& options, int workers) {
-    int want;
-    if (options.stripes > 0) {
-      want = 1;
-      while (want < options.stripes && want < 1024) want <<= 1;
-    } else {
-      const int w = workers < 1 ? 1 : workers;
-      want = 1;
-      while (want < 2 * w && want < 64) want <<= 1;
-    }
+    const int w = workers < 1 ? 1 : workers;
+    int want = 1;
+    while (want < 2 * w && want < 64) want <<= 1;
     while (want > 1 &&
            ((options.capacity > 0 &&
              static_cast<std::uint64_t>(want) > options.capacity) ||
@@ -821,15 +799,6 @@ class StripedCacheManager {
     std::vector<HotSlot> hot;  // empty unless hot_reads
     std::atomic<std::uint64_t> hot_hits{0};
   };
-
-  std::uint64_t HashFor(NodeId node, PackedKey key) const {
-    // Same hash the segment table uses (seed constant must match
-    // CacheManager::HashKey); the table indexes with the bottom bits, the
-    // stripe choice takes the top bits, and the hot slot the middle bits,
-    // so no two ever correlate.
-    return key.Hash(HashCombine(0x2545f4914f6cdd1dull,
-                                static_cast<std::uint64_t>(node)));
-  }
 
   Stripe& StripeAt(std::uint64_t hash) {
     if (stripe_shift_ == 0) return *stripes_[0];  // >> 64 would be UB
@@ -899,12 +868,14 @@ class StripedCacheManager {
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
-/// The cache a single run state (CountRun/EvalRun) sees: either a private
-/// CacheManager owned by the run (sequential CLFTJ, or CLFTJ-P under
-/// Sharing::kPrivate) or a borrowed pointer to the run-wide
-/// StripedCacheManager (Sharing::kStriped). One predictable branch per
-/// call; both paths return the payload by value so call sites are uniform
-/// and never hold a pointer into a table another thread may mutate.
+/// The cache a single run state (CountRun/EvalRun) sees: either the
+/// private CacheManager the shard owns (capacity/K of the run's budget;
+/// unlocked, which is what keeps a one-shard run — the paper's sequential
+/// CLFTJ — free of any synchronization) or a borrowed pointer to the
+/// persistent StripedCacheManager the serving loop injected. One
+/// predictable branch per call; both paths return the payload by value so
+/// call sites are uniform and never hold a pointer into a table another
+/// thread may mutate.
 template <typename V>
 class RunCache {
  public:

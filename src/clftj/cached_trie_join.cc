@@ -233,13 +233,9 @@ struct ShardSetup {
 };
 
 // Splits the first variable's domain into at most `threads` contiguous
-// shards and derives the per-shard cache budget. Under Sharing::kPrivate
-// the global entry and byte budgets are split evenly over K private caches
-// (floored, min 1 so a tiny budget over many shards still caches
-// something). Under Sharing::kStriped the budgets are left whole: the
-// run-wide StripedCacheManager carries the global budget itself (split
-// across its stripes, not across shards), and the per-run cache options
-// only configure admission/eviction policy.
+// shards and derives the per-shard cache budget: the global entry and byte
+// budgets are split evenly over the K shards' private caches (floored, min
+// 1 so a tiny budget over many shards still caches something).
 //
 // The boundaries come from an O(K) index split of one depth-0 atom's
 // top-level sibling array — the smallest one, since the intersection is a
@@ -295,36 +291,14 @@ ShardSetup PrepareShards(const TrieJoinSubstrate& substrate, int threads,
     }
     setup.shards.push_back(range);
   }
-  if (setup.cache.sharing == CacheOptions::Sharing::kPrivate) {
-    if (k > 1 && setup.cache.capacity > 0) {
-      setup.cache.capacity =
-          std::max<std::uint64_t>(1, setup.cache.capacity / k);
-    }
-    if (k > 1 && setup.cache.capacity_bytes > 0) {
-      setup.cache.capacity_bytes =
-          std::max<std::uint64_t>(1, setup.cache.capacity_bytes / k);
-    }
+  if (k > 1 && setup.cache.capacity > 0) {
+    setup.cache.capacity = std::max<std::uint64_t>(1, setup.cache.capacity / k);
+  }
+  if (k > 1 && setup.cache.capacity_bytes > 0) {
+    setup.cache.capacity_bytes =
+        std::max<std::uint64_t>(1, setup.cache.capacity_bytes / k);
   }
   return setup;
-}
-
-// The run's striped table: the injected persistent cache when there is
-// one, else — under Sharing::kStriped — a run-owned table stored into
-// *owned, else null (private caches). A run-owned table carries the
-// *global* budget, split across its stripes, never across shards. Only a
-// run-owned table's stats are folded into the run: that merge is sound
-// only on a quiescent table, and an injected cache stays live across runs.
-template <typename V>
-StripedCacheManager<V>* StripedFor(
-    StripedCacheManager<V>* injected, const CacheOptions& cache,
-    const CachedPlan& plan, std::size_t workers,
-    std::unique_ptr<StripedCacheManager<V>>* owned) {
-  if (injected != nullptr) return injected;
-  if (cache.sharing != CacheOptions::Sharing::kStriped) return nullptr;
-  *owned = std::make_unique<StripedCacheManager<V>>(
-      static_cast<int>(plan.cacheable.size()), cache,
-      static_cast<int>(workers));
-  return owned->get();
 }
 
 // Runs work(0..n-1): shard 0 on the calling thread, the rest on their own
@@ -358,15 +332,10 @@ struct ShardOutcome {
 // Merges the shards' stats into *into and returns the run's typed status.
 // Counters sum (ExecStats::Merge), but cache peaks are re-accumulated as
 // sums because the K private caches coexist — the run's true peak
-// footprint is the sum of shard peaks, not their max. A run-owned striped
-// table's counters live in per-stripe stats (shards charge cache traffic
-// to the owning stripe, not to their own sinks); its deterministic
-// stripe-order aggregate is folded in after the join, and since shard
-// cache peaks are zero then, Merge's max-merge passes the summed stripe
-// peaks through unchanged.
-template <typename V>
+// footprint is the sum of shard peaks, not their max. An injected
+// persistent cache keeps its traffic in its own per-stripe stats, which
+// stay out of the run's: that table is live across runs.
 RunStatus MergeShards(const std::vector<ShardOutcome>& out,
-                      const StripedCacheManager<V>* owned,
                       const AbortFlag* abort, ExecStats* into) {
   std::uint64_t entries_peak = into->cache_entries_peak;
   std::uint64_t bytes_peak = into->cache_bytes_peak;
@@ -381,7 +350,6 @@ RunStatus MergeShards(const std::vector<ShardOutcome>& out,
   }
   into->cache_entries_peak = entries_peak;
   into->cache_bytes_peak = bytes_peak;
-  if (owned != nullptr) into->Merge(owned->AggregatedStats());
   return MergeRunStatus(any_timed_out, any_out_of_memory, abort);
 }
 
@@ -456,21 +424,17 @@ RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
     const RunLimits shard_limits = RemainingLimits(limits, timer);
     AbortFlag local_abort;
     AbortFlag* abort = SharedAbort(limits, &local_abort);
-    std::unique_ptr<StripedCacheManager<std::uint64_t>> owned;
-    StripedCacheManager<std::uint64_t>* striped =
-        StripedFor(options_.shared_count_cache, options_.cache, plan,
-                   shards.size(), &owned);
     std::vector<ShardOutcome> out(shards.size());
     RunShards(shards.size(), [&](std::size_t s) {
       ShardOutcome& o = out[s];
       TrieJoinContext ctx(substrate, &o.stats);
       CountRun run(plan, setup.cache, &ctx, &o.stats, shard_limits, shards[s],
-                   abort, striped);
+                   abort, options_.shared_count_cache);
       o.count = run.Run();
       o.timed_out = run.timed_out();
     });
     for (const ShardOutcome& o : out) result.count += o.count;
-    result.status = MergeShards(out, owned.get(), abort, &result.stats);
+    result.status = MergeShards(out, abort, &result.stats);
   }
   result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
@@ -494,10 +458,6 @@ RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
     const RunLimits shard_limits = RemainingLimits(limits, timer);
     AbortFlag local_abort;
     AbortFlag* abort = SharedAbort(limits, &local_abort);
-    std::unique_ptr<StripedCacheManager<FactorizedSetPtr>> owned;
-    StripedCacheManager<FactorizedSetPtr>* striped =
-        StripedFor(options_.shared_eval_cache, options_.cache, plan,
-                   shards.size(), &owned);
     // One shard streams into `cb` directly. K > 1 shards buffer their
     // tuples for a deterministic drain in shard order below, and buffered
     // tuples draw on the same run-wide materialization budget as the
@@ -524,12 +484,12 @@ RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
       };
       EvalRun run(plan, setup.cache, &ctx, &o.stats, buffered ? buffer : cb,
                   shard_limits, /*expand_at_leaf=*/true, shards[s], abort,
-                  &materialized, striped);
+                  &materialized, options_.shared_eval_cache);
       o.count = run.Run();
       o.timed_out = run.timed_out();
       o.out_of_memory |= run.out_of_memory();
     });
-    result.status = MergeShards(out, owned.get(), abort, &result.stats);
+    result.status = MergeShards(out, abort, &result.stats);
     if (!buffered) result.count = out.front().count;
     // Drain buffers in shard order — ascending first-variable intervals, so
     // the stream is the same for every run at this thread count (its
@@ -556,10 +516,10 @@ std::optional<FactorizedQueryResult> CachedTrieJoin::EvaluateFactorized(
   *run = RunResult();
   Timer timer;
   // A prepared plan is shared and immutable — copy it before the maintain
-  // fill mutates it. The shared striped caches are NOT consulted here:
+  // fill mutates it. The injected persistent caches are NOT consulted here:
   // maintain-everything runs build different factorized sets than
-  // plan-default runs, so their payloads must not mix (a run-owned striped
-  // table is still fine — it dies with the run).
+  // plan-default runs, so their payloads must not mix; the shards' private
+  // caches die with the run.
   auto plan = options_.prepared_plan != nullptr
                   ? std::make_shared<CachedPlan>(*options_.prepared_plan)
                   : std::make_shared<CachedPlan>(CachedPlan::Resolve(
@@ -583,10 +543,6 @@ std::optional<FactorizedQueryResult> CachedTrieJoin::EvaluateFactorized(
     const RunLimits shard_limits = RemainingLimits(limits, timer);
     AbortFlag local_abort;
     AbortFlag* abort = SharedAbort(limits, &local_abort);
-    std::unique_ptr<StripedCacheManager<FactorizedSetPtr>> owned;
-    StripedCacheManager<FactorizedSetPtr>* striped =
-        StripedFor<FactorizedSetPtr>(nullptr, options_.cache, *plan,
-                                     shards.size(), &owned);
     std::atomic<std::uint64_t> materialized{0};  // run-wide, all shards
     std::vector<ShardOutcome> out(shards.size());
     const TupleCallback noop = [](const Tuple&) {};
@@ -594,14 +550,13 @@ std::optional<FactorizedQueryResult> CachedTrieJoin::EvaluateFactorized(
       ShardOutcome& o = out[s];
       TrieJoinContext ctx(substrate, &o.stats);
       EvalRun eval(*plan, setup.cache, &ctx, &o.stats, noop, shard_limits,
-                   /*expand_at_leaf=*/false, shards[s], abort, &materialized,
-                   striped);
+                   /*expand_at_leaf=*/false, shards[s], abort, &materialized);
       eval.Run();
       o.timed_out = eval.timed_out();
       o.out_of_memory = eval.out_of_memory();
       if (!o.timed_out && !o.out_of_memory) o.root = eval.TakeRootSet();
     });
-    run->status = MergeShards(out, owned.get(), abort, &run->stats);
+    run->status = MergeShards(out, abort, &run->stats);
     if (run->ok()) {
       // Concatenate shard roots in shard order: ascending contiguous
       // first-variable intervals reproduce the one-shard entry order.

@@ -46,10 +46,10 @@ class CountRun {
   /// flag shared across concurrent runs — this run trips it on its own
   /// deadline expiry and halts within one deadline stride when any other
   /// run trips it. `shared_cache` (optional) replaces the run's private
-  /// cache with the run-wide striped table (Sharing::kStriped): this run
-  /// then probes and fills the one table all concurrent runs share, and
-  /// `cache_options` budgets are ignored (the striped table carries the
-  /// global budget itself).
+  /// cache with the serving loop's persistent striped table: this run then
+  /// probes and fills the one table all concurrent runs of the shape
+  /// share, and `cache_options` budgets are ignored (the striped table
+  /// carries its own budget).
   CountRun(const CachedPlan& plan, const CacheOptions& cache_options,
            TrieJoinContext* ctx, ExecStats* stats, const RunLimits& limits,
            const FirstVarRange& range = {}, AbortFlag* abort = nullptr,
@@ -100,10 +100,11 @@ class EvalRun {
   /// materialized entry is counted through the shared counter instead of
   /// this run's private stats, so K shards together never exceed the one
   /// budget a single-thread run gets. Null keeps the private accounting.
-  /// `shared_cache` (optional) is the Sharing::kStriped table shared by all
-  /// concurrent runs; factorized sets are frozen before insert and
-  /// published through the stripe mutex, so a hit may hand this run a set
-  /// built by another shard (see StripedCacheManager).
+  /// `shared_cache` (optional) is the serving loop's persistent striped
+  /// table, shared by all concurrent runs of the shape; factorized sets are
+  /// frozen before insert and published through the stripe mutex, so a hit
+  /// may hand this run a set built by another run (see
+  /// StripedCacheManager).
   EvalRun(const CachedPlan& plan, const CacheOptions& cache_options,
           TrieJoinContext* ctx, ExecStats* stats, const TupleCallback& cb,
           const RunLimits& limits, bool expand_at_leaf = true,
@@ -187,35 +188,29 @@ class EvalRun {
 /// with a private TrieJoinContext cursor and private ExecStats. K = 1 (the
 /// default, Options::threads == 1) is the paper's sequential CLFTJ: one
 /// unbounded shard on the calling thread, no worker threads. K > 1 is
-/// CLFTJ-P, one shard per thread. CacheOptions::sharing selects the cache
-/// placement: kPrivate gives each shard a CacheManager sized capacity/K
-/// (no synchronization, no cross-shard reuse); kStriped gives all shards
-/// one StripedCacheManager carrying the undivided global budget, so a
-/// subtree computed by any shard is a hit for every other shard — the
-/// paper's cache benefit preserved under parallelism at the price of a
-/// stripe mutex per cache call. A single shared AbortFlag propagates the
-/// first deadline expiry or materialization-budget hit to every shard
-/// within one deadline stride. The whole run — plan resolution and trie
-/// builds included — shares one RunLimits::timeout_seconds window.
+/// CLFTJ-P, one shard per thread. Each shard owns a private CacheManager
+/// sized capacity/K (and capacity_bytes/K): no synchronization on the hot
+/// path, no cross-shard reuse. Only a cache injected by the serving loop
+/// (Options::shared_count_cache/shared_eval_cache) is shared across
+/// shards. A single shared AbortFlag propagates the first deadline expiry
+/// or materialization-budget hit to every shard within one deadline
+/// stride. The whole run — plan resolution and trie builds included —
+/// shares one RunLimits::timeout_seconds window.
 ///
 /// Determinism: shards are ascending value intervals and the trie
 /// enumerates ascending, so summing counts and concatenating factorized
 /// root entries in shard order reproduce the one-shard result — identical
-/// counts and identical tuple sets at every thread count and under either
-/// sharing mode (cached entries are exact subtree results, so any hit/miss
-/// pattern preserves correctness), and a tuple stream that is deterministic
-/// for a given thread count under kPrivate (its interleaving can differ
+/// counts and identical tuple sets at every thread count and with or
+/// without an injected cache (cached entries are exact subtree results, so
+/// any hit/miss pattern preserves correctness), and a tuple stream that is
+/// deterministic for a given thread count (its interleaving can differ
 /// from the one-shard stream, because cache hits expand skipped subtrees at
-/// the emission point and private shard caches hit differently than one
-/// shared cache). Stats under kPrivate are fully deterministic (each
-/// shard's traversal is fixed; the merged stats report the shard sum, with
-/// cache peaks summed because the private caches coexist). Under kStriped
-/// the merge procedure stays deterministic — per-stripe counters aggregated
-/// in ascending stripe order after the join — but the counter *values* can
-/// vary slightly across multi-shard runs: whether shard B hits a subtree
-/// shard A computes depends on which worker inserted first, so hit/miss
-/// splits and memory-access sums are interleaving-dependent (counts and
-/// tuple sets are not).
+/// the emission point and K private shard caches hit differently than one
+/// cache). Stats are fully deterministic too: each shard's traversal is
+/// fixed, and the merged stats report the shard sum, with cache peaks
+/// summed because the private caches coexist. An injected cache charges
+/// its traffic to its own stripes, and whether shard B hits a subtree
+/// shard A computes then depends on which run inserted first.
 class CachedTrieJoin : public JoinEngine {
  public:
   struct Options {
@@ -228,18 +223,16 @@ class CachedTrieJoin : public JoinEngine {
     /// experiments); when absent, PlanQuery chooses one per query.
     std::optional<TdPlan> plan;
     PlannerOptions planner;
-    /// The *global* cache budget: under Sharing::kPrivate each of K shards
-    /// receives capacity/K (and capacity_bytes/K); under Sharing::kStriped
-    /// the undivided budget goes to one shared striped table whose
-    /// per-stripe slices sum to it.
+    /// The *global* cache budget: each of K shards' private caches
+    /// receives capacity/K (and capacity_bytes/K).
     CacheOptions cache;
 
     // Cross-query reuse injection (the serving loop's CrossQueryReuse).
     // When set, the run skips its own plan resolution / trie builds and
     // uses the shared immutable state instead; the striped cache pointers
-    // (borrowed, must outlive the run) replace the run-owned cache so all
-    // shards of all requests of this shape share one table — an injected
-    // cache wins over `cache.sharing`. Results are identical either way.
+    // (borrowed, must outlive the run) replace the shards' private caches
+    // so all shards of all requests of this shape share one table. Results
+    // are identical either way.
     std::shared_ptr<const CachedPlan> prepared_plan;
     std::shared_ptr<const TrieJoinSubstrate> prepared_substrate;
     StripedCacheManager<std::uint64_t>* shared_count_cache = nullptr;

@@ -220,8 +220,8 @@ bool IsKnownEngine(const std::string& name);
 struct EngineOptions {
   /// CLFTJ-P worker count; <= 0 means one per hardware thread.
   int threads = 0;
-  /// CLFTJ / CLFTJ-P cache configuration (admission, capacity, eviction,
-  /// sharing). Defaults to the unbounded always-admit cache.
+  /// CLFTJ / CLFTJ-P cache configuration (admission, capacity, eviction).
+  /// Defaults to the unbounded always-admit cache.
   CacheOptions cache;
 
   // Cross-query reuse injection (CLFTJ / CLFTJ-P only; others ignore it).

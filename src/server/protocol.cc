@@ -1,20 +1,13 @@
 #include "server/protocol.h"
 
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
+
+#include "util/parse.h"
 
 namespace clftj {
 
 namespace {
-
-bool ParseUint(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* tail = nullptr;
-  const std::uint64_t value = std::strtoull(text.c_str(), &tail, 10);
-  if (tail == nullptr || *tail != '\0') return false;
-  *out = value;
-  return true;
-}
 
 bool Fail(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
@@ -58,9 +51,12 @@ bool ParseTuples(const std::string& text, std::vector<Tuple>* out) {
       if (vend == std::string::npos || vend > end) vend = end;
       // Empty fields are corruption: "1,,2", "1,", ",1", ";;" and "".
       if (vend == vstart) return false;
-      std::uint64_t value = 0;
-      if (!ParseUint(text.substr(vstart, vend - vstart), &value)) return false;
-      tuple.push_back(static_cast<Value>(value));
+      Value value = 0;
+      if (!ParseNumber(std::string_view(text).substr(vstart, vend - vstart),
+                       &value)) {
+        return false;
+      }
+      tuple.push_back(value);
       if (vend == end) break;
       vstart = vend + 1;
       if (vstart == end) return false;  // trailing ','
@@ -156,11 +152,11 @@ bool ParseRequest(const std::string& line, QueryRequest* request,
     } else if (key == "engine") {
       request->engine = value;
     } else if (key == "timeout_ms") {
-      if (!ParseUint(value, &request->timeout_ms)) {
+      if (!ParseNumber(value, &request->timeout_ms)) {
         return Fail(error, "bad timeout_ms: " + value);
       }
     } else if (key == "max_tuples") {
-      if (!ParseUint(value, &request->max_tuples)) {
+      if (!ParseNumber(value, &request->max_tuples)) {
         return Fail(error, "bad max_tuples: " + value);
       }
     } else {
@@ -245,13 +241,11 @@ bool ParseResponse(const std::vector<std::string>& lines,
       return Fail(error, "malformed response token: " + token);
     }
     if (key == "count") {
-      if (!ParseUint(value, &response->count)) {
+      if (!ParseNumber(value, &response->count)) {
         return Fail(error, "bad count: " + value);
       }
     } else if (key == "seconds") {
-      char* tail = nullptr;
-      response->seconds = std::strtod(value.c_str(), &tail);
-      if (tail == nullptr || *tail != '\0') {
+      if (!ParseNumber(value, &response->seconds)) {
         return Fail(error, "bad seconds: " + value);
       }
     } else if (key == "status") {
@@ -259,7 +253,7 @@ bool ParseResponse(const std::vector<std::string>& lines,
         return Fail(error, "unknown status: " + value);
       }
     } else if (key == "retry_after_ms") {
-      if (!ParseUint(value, &response->retry_after_ms)) {
+      if (!ParseNumber(value, &response->retry_after_ms)) {
         return Fail(error, "bad retry_after_ms: " + value);
       }
     } else if (key == "stats") {

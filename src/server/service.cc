@@ -66,9 +66,12 @@ void QueryService::ResolveLimits(const QueryRequest& request,
   limits->max_intermediate_tuples = max_tuples;
   if (options_.aggregate_budget_bytes == 0) {
     *charge = 0;
-  } else if (max_tuples == 0) {
+  } else if (max_tuples == 0 || max_tuples > options_.aggregate_budget_bytes /
+                                                 sizeof(std::uint64_t)) {
     // Unlimited materialization: charge the whole budget, so unlimited
-    // requests run one at a time instead of overcommitting together.
+    // requests run one at a time instead of overcommitting together. A
+    // bound past the budget is charged the same, never more — which also
+    // keeps max_tuples * 8 from wrapping.
     *charge = options_.aggregate_budget_bytes;
   } else {
     *charge = max_tuples * sizeof(std::uint64_t);

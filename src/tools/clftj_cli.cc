@@ -6,6 +6,7 @@
 //   clftj_cli --query "E(a,b),E(b,c)" --dataset ca-GrQc --engine LFTJ
 //             --timeout 30 --cache-capacity 100000
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +25,8 @@
 #include "engine/reuse.h"
 #include "query/parser.h"
 #include "td/planner.h"
+#include "tools/flags.h"
+#include "util/parse.h"
 #include "util/simd.h"
 
 namespace {
@@ -54,11 +57,8 @@ void Usage() {
       "                         threads; shards the first variable's domain)\n"
       "  --cache-capacity <n>   bound CLFTJ's cache entries (default unbounded)\n"
       "  --cache-bytes <n>      bound CLFTJ's cache payload bytes instead\n"
-      "  --cache-sharing <m>    CLFTJ-P cache placement: private (capacity/K\n"
-      "                         per shard, no cross-shard reuse) or striped\n"
-      "                         (one lock-striped shared table, global budget)\n"
-      "  --cache-stripes <n>    stripe count for --cache-sharing=striped\n"
-      "                         (default: picked from the worker count)\n"
+      "                         (CLFTJ-P splits either bound evenly over its\n"
+      "                         threads' private caches)\n"
       "  --support-threshold <n> CLFTJ admission: min value support\n"
       "  --max-rows <n>         materialization budget for YTD/PairwiseHJ\n"
       "  --stats                print execution counters\n"
@@ -76,6 +76,8 @@ void Usage() {
       "                         best first, with its variable order and\n"
       "                         its structural, order and cached costs\n"
       "                         (round-trip precision), then exit\n"
+      "Numeric flags take plain base-10 numbers; anything else is a usage\n"
+      "error.\n"
       "Exit codes: 0 success; 2 usage error or unparsable query;\n"
       "            3 TIMEOUT (--timeout expired); 4 OUT-OF-MEMORY\n"
       "            (--max-rows budget exceeded); 5 other failure.\n"
@@ -97,11 +99,9 @@ bool ParseAppendSpec(const std::string& spec, clftj::DeltaBatch* batch) {
     std::stringstream tin(chunk);
     std::string field;
     while (std::getline(tin, field, ',')) {
-      if (field.empty()) return false;
-      char* tail = nullptr;
-      tuple.push_back(static_cast<clftj::Value>(
-          std::strtoull(field.c_str(), &tail, 10)));
-      if (tail == nullptr || *tail != '\0') return false;
+      clftj::Value value = 0;
+      if (!clftj::ParseNumber(field, &value)) return false;
+      tuple.push_back(value);
     }
     if (tuple.empty()) return false;
     batch->adds.push_back(std::move(tuple));
@@ -122,8 +122,6 @@ int main(int argc, char** argv) {
   int threads = 0;
   std::uint64_t cache_capacity = 0;
   std::uint64_t cache_bytes = 0;
-  std::string cache_sharing = "private";
-  int cache_stripes = 0;
   std::uint64_t support_threshold = 0;
   std::uint64_t max_rows = 0;
   bool print_stats = false;
@@ -177,25 +175,26 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--timeout") {
-      timeout = std::stod(next());
+      clftj::ParseFlag(arg, next(), &timeout);
+      if (!(timeout >= 0.0 && std::isfinite(timeout))) {
+        std::cerr << "bad value for --timeout: " << timeout
+                  << " (seconds, 0 = unlimited)\n";
+        return 2;
+      }
     } else if (arg == "--threads") {
-      threads = std::stoi(next());
+      clftj::ParseFlag(arg, next(), &threads);
     } else if (arg == "--cache-capacity") {
-      cache_capacity = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &cache_capacity);
     } else if (arg == "--cache-bytes") {
-      cache_bytes = std::stoull(next());
-    } else if (arg == "--cache-sharing") {
-      cache_sharing = next();
-    } else if (arg == "--cache-stripes") {
-      cache_stripes = std::stoi(next());
+      clftj::ParseFlag(arg, next(), &cache_bytes);
     } else if (arg == "--support-threshold") {
-      support_threshold = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &support_threshold);
     } else if (arg == "--max-rows") {
-      max_rows = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &max_rows);
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--repeat") {
-      repeat = std::stoi(next());
+      clftj::ParseFlag(arg, next(), &repeat);
     } else if (arg == "--append") {
       const std::string spec = next();
       clftj::DeltaBatch batch;
@@ -315,20 +314,11 @@ int main(int argc, char** argv) {
   engine_options.threads = threads;
   engine_options.cache.capacity = cache_capacity;
   engine_options.cache.capacity_bytes = cache_bytes;
-  engine_options.cache.stripes = cache_stripes;
   if (support_threshold > 0) {
     engine_options.cache.admission =
         clftj::CacheOptions::Admission::kSupportThreshold;
     engine_options.cache.support_threshold = support_threshold;
   }
-  if (cache_sharing == "striped") {
-    engine_options.cache.sharing = clftj::CacheOptions::Sharing::kStriped;
-  } else if (cache_sharing != "private") {
-    std::cerr << "unknown --cache-sharing mode: " << cache_sharing
-              << " (expected private or striped)\n";
-    return 2;
-  }
-
   if (!clftj::IsKnownEngine(engine_name)) {
     std::cerr << "unknown engine: " << engine_name << "\n";
     return 2;

@@ -22,6 +22,8 @@
 
 #include "engine/engine.h"
 #include "server/client.h"
+#include "tools/flags.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -49,6 +51,8 @@ void Usage() {
       "  --max-backoff-ms <n>   backoff ceiling (default 2000)\n"
       "  --request-timeout-ms <n>  transport read deadline (default 30000)\n"
       "  --jitter-seed <n>      backoff jitter seed (default 1)\n"
+      "Numeric flags take plain base-10 numbers; anything else is a usage\n"
+      "error.\n"
       "Exit codes: 0 OK; 2 usage or BAD-QUERY; 3 TIMEOUT;\n"
       "            4 OUT-OF-MEMORY; 5 SHED/CANCELLED/INTERNAL after all\n"
       "            retries; 6 transport failure.\n";
@@ -70,11 +74,9 @@ bool ParseDeltaSpec(const std::string& spec, std::string* relation,
     std::stringstream tin(chunk);
     std::string field;
     while (std::getline(tin, field, ',')) {
-      if (field.empty()) return false;
-      char* tail = nullptr;
-      tuple.push_back(static_cast<clftj::Value>(
-          std::strtoull(field.c_str(), &tail, 10)));
-      if (tail == nullptr || *tail != '\0') return false;
+      clftj::Value value = 0;
+      if (!clftj::ParseNumber(field, &value)) return false;
+      tuple.push_back(value);
     }
     if (tuple.empty()) return false;
     tuples->push_back(std::move(tuple));
@@ -147,19 +149,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--engine") {
       request.engine = next();
     } else if (arg == "--timeout-ms") {
-      request.timeout_ms = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &request.timeout_ms);
     } else if (arg == "--max-tuples") {
-      request.max_tuples = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &request.max_tuples);
     } else if (arg == "--max-attempts") {
-      options.max_attempts = std::stoi(next());
+      clftj::ParseFlag(arg, next(), &options.max_attempts);
     } else if (arg == "--initial-backoff-ms") {
-      options.initial_backoff_ms = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.initial_backoff_ms);
     } else if (arg == "--max-backoff-ms") {
-      options.max_backoff_ms = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.max_backoff_ms);
     } else if (arg == "--request-timeout-ms") {
-      options.request_timeout_ms = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.request_timeout_ms);
     } else if (arg == "--jitter-seed") {
-      options.jitter_seed = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.jitter_seed);
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;

@@ -21,6 +21,7 @@
 #include "data/snap_profiles.h"
 #include "server/server.h"
 #include "server/service.h"
+#include "tools/flags.h"
 #include "util/fault.h"
 #include "util/simd.h"
 
@@ -44,6 +45,8 @@ void Usage() {
       "  --default-timeout-ms <n>   per-request deadline default\n"
       "  --default-max-tuples <n>   per-request materialization default\n"
       "  --retry-after-ms <n>       hint attached to SHED (default 50)\n"
+      "Numeric flags take plain base-10 numbers; anything else is a usage\n"
+      "error (exit 2).\n"
       "The service is read-write: DELTA requests (clftj_client --append/\n"
       "--delete) mutate the loaded data between queries.\n"
       "Faults: set CLFTJ_FAULTS=seed=...,cache_insert=...,deadline=...\n"
@@ -87,17 +90,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--engine") {
       options.engine = next();
     } else if (arg == "--workers") {
-      options.workers = std::stoi(next());
+      clftj::ParseFlag(arg, next(), &options.workers);
     } else if (arg == "--queue-capacity") {
-      options.queue_capacity = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.queue_capacity);
     } else if (arg == "--aggregate-budget-bytes") {
-      options.aggregate_budget_bytes = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.aggregate_budget_bytes);
     } else if (arg == "--default-timeout-ms") {
-      options.default_timeout_ms = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.default_timeout_ms);
     } else if (arg == "--default-max-tuples") {
-      options.default_max_tuples = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.default_max_tuples);
     } else if (arg == "--retry-after-ms") {
-      options.retry_after_ms = std::stoull(next());
+      clftj::ParseFlag(arg, next(), &options.retry_after_ms);
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;

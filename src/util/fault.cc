@@ -2,7 +2,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
+
+#include "util/parse.h"
 
 namespace clftj {
 namespace fault {
@@ -92,10 +95,10 @@ bool ConfigureFromEnv() {
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos) return false;
     const std::string key = item.substr(0, eq);
-    char* tail = nullptr;
-    const std::uint64_t value =
-        std::strtoull(item.c_str() + eq + 1, &tail, 10);
-    if (tail == nullptr || *tail != '\0') return false;
+    std::uint64_t value = 0;
+    if (!ParseNumber(std::string_view(item).substr(eq + 1), &value)) {
+      return false;
+    }
     if (key == "seed") {
       config.seed = value;
     } else if (key == "delay_ms") {

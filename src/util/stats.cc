@@ -1,8 +1,10 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
+#include <string_view>
+
+#include "util/parse.h"
 
 namespace clftj {
 
@@ -105,10 +107,11 @@ bool ExecStats::FromWire(const std::string& text, ExecStats* out) {
       return false;
     }
     const std::string key = text.substr(pos, colon - pos);
-    const std::string value = text.substr(colon + 1, end - colon - 1);
-    char* tail = nullptr;
-    const std::uint64_t number = std::strtoull(value.c_str(), &tail, 10);
-    if (tail == nullptr || *tail != '\0') return false;
+    std::uint64_t number = 0;
+    if (!ParseNumber(std::string_view(text).substr(colon + 1, end - colon - 1),
+                     &number)) {
+      return false;
+    }
     for (const WireField& f : kWireFields) {
       if (key == f.key) {
         parsed.*f.member = number;

@@ -226,6 +226,8 @@ TEST(ExecStatsWire, UnknownKeysIgnoredMalformedRejected) {
   EXPECT_FALSE(ExecStats::FromWire("ma:x", &untouched));
   EXPECT_FALSE(ExecStats::FromWire("garbage", &untouched));
   EXPECT_FALSE(ExecStats::FromWire("ma", &untouched));
+  EXPECT_FALSE(ExecStats::FromWire("ma:-1", &untouched));
+  EXPECT_FALSE(ExecStats::FromWire("ma:99999999999999999999", &untouched));
   EXPECT_EQ(untouched.memory_accesses, 42u) << "failure must not clobber";
 }
 

@@ -92,6 +92,16 @@ TEST(Protocol, MalformedRequestsAreRejectedNotCrashes) {
       "RUN timeout_ms=abc q=E(x,y)",
       "RUN timeout_ms= q=E(x,y)",
       "R\x01N mode=count q=E(x,y)",  // corrupted verb bytes
+      // Numbers must be plain in-range base-10: no sign on an unsigned
+      // field, no wraparound, no junk after the digits.
+      "RUN timeout_ms=-1 q=E(x,y)",
+      "RUN max_tuples=-8 q=E(x,y)",
+      "RUN timeout_ms=+5 q=E(x,y)",
+      "RUN max_tuples=12345678901234567890123 q=E(x,y)",
+      "RUN timeout_ms=18446744073709551616 q=E(x,y)",  // 2^64
+      "RUN timeout_ms=5ms q=E(x,y)",
+      "DELTA relation=E add=1,99999999999999999999",
+      "DELTA relation=E add=1,0x10",
   };
   for (const char* line : bad) {
     QueryRequest parsed;

@@ -182,6 +182,11 @@ TEST(QueryService, UnlimitedRequestChargesTheWholeBudget) {
     EXPECT_EQ(service.ChargedBytes(), 4096u);
     // ...but a second unlimited request must wait its turn: shed.
     EXPECT_EQ(service.Execute(CountReq(kTriangle)).status, RunStatus::kShed);
+    // So must a bound past the budget: it is charged the whole budget too,
+    // never max_tuples * 8 wrapped around 2^64 (2^61 * 8 would charge 0).
+    QueryRequest huge = CountReq(kTriangle);
+    huge.max_tuples = std::uint64_t{1} << 61;
+    EXPECT_EQ(service.Execute(huge).status, RunStatus::kShed);
     EXPECT_EQ(first.get().status, RunStatus::kOk);
   }
   EXPECT_EQ(service.ChargedBytes(), 0u);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "clftj/cached_trie_join.h"
@@ -280,6 +281,36 @@ TEST(Sharded, MemoryAccessSumIsReportedAndSane) {
   // bounded probe overhead: the sum can never blow past K cache-free runs.
   EXPECT_LE(sum, 3 * static_cast<std::uint64_t>(threads) * nocache_accesses +
                      1000u);
+}
+
+TEST(Sharded, RunOwnedStatsAreDeterministic) {
+  // Each shard owns its cache, so a K-shard run's counters depend on the
+  // shard split alone, never on how the workers interleave: repeated runs
+  // must report the same stats token, which is what lets the bench gate
+  // compare every CLFTJ-P record.
+  Database db = testing::SmallSkewedDb(31, /*nodes=*/90, /*edges_per_node=*/4);
+  const Query q = CycleQuery(5);
+  for (const std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{16}}) {
+    CacheOptions cache;
+    cache.capacity = capacity;
+    std::vector<std::string> count_wire;
+    std::vector<std::string> eval_wire;
+    for (int run = 0; run < 3; ++run) {
+      CachedTrieJoin parallel = MakeSharded(4, cache);
+      const RunResult counted = parallel.Count(q, db, {});
+      ASSERT_TRUE(counted.ok());
+      EXPECT_GT(counted.stats.cache_hits, 0u);
+      count_wire.push_back(counted.stats.ToWire());
+      const RunResult evaluated =
+          parallel.Evaluate(q, db, [](const Tuple&) {}, {});
+      ASSERT_TRUE(evaluated.ok());
+      eval_wire.push_back(evaluated.stats.ToWire());
+    }
+    for (int run = 1; run < 3; ++run) {
+      EXPECT_EQ(count_wire[run], count_wire[0]) << "capacity=" << capacity;
+      EXPECT_EQ(eval_wire[run], eval_wire[0]) << "capacity=" << capacity;
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Tests for CacheOptions::Sharing::kStriped — the lock-striped shared
-// cache of CLFTJ-P. Three layers:
+// Tests for StripedCacheManager — the lock-striped table behind the
+// serving loop's persistent per-shape caches, which CachedTrieJoin probes
+// and fills when one is injected (CachedTrieJoin::Options::
+// shared_count_cache / shared_eval_cache). Three layers:
 //   * StripedCacheManager unit tests: stripe budget slices sum exactly to
 //     the global budget, stripe-count clamping, per-stripe eviction, and
 //     the copy-out lookup contract.
-//   * Randomized differential tests: striped CLFTJ-P must reproduce
-//     single-thread CLFTJ and private CLFTJ-P bit for bit — counts, tuple
-//     sets and factorized expansions — at 1/2/3/8 threads, unbounded and
-//     under entry/byte budgets.
+//   * Randomized differential tests: CLFTJ-P over an injected table must
+//     reproduce single-thread CLFTJ and private CLFTJ-P bit for bit —
+//     counts, tuple sets and factorized expansions — at 1/2/3/8 threads,
+//     unbounded and under entry/byte budgets.
 //   * A many-thread contention stress (the TSan target in CI): concurrent
 //     lookup/insert churn over few stripes with a deterministic
 //     key -> value function, so torn reads or lost updates surface as
@@ -39,20 +41,23 @@ PackedKey PK(const Tuple& t) {
   return PackedKey::Pack(t.data(), static_cast<int>(t.size()));
 }
 
-CacheOptions Striped(std::uint64_t capacity = 0, int stripes = 0,
-                     std::uint64_t capacity_bytes = 0) {
+// A table's global budget: entries and/or payload bytes (0 = unbounded).
+CacheOptions Budget(std::uint64_t capacity = 0,
+                    std::uint64_t capacity_bytes = 0) {
   CacheOptions options;
-  options.sharing = CacheOptions::Sharing::kStriped;
   options.capacity = capacity;
   options.capacity_bytes = capacity_bytes;
-  options.stripes = stripes;
   return options;
 }
+
+// CacheManager keys on (node, key) and ignores the node count, so the
+// tables below take any.
+constexpr int kNodes = 8;
 
 // --- StripedCacheManager unit tests ---------------------------------------
 
 TEST(StripedCacheManager, MissThenHitCopiesPayloadOut) {
-  StripedCacheManager<std::uint64_t> cache(2, Striped(), /*workers=*/4);
+  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/4);
   std::uint64_t out = 0;
   EXPECT_FALSE(cache.Lookup(0, PK({5}), &out));
   cache.Insert(0, PK({5}), 42);
@@ -62,7 +67,7 @@ TEST(StripedCacheManager, MissThenHitCopiesPayloadOut) {
 }
 
 TEST(StripedCacheManager, NodesAreIsolated) {
-  StripedCacheManager<std::uint64_t> cache(2, Striped(), 4);
+  StripedCacheManager<std::uint64_t> cache(2, Budget(), 4);
   cache.Insert(0, PK({5}), 1);
   std::uint64_t out = 0;
   EXPECT_FALSE(cache.Lookup(1, PK({5}), &out))
@@ -70,10 +75,10 @@ TEST(StripedCacheManager, NodesAreIsolated) {
 }
 
 TEST(StripedCacheManager, StripeBudgetsSumExactlyToGlobalCapacity) {
-  // 100 entries over 8 stripes: 100/8 = 12 each with remainder 4 spread to
-  // the first four stripes — no flooring slack, the slices *are* the
-  // budget.
-  StripedCacheManager<std::uint64_t> cache(2, Striped(100, /*stripes=*/8), 4);
+  // 100 entries over 8 stripes (4 workers): 100/8 = 12 each with
+  // remainder 4 spread to the first four stripes — no flooring slack, the
+  // slices *are* the budget.
+  StripedCacheManager<std::uint64_t> cache(2, Budget(100), /*workers=*/4);
   EXPECT_EQ(cache.stripe_count(), 8);
   std::uint64_t total = 0;
   for (const auto& [cap, cap_bytes] : cache.StripeBudgetsForTest()) {
@@ -87,7 +92,8 @@ TEST(StripedCacheManager, StripeBudgetsSumExactlyToGlobalCapacity) {
 
 TEST(StripedCacheManager, StripeByteBudgetsSumExactlyToGlobalBytes) {
   StripedCacheManager<std::uint64_t> cache(
-      2, Striped(0, /*stripes=*/8, /*capacity_bytes=*/1001), 4);
+      2, Budget(0, /*capacity_bytes=*/1001), /*workers=*/4);
+  EXPECT_EQ(cache.stripe_count(), 8);
   std::uint64_t total = 0;
   for (const auto& [cap, cap_bytes] : cache.StripeBudgetsForTest()) {
     EXPECT_EQ(cap, 0u);
@@ -98,9 +104,9 @@ TEST(StripedCacheManager, StripeByteBudgetsSumExactlyToGlobalBytes) {
 }
 
 TEST(StripedCacheManager, StripeCountClampsToTinyBudgets) {
-  // capacity 3 cannot feed 8 stripes at >= 1 entry each: the count halves
+  // capacity 3 cannot feed 16 stripes at >= 1 entry each: the count halves
   // until every stripe's slice is positive.
-  StripedCacheManager<std::uint64_t> tiny(2, Striped(3, /*stripes=*/8), 8);
+  StripedCacheManager<std::uint64_t> tiny(2, Budget(3), /*workers=*/8);
   EXPECT_LE(tiny.stripe_count(), 2);
   std::uint64_t total = 0;
   for (const auto& [cap, cap_bytes] : tiny.StripeBudgetsForTest()) {
@@ -111,25 +117,21 @@ TEST(StripedCacheManager, StripeCountClampsToTinyBudgets) {
 }
 
 TEST(StripedCacheManager, ChooseStripesPolicy) {
-  // Auto: smallest power of two >= 2x workers, in [1, 64].
-  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 1),
+  // Smallest power of two >= 2x workers, in [1, 64].
+  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Budget(), 1),
             2);
-  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 4),
+  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Budget(), 4),
             8);
-  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(), 48),
+  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Budget(), 48),
             64);
-  // Explicit request wins, rounded up to a power of two.
-  EXPECT_EQ(
-      StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(0, 5), 1), 8);
-  // The budget clamp applies to explicit requests too.
-  EXPECT_EQ(
-      StripedCacheManager<std::uint64_t>::ChooseStripes(Striped(2, 16), 4),
-      2);
+  // A bounded budget clamps the count so every slice is >= 1.
+  EXPECT_EQ(StripedCacheManager<std::uint64_t>::ChooseStripes(Budget(2), 4),
+            2);
 }
 
 TEST(StripedCacheManager, GlobalEntryBudgetHoldsUnderEvictionChurn) {
   const std::uint64_t capacity = 32;
-  StripedCacheManager<std::uint64_t> cache(2, Striped(capacity, 4), 4);
+  StripedCacheManager<std::uint64_t> cache(2, Budget(capacity), /*workers=*/2);
   for (Value k = 0; k < 1000; ++k) {
     cache.Insert(0, PK({k}), static_cast<std::uint64_t>(k));
     EXPECT_LE(cache.size(), capacity);
@@ -141,7 +143,7 @@ TEST(StripedCacheManager, GlobalEntryBudgetHoldsUnderEvictionChurn) {
 }
 
 TEST(StripedCacheManager, AggregatedStatsSumStripeCounters) {
-  StripedCacheManager<std::uint64_t> cache(2, Striped(0, 4), 4);
+  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/2);
   std::uint64_t out;
   const int kKeys = 100;
   for (Value k = 0; k < kKeys; ++k) EXPECT_FALSE(cache.Lookup(0, PK({k}), &out));
@@ -153,6 +155,7 @@ TEST(StripedCacheManager, AggregatedStatsSumStripeCounters) {
   EXPECT_EQ(stats.cache_inserts, static_cast<std::uint64_t>(kKeys));
   EXPECT_GT(stats.memory_accesses, 0u);
 }
+
 
 // --- Randomized differential tests ----------------------------------------
 
@@ -176,10 +179,22 @@ Instance MakeInstance(std::uint64_t seed) {
   return inst;
 }
 
-CachedTrieJoin MakeSharded(int threads, CacheOptions cache) {
+// CLFTJ-P with private shard caches (no injection).
+CachedTrieJoin MakeSharded(int threads) {
   CachedTrieJoin::Options options;
   options.threads = threads;
-  options.cache = cache;
+  return CachedTrieJoin(options);
+}
+
+// CLFTJ-P over injected striped tables, the way the serving loop runs a
+// request against its shape's persistent caches.
+CachedTrieJoin MakeInjected(int threads,
+                            StripedCacheManager<std::uint64_t>* count,
+                            StripedCacheManager<FactorizedSetPtr>* eval) {
+  CachedTrieJoin::Options options;
+  options.threads = threads;
+  options.shared_count_cache = count;
+  options.shared_eval_cache = eval;
   return CachedTrieJoin(options);
 }
 
@@ -190,12 +205,13 @@ TEST_P(StripedDifferentialTest, CountsMatchPrivateAndSingleThread) {
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
   for (const int threads : kThreadCounts) {
-    CachedTrieJoin striped = MakeSharded(threads, Striped());
+    StripedCacheManager<std::uint64_t> table(kNodes, Budget(), threads);
+    CachedTrieJoin striped = MakeInjected(threads, &table, nullptr);
     const RunResult got = striped.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor)
         << inst.query.ToString() << " threads=" << threads;
     EXPECT_TRUE(got.ok());
-    CachedTrieJoin priv = MakeSharded(threads, CacheOptions{});
+    CachedTrieJoin priv = MakeSharded(threads);
     EXPECT_EQ(priv.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
@@ -206,13 +222,17 @@ TEST_P(StripedDifferentialTest, TupleSetsMatchSingleThread) {
   CachedTrieJoin single;
   const std::vector<Tuple> anchor = CollectTuples(single, inst.query, inst.db);
   for (const int threads : kThreadCounts) {
-    CachedTrieJoin striped = MakeSharded(threads, Striped());
+    StripedCacheManager<FactorizedSetPtr> table(kNodes, Budget(), threads);
+    CachedTrieJoin striped = MakeInjected(threads, nullptr, &table);
     EXPECT_EQ(CollectTuples(striped, inst.query, inst.db), anchor)
         << inst.query.ToString() << " threads=" << threads;
   }
 }
 
 TEST_P(StripedDifferentialTest, FactorizedExpansionMatchesSingleThread) {
+  // Maintain-everything runs build different sets than plan-default runs,
+  // so EvaluateFactorized must leave an injected eval table untouched and
+  // still reproduce the single-thread result from its private caches.
   const Instance inst = MakeInstance(GetParam());
   CachedTrieJoin single;
   RunResult single_run;
@@ -223,7 +243,8 @@ TEST_P(StripedDifferentialTest, FactorizedExpansionMatchesSingleThread) {
   anchor->Enumerate([&](const Tuple& t) { anchor_tuples.push_back(t); });
   std::sort(anchor_tuples.begin(), anchor_tuples.end());
   for (const int threads : kThreadCounts) {
-    CachedTrieJoin striped = MakeSharded(threads, Striped());
+    StripedCacheManager<FactorizedSetPtr> table(kNodes, Budget(), threads);
+    CachedTrieJoin striped = MakeInjected(threads, nullptr, &table);
     RunResult run;
     const auto got =
         striped.EvaluateFactorized(inst.query, inst.db, {}, &run);
@@ -233,6 +254,7 @@ TEST_P(StripedDifferentialTest, FactorizedExpansionMatchesSingleThread) {
     got->Enumerate([&](const Tuple& t) { got_tuples.push_back(t); });
     std::sort(got_tuples.begin(), got_tuples.end());
     EXPECT_EQ(got_tuples, anchor_tuples) << "threads=" << threads;
+    EXPECT_EQ(table.size(), 0u) << "threads=" << threads;
   }
 }
 
@@ -243,13 +265,18 @@ TEST_P(StripedDifferentialTest, BoundedStripedCacheStaysCorrect) {
   for (const int threads : kThreadCounts) {
     // A tight global entry budget (forces eviction churn in every stripe)
     // and a tight byte budget must both preserve the result.
-    CachedTrieJoin tight = MakeSharded(threads, Striped(16));
+    StripedCacheManager<std::uint64_t> tight_table(kNodes, Budget(16),
+                                                   threads);
+    CachedTrieJoin tight = MakeInjected(threads, &tight_table, nullptr);
     EXPECT_EQ(tight.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
-    CachedTrieJoin bytes =
-        MakeSharded(threads, Striped(0, 0, /*capacity_bytes=*/2048));
+    EXPECT_LE(tight_table.size(), 16u);
+    StripedCacheManager<std::uint64_t> bytes_table(
+        kNodes, Budget(0, /*capacity_bytes=*/2048), threads);
+    CachedTrieJoin bytes = MakeInjected(threads, &bytes_table, nullptr);
     EXPECT_EQ(bytes.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
+    EXPECT_LE(bytes_table.payload_bytes(), 2048u);
   }
 }
 
@@ -262,13 +289,17 @@ TEST(StripedSharing, BytePeakStaysWithinGlobalBudget) {
   Database db = testing::SmallSkewedDb(19, /*nodes=*/70, /*edges_per_node=*/3);
   const Query q = CycleQuery(4);
   const std::uint64_t budget = 16 * 1024;
-  CachedTrieJoin striped =
-      MakeSharded(4, Striped(0, 0, /*capacity_bytes=*/budget));
-  RunResult run;
-  const auto got = striped.EvaluateFactorized(q, db, {}, &run);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_GT(run.stats.cache_inserts, 0u);
-  EXPECT_LE(run.stats.cache_bytes_peak, budget)
+  StripedCacheManager<FactorizedSetPtr> table(
+      kNodes, Budget(0, /*capacity_bytes=*/budget), /*workers=*/4);
+  CachedTrieJoin striped = MakeInjected(4, nullptr, &table);
+  std::uint64_t emitted = 0;
+  const RunResult run =
+      striped.Evaluate(q, db, [&emitted](const Tuple&) { ++emitted; }, {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(emitted, testing::ReferenceCount(q, db));
+  const ExecStats stats = table.AggregatedStats();
+  EXPECT_GT(stats.cache_inserts, 0u);
+  EXPECT_LE(stats.cache_bytes_peak, budget)
       << "summed per-stripe byte peaks must stay within the summed "
          "per-stripe budgets = the global budget";
 }
@@ -277,18 +308,22 @@ TEST(StripedSharing, EntryPeakStaysWithinGlobalBudget) {
   Database db = testing::SmallSkewedDb(23, /*nodes=*/70, /*edges_per_node=*/3);
   const Query q = CycleQuery(5);
   const std::uint64_t capacity = 64;
-  CachedTrieJoin striped = MakeSharded(4, Striped(capacity));
+  StripedCacheManager<std::uint64_t> table(kNodes, Budget(capacity),
+                                           /*workers=*/4);
+  CachedTrieJoin striped = MakeInjected(4, &table, nullptr);
   const RunResult got = striped.Count(q, db, {});
   EXPECT_TRUE(got.ok());
-  EXPECT_GT(got.stats.cache_inserts, 0u);
-  EXPECT_LE(got.stats.cache_entries_peak, capacity);
+  const ExecStats stats = table.AggregatedStats();
+  EXPECT_GT(stats.cache_inserts, 0u);
+  EXPECT_LE(stats.cache_entries_peak, capacity);
 }
 
 TEST(StripedSharing, SharedTableClosesTheMemoryAccessGap) {
-  // The whole point of kStriped: shards reuse each other's subtree results
-  // instead of recomputing them, so the summed memory accesses of a
-  // parallel run come back down toward (and must at least beat) the
-  // private-cache configuration on a cache-friendly workload.
+  // What one table buys over K private caches: shards reuse each other's
+  // subtree results instead of recomputing them, so the summed memory
+  // accesses of a parallel run (the engine's plus the table's probes) come
+  // back down toward, and must at least beat, private capacity/K caches on
+  // a cache-friendly workload.
   Database db = testing::SmallSkewedDb(31, /*nodes=*/90, /*edges_per_node=*/4);
   const Query q = CycleQuery(5);
   CachedTrieJoin single;
@@ -296,11 +331,15 @@ TEST(StripedSharing, SharedTableClosesTheMemoryAccessGap) {
   ASSERT_GT(anchor.stats.cache_hits, 0u) << "workload must exercise the cache";
 
   const int threads = 4;
-  const RunResult priv = MakeSharded(threads, CacheOptions{}).Count(q, db, {});
-  const RunResult striped = MakeSharded(threads, Striped()).Count(q, db, {});
+  const RunResult priv = MakeSharded(threads).Count(q, db, {});
+  StripedCacheManager<std::uint64_t> table(kNodes, Budget(), threads);
+  const RunResult striped =
+      MakeInjected(threads, &table, nullptr).Count(q, db, {});
   EXPECT_EQ(priv.count, anchor.count);
   EXPECT_EQ(striped.count, anchor.count);
-  EXPECT_LT(striped.stats.memory_accesses, priv.stats.memory_accesses)
+  EXPECT_LT(striped.stats.memory_accesses +
+                table.AggregatedStats().memory_accesses,
+            priv.stats.memory_accesses)
       << "shared striped table must beat private capacity/K caches";
 }
 
@@ -310,7 +349,8 @@ TEST(StripedSharing, TimeoutPropagates) {
   const Query q = CycleQuery(5);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;  // expires at the first stride sample
-  CachedTrieJoin striped = MakeSharded(4, Striped());
+  StripedCacheManager<std::uint64_t> table(kNodes, Budget(), /*workers=*/4);
+  CachedTrieJoin striped = MakeInjected(4, &table, nullptr);
   const RunResult got = striped.Count(q, db, limits);
   EXPECT_EQ(got.status, RunStatus::kTimeout);
   EXPECT_FALSE(got.ok());
@@ -328,7 +368,7 @@ TEST(StripedStress, ConcurrentChurnKeepsValuesConsistent) {
     return static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ull +
            static_cast<std::uint64_t>(k) * 0xC2B2AE3D27D4EB4Full;
   };
-  StripedCacheManager<std::uint64_t> cache(4, Striped(24, /*stripes=*/2), 8);
+  StripedCacheManager<std::uint64_t> cache(4, Budget(24), /*workers=*/1);
   ASSERT_EQ(cache.stripe_count(), 2);
 
   constexpr int kThreads = 8;
@@ -367,7 +407,7 @@ TEST(StripedStress, ConcurrentChurnKeepsValuesConsistent) {
 // --- Lock-free hot-read path (seqlock slots) ------------------------------
 
 TEST(StripedCacheManager, HotReadsServeSameValuesAsLockedPath) {
-  StripedCacheManager<std::uint64_t> cache(2, Striped(), /*workers=*/4,
+  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/4,
                                            /*hot_reads=*/true);
   ASSERT_TRUE(cache.hot_reads_enabled());
   for (Value k = 0; k < 32; ++k) {
@@ -388,7 +428,7 @@ TEST(StripedCacheManager, HotReadsServeSameValuesAsLockedPath) {
 TEST(StripedCacheManager, EvictIfClearsHotSlots) {
   // Targeted invalidation must reach the hot slots: a seqlock read serving
   // an entry EvictIf removed would resurrect stale pre-delta state.
-  StripedCacheManager<std::uint64_t> cache(1, Striped(), /*workers=*/4,
+  StripedCacheManager<std::uint64_t> cache(1, Budget(), /*workers=*/4,
                                            /*hot_reads=*/true);
   cache.Insert(0, PK({7, 8}), 99);
   std::uint64_t out = 0;
@@ -406,7 +446,7 @@ TEST(StripedStress, HotReadsEightThreadsAgainstWriterChurn) {
   const auto value_of = [](Value k) {
     return static_cast<std::uint64_t>(k) * 0xC2B2AE3D27D4EB4Full + 5;
   };
-  StripedCacheManager<std::uint64_t> cache(2, Striped(0, /*stripes=*/2), 8,
+  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/1,
                                            /*hot_reads=*/true);
   constexpr Value kKeyRange = 48;
   constexpr int kReaders = 8;
@@ -458,16 +498,21 @@ TEST(StripedStress, HotReadsEightThreadsAgainstWriterChurn) {
 }
 
 TEST(StripedStress, ManyThreadEngineRunsStayCorrect) {
-  // End-to-end contention: 8 workers over one striped table with a tight
-  // budget, repeated; each run must reproduce the single-thread count.
+  // End-to-end contention: 8 workers over one injected two-stripe table
+  // with a tight budget, kept across repeated runs as the serving loop
+  // keeps a shape's cache across requests; each run must reproduce the
+  // single-thread count.
   Database db = testing::SmallSkewedDb(47, /*nodes=*/80, /*edges_per_node=*/3);
   const Query q = CycleQuery(5);
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(q, db, {}).count;
+  StripedCacheManager<std::uint64_t> table(kNodes, Budget(32), /*workers=*/1);
+  ASSERT_EQ(table.stripe_count(), 2);
   for (int round = 0; round < 3; ++round) {
-    CachedTrieJoin striped = MakeSharded(8, Striped(32, /*stripes=*/2));
+    CachedTrieJoin striped = MakeInjected(8, &table, nullptr);
     EXPECT_EQ(striped.Count(q, db, {}).count, anchor) << "round " << round;
   }
+  EXPECT_LE(table.size(), 32u);
 }
 
 }  // namespace

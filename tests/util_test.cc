@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "util/common.h"
 #include "util/hash.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -90,6 +93,46 @@ TEST(Hash, TupleHashDistinguishesOrderAndLength) {
   EXPECT_NE(h(Tuple{1, 2}), h(Tuple{2, 1}));
   EXPECT_NE(h(Tuple{1}), h(Tuple{1, 0}));
   EXPECT_EQ(h(Tuple{5, 6, 7}), h(Tuple{5, 6, 7}));
+}
+
+TEST(ParseNumber, AcceptsWholeInRangeBase10Numbers) {
+  std::uint64_t u = 0;
+  EXPECT_TRUE(ParseNumber("0", &u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  Value v = 0;
+  EXPECT_TRUE(ParseNumber("-9223372036854775808", &v));
+  EXPECT_EQ(v, std::numeric_limits<Value>::min());
+  int i = 0;
+  EXPECT_TRUE(ParseNumber("-3", &i));
+  EXPECT_EQ(i, -3);
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("0.125", &d));
+  EXPECT_EQ(d, 0.125);
+  EXPECT_TRUE(ParseNumber("1e-05", &d));
+  EXPECT_EQ(d, 1e-05);
+}
+
+TEST(ParseNumber, RejectsSignsJunkAndOverflowWithoutWriting) {
+  std::uint64_t u = 7;
+  for (const char* bad :
+       {"", "-1", "-0", "+1", " 1", "1 ", "1x", "0x10", "abc",
+        "18446744073709551616", "12345678901234567890123"}) {
+    EXPECT_FALSE(ParseNumber(bad, &u)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(u, 7u) << "a rejected parse must leave the output untouched";
+  int i = 7;
+  EXPECT_FALSE(ParseNumber("abc", &i));
+  EXPECT_FALSE(ParseNumber("2147483648", &i));
+  EXPECT_EQ(i, 7);
+  Value v = 7;
+  EXPECT_FALSE(ParseNumber("9223372036854775808", &v));
+  EXPECT_EQ(v, 7);
+  double d = 7.0;
+  EXPECT_FALSE(ParseNumber("1.5s", &d));
+  EXPECT_FALSE(ParseNumber("1e999", &d));
+  EXPECT_EQ(d, 7.0);
 }
 
 TEST(Stats, MergeAddsCountersAndMaxesPeak) {
