@@ -3,10 +3,12 @@
 // wiki-Vote 5-cycle count:
 //
 //   appends     — DELTA batches/sec into a warm read-write service (the
-//                 sustained write path: tier merge + minor-version bump +
-//                 targeted reuse invalidation per batch);
+//                 sustained write path: one merge pass into the sorted
+//                 columns + minor-version bump per batch);
 //   delta path  — apply one small batch, then answer the same-shape query
-//                 (plans revalidate, tries get a delta overlay);
+//                 (plans revalidate, the changed relation's trie is rebuilt
+//                 once for its new version, targeted invalidation keeps the
+//                 subtree cache);
 //   reload path — the non-incremental alternative: rebuild + Put() the
 //                 whole relation with the same tuples, then answer the now
 //                 fully-cold query.
@@ -31,10 +33,8 @@ namespace clftj::bench {
 namespace {
 
 // The 2-path: its one cacheable TD node has the single-variable adhesion
-// {b}, contained in the participating atom — the shape where targeted
-// invalidation keeps the persistent cache warm across non-touching deltas.
-// (Multi-variable adhesions over binary atoms soundly degenerate to
-// evict-all; this bench pins the case where incrementality pays.)
+// {b}, bound by the participating atom — targeted invalidation keeps the
+// persistent cache warm across non-touching deltas.
 constexpr const char* kPath = "E(a,b), E(b,c)";
 
 // Eight far-away edges per batch: values collide with nothing (and odd
@@ -49,9 +49,9 @@ std::vector<Tuple> SmallBatch(int k) {
   return adds;
 }
 
-// The delta path times the third batch: the first two (untimed) engage the
-// relation's delta tiers, so the timed apply is the steady-state write a
-// warm service actually sees (the appends bench reports the same regime).
+// The delta path times the third batch after two untimed ones, so the
+// timed apply is a steady-state write on a service that has already seen
+// writes (the appends bench reports the same regime).
 constexpr int kWarmupBatches = 2;
 
 double& WarmSeconds() {

@@ -194,49 +194,43 @@ class CacheManager {
   /// Maintenance eviction for targeted invalidation (see
   /// docs/incremental.md): removes every entry for which pred(node, values,
   /// dims) returns true, where `values` are the entry's adhesion key values.
-  /// Two-phase on purpose — backward-shift deletion physically moves slots,
-  /// so the predicate pass collects doomed keys into owned buffers first and
-  /// each key is then re-located and erased. Runs between queries, not on
-  /// the hot path; not counted as capacity evictions. Returns the number of
-  /// entries removed.
+  /// One in-place pass: after erasing slot i it re-examines slot i, because
+  /// backward shift only ever moves into it a later entry (not yet
+  /// examined) or an entry from a chain that wrapped past the table's end
+  /// (already examined and kept, so examining it again keeps it again).
+  /// `pred` must be a pure function of its arguments. Runs between queries,
+  /// not on the hot path; not counted as capacity evictions, and survivors
+  /// keep their recency order. Returns the number of entries removed.
   template <typename Pred>
   std::size_t EvictIf(const Pred& pred) {
-    std::vector<std::pair<NodeId, std::vector<Value>>> doomed;
-    ForEach([&](NodeId node, const Value* vals, int dims, const V&) {
-      if (pred(node, vals, dims)) {
-        doomed.emplace_back(node, std::vector<Value>(vals, vals + dims));
+    std::size_t removed = 0;
+    Value inline_vals[2];
+    for (std::size_t i = 0; i < slots_.size();) {
+      const Slot& s = slots_[i];
+      if (s.occupied() &&
+          pred(s.node, KeyValues(s, inline_vals), static_cast<int>(s.dims))) {
+        EraseSlot(static_cast<std::uint32_t>(i));
+        ++removed;
+        continue;
       }
-    });
-    for (const auto& [node, vals] : doomed) {
-      const PackedKey key =
-          PackedKey::Pack(vals.data(), static_cast<int>(vals.size()));
-      const std::uint32_t i = FindSlot(node, key, CacheKeyHash(node, key));
-      if (i != kNil) EraseSlot(i);
+      ++i;
     }
-    return doomed.size();
+    return removed;
   }
 
   /// Read-only iteration over every live entry: fn(node, values, dims,
   /// value) with `values` pointing at the entry's adhesion key values
   /// (decoded from the slot's inline words or its arena segment). Used by
-  /// EvictIf's collection pass and by cross-shape seeding (docs/serving.md
-  /// "Batch admission") to copy count entries between shapes; charges no
-  /// stats and never mutates the table, so recency and probe chains are
-  /// untouched.
+  /// cross-shape seeding (docs/serving.md "Batch admission") to copy count
+  /// entries between shapes; charges no stats and never mutates the table,
+  /// so recency and probe chains are untouched.
   template <typename Fn>
   void ForEach(const Fn& fn) const {
     Value inline_vals[2];
     for (const Slot& s : slots_) {
       if (!s.occupied()) continue;
-      const Value* vals;
-      if (s.wide()) {
-        vals = arena_.data() + s.lo;
-      } else {
-        inline_vals[0] = static_cast<Value>(s.lo);
-        inline_vals[1] = static_cast<Value>(s.hi);
-        vals = inline_vals;
-      }
-      fn(s.node, vals, static_cast<int>(s.dims), s.value);
+      fn(s.node, KeyValues(s, inline_vals), static_cast<int>(s.dims),
+         s.value);
     }
   }
 
@@ -280,6 +274,15 @@ class CacheManager {
              dims > static_cast<std::uint32_t>(PackedKey::kInlineDims);
     }
   };
+
+  /// The adhesion key values of occupied slot `s`: its arena segment, or
+  /// its inline words decoded into `inline_vals` (two values of storage).
+  const Value* KeyValues(const Slot& s, Value* inline_vals) const {
+    if (s.wide()) return arena_.data() + s.lo;
+    inline_vals[0] = static_cast<Value>(s.lo);
+    inline_vals[1] = static_cast<Value>(s.hi);
+    return inline_vals;
+  }
 
   bool SlotMatches(const Slot& s, NodeId node, PackedKey key,
                    std::uint64_t hash) const {

@@ -262,10 +262,8 @@ ShardSetup PrepareShards(const TrieJoinSubstrate& substrate, int threads,
     if (split == nullptr || top.size() < split->size()) split = &top;
   }
   CLFTJ_CHECK(split != nullptr);
-  // Two-tier views split on the main tier's top level only (the intervals
-  // partition the whole value space, so added values land in some shard
-  // regardless). A view whose main tier is empty but whose overlay is not
-  // offers no boundaries at all — run the one unbounded shard.
+  // An empty top level offers no boundaries (the result is empty anyway):
+  // run the one unbounded shard.
   if (split->empty()) {
     setup.shards.emplace_back();
     return setup;

@@ -37,17 +37,12 @@ bool Database::ApplyDelta(const DeltaBatch& batch, std::string* error,
       }
     }
   }
-  const DeltaResult res = rel.ApplyDelta(batch.adds, batch.deletes);
-  ++minor_version_;
   DeltaLogEntry entry;
+  const DeltaResult res =
+      rel.ApplyDelta(batch.adds, batch.deletes, &entry.changed);
+  ++minor_version_;
   entry.minor = minor_version_;
   entry.relation = batch.relation;
-  entry.changed.reserve(batch.adds.size() + batch.deletes.size());
-  entry.changed.insert(entry.changed.end(), batch.adds.begin(),
-                       batch.adds.end());
-  entry.changed.insert(entry.changed.end(), batch.deletes.begin(),
-                       batch.deletes.end());
-  entry.compacted = res.compacted;
   delta_log_.push_back(std::move(entry));
   while (delta_log_.size() > kMaxDeltaLog) {
     delta_log_floor_ = delta_log_.front().minor;
@@ -64,11 +59,6 @@ bool Database::DeltasSince(std::uint64_t since,
     if (entry.minor > since) out->push_back(&entry);
   }
   return true;
-}
-
-Relation* Database::FindMutable(const std::string& name) {
-  const auto it = relations_.find(name);
-  return it == relations_.end() ? nullptr : &it->second;
 }
 
 const Relation* Database::Find(const std::string& name) const {

@@ -27,12 +27,10 @@ struct DeltaBatch {
 struct DeltaLogEntry {
   std::uint64_t minor = 0;  ///< minor_version() right after this batch
   std::string relation;
-  /// The requested adds ∪ deletes. Over-approximate on purpose (no-op
-  /// tuples are included): consumers treat it as "values that may have
-  /// changed", where a superset only costs extra eviction, never
-  /// correctness.
+  /// The tuples whose visibility the batch flipped (Relation::ApplyDelta's
+  /// `changed`): a no-op add or delete is not among them, so a retried
+  /// batch invalidates nothing.
   std::vector<Tuple> changed;
-  bool compacted = false;  ///< the batch ended in a main-tier compaction
 };
 
 /// A named collection of relations (the instance D that queries run over),
@@ -57,8 +55,8 @@ class Database {
 
   /// Applies an incremental batch to an existing relation, bumping
   /// minor_version() but NOT generation(): reuse state keyed on the
-  /// generation survives and gets patched or invalidated in a targeted way
-  /// (see docs/incremental.md). Returns false with *error set (nothing
+  /// generation survives, re-keyed or invalidated in a targeted way (see
+  /// docs/incremental.md). Returns false with *error set (nothing
   /// applied, no version bump) when the relation does not exist or a tuple
   /// arity mismatches. Mutation requires exclusive access to the database,
   /// like any container (QueryService interlocks this with running
@@ -78,11 +76,6 @@ class Database {
   /// invalidated by the next mutation.
   bool DeltasSince(std::uint64_t since,
                    std::vector<const DeltaLogEntry*>* out) const;
-
-  /// Mutable access for per-relation configuration (compaction thresholds,
-  /// column types). Data mutation must go through Put()/ApplyDelta() so the
-  /// version counters advance. Returns nullptr if absent.
-  Relation* FindMutable(const std::string& name);
 
   /// Returns the relation with the given name, or nullptr if absent.
   const Relation* Find(const std::string& name) const;

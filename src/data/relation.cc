@@ -57,16 +57,7 @@ Relation::Relation(const Relation& other)
       num_rows_(other.num_rows_),
       columns_(other.columns_),
       types_(other.types_),
-      delta_engaged_(other.delta_engaged_),
-      main_columns_(other.main_columns_),
-      main_rows_(other.main_rows_),
-      add_columns_(other.add_columns_),
-      add_rows_(other.add_rows_),
-      del_columns_(other.del_columns_),
-      del_rows_(other.del_rows_),
-      delta_version_(other.delta_version_),
-      compactions_(other.compactions_),
-      compaction_threshold_(other.compaction_threshold_) {
+      compactions_(other.compactions_) {
   std::lock_guard<std::mutex> lock(other.stats_mutex_);
   stats_ = other.stats_;
   prefix_distinct_ = other.prefix_distinct_;
@@ -101,22 +92,11 @@ Relation::Relation(Relation&& other) noexcept
       num_rows_(other.num_rows_),
       columns_(std::move(other.columns_)),
       types_(std::move(other.types_)),
-      delta_engaged_(other.delta_engaged_),
-      main_columns_(std::move(other.main_columns_)),
-      main_rows_(other.main_rows_),
-      add_columns_(std::move(other.add_columns_)),
-      add_rows_(other.add_rows_),
-      del_columns_(std::move(other.del_columns_)),
-      del_rows_(other.del_rows_),
-      delta_version_(other.delta_version_),
       compactions_(other.compactions_),
-      compaction_threshold_(other.compaction_threshold_),
       stats_(std::move(other.stats_)),
       prefix_distinct_(std::move(other.prefix_distinct_)),
       stats_builds_(other.stats_builds_),
       stats_present_(other.stats_present_) {
-  other.delta_engaged_ = false;
-  other.main_rows_ = other.add_rows_ = other.del_rows_ = 0;
   ResetMovedFrom(&other.num_rows_, &other.arity_, &other.stats_builds_,
                  &other.stats_present_);
 }
@@ -128,16 +108,7 @@ Relation& Relation::operator=(const Relation& other) {
   num_rows_ = other.num_rows_;
   columns_ = other.columns_;
   types_ = other.types_;
-  delta_engaged_ = other.delta_engaged_;
-  main_columns_ = other.main_columns_;
-  main_rows_ = other.main_rows_;
-  add_columns_ = other.add_columns_;
-  add_rows_ = other.add_rows_;
-  del_columns_ = other.del_columns_;
-  del_rows_ = other.del_rows_;
-  delta_version_ = other.delta_version_;
   compactions_ = other.compactions_;
-  compaction_threshold_ = other.compaction_threshold_;
   std::scoped_lock lock(stats_mutex_, other.stats_mutex_);
   stats_ = other.stats_;
   prefix_distinct_ = other.prefix_distinct_;
@@ -153,22 +124,11 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   num_rows_ = other.num_rows_;
   columns_ = std::move(other.columns_);
   types_ = std::move(other.types_);
-  delta_engaged_ = other.delta_engaged_;
-  main_columns_ = std::move(other.main_columns_);
-  main_rows_ = other.main_rows_;
-  add_columns_ = std::move(other.add_columns_);
-  add_rows_ = other.add_rows_;
-  del_columns_ = std::move(other.del_columns_);
-  del_rows_ = other.del_rows_;
-  delta_version_ = other.delta_version_;
   compactions_ = other.compactions_;
-  compaction_threshold_ = other.compaction_threshold_;
   stats_ = std::move(other.stats_);
   prefix_distinct_ = std::move(other.prefix_distinct_);
   stats_builds_ = other.stats_builds_;
   stats_present_ = other.stats_present_;
-  other.delta_engaged_ = false;
-  other.main_rows_ = other.add_rows_ = other.del_rows_ = 0;
   ResetMovedFrom(&other.num_rows_, &other.arity_, &other.stats_builds_,
                  &other.stats_present_);
   return *this;
@@ -176,7 +136,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
 
 void Relation::Add(const Tuple& tuple) {
   CLFTJ_CHECK(static_cast<int>(tuple.size()) == arity_);
-  AbandonDelta();
   for (int c = 0; c < arity_; ++c) columns_[c].push_back(tuple[c]);
   ++num_rows_;
   InvalidateStats();
@@ -184,7 +143,6 @@ void Relation::Add(const Tuple& tuple) {
 
 void Relation::AddPair(Value a, Value b) {
   CLFTJ_CHECK(arity_ == 2);
-  AbandonDelta();
   columns_[0].push_back(a);
   columns_[1].push_back(b);
   ++num_rows_;
@@ -228,7 +186,6 @@ bool Relation::has_string_columns() const {
 }
 
 void Relation::Normalize() {
-  AbandonDelta();
   InvalidateStats();
   const std::size_t n = num_rows_;
   if (n <= 1) return;
@@ -430,214 +387,143 @@ std::size_t Relation::MemoryBytes() const {
   for (const auto& column : columns_) {
     bytes += column.capacity() * sizeof(Value);
   }
-  for (const auto* tier : {&main_columns_, &add_columns_, &del_columns_}) {
-    for (const auto& column : *tier) {
-      bytes += column.capacity() * sizeof(Value);
-    }
-  }
   return bytes;
 }
 
 namespace {
 
-// Lexicographic compare of row `a` of `ca` against row `b` of `cb`.
-int CompareRows(const std::vector<std::vector<Value>>& ca, std::size_t a,
-                const std::vector<std::vector<Value>>& cb, std::size_t b) {
-  for (std::size_t c = 0; c < ca.size(); ++c) {
-    const Value va = ca[c][a];
-    const Value vb = cb[c][b];
-    if (va != vb) return va < vb ? -1 : 1;
+// Lexicographic compare of row `row` of `cols` against tuple `t`.
+int CompareRowTo(const std::vector<std::vector<Value>>& cols, std::size_t row,
+                 const Tuple& t) {
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    const Value v = cols[c][row];
+    if (v != t[c]) return v < t[c] ? -1 : 1;
   }
   return 0;
 }
 
-// Binary search for tuple `t` among the first `n` (sorted, deduplicated)
-// rows of `cols`.
-bool ColumnsContainRow(const std::vector<std::vector<Value>>& cols,
-                       std::size_t n, const Tuple& t) {
+// First of the `n` sorted, deduplicated rows of `cols` that is not less than
+// `t`; *found tells whether that row equals `t`.
+std::size_t LowerBoundRow(const std::vector<std::vector<Value>>& cols,
+                          std::size_t n, const Tuple& t, bool* found) {
   std::size_t lo = 0;
   std::size_t hi = n;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    int cmp = 0;
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      const Value v = cols[c][mid];
-      if (v != t[c]) {
-        cmp = v < t[c] ? -1 : 1;
-        break;
-      }
-    }
-    if (cmp == 0) return true;
-    if (cmp < 0) {
+    if (CompareRowTo(cols, mid, t) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return false;
+  *found = lo < n && CompareRowTo(cols, lo, t) == 0;
+  return lo;
 }
 
-// Columnar tier -> sorted row-tuple working set and back (delta tiers are
-// small, so the round trip is cheap and keeps the edit logic readable).
-std::vector<Tuple> RowsOf(const std::vector<std::vector<Value>>& cols,
-                          std::size_t n, int arity) {
-  std::vector<Tuple> rows(n, Tuple(arity));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int c = 0; c < arity; ++c) rows[i][c] = cols[c][i];
-  }
-  return rows;
-}
-
-void StoreRows(const std::vector<Tuple>& rows, int arity,
-               std::vector<std::vector<Value>>* cols, std::size_t* n) {
-  cols->assign(arity, {});
-  for (int c = 0; c < arity; ++c) {
-    (*cols)[c].reserve(rows.size());
-    for (const Tuple& t : rows) (*cols)[c].push_back(t[c]);
-  }
-  *n = rows.size();
-}
-
-// Sorted-set insert/erase over the working sets; both report whether the
-// set changed.
-bool SortedInsert(std::vector<Tuple>* set, const Tuple& t) {
-  const auto it = std::lower_bound(set->begin(), set->end(), t);
-  if (it != set->end() && *it == t) return false;
-  set->insert(it, t);
-  return true;
-}
-
-bool SortedErase(std::vector<Tuple>* set, const Tuple& t) {
-  const auto it = std::lower_bound(set->begin(), set->end(), t);
-  if (it == set->end() || *it != t) return false;
-  set->erase(it);
-  return true;
+std::vector<Tuple> SortedSet(std::vector<Tuple> tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+  return tuples;
 }
 
 }  // namespace
 
 bool Relation::IsNormalized() const {
   for (std::size_t i = 1; i < num_rows_; ++i) {
-    if (CompareRows(columns_, i - 1, columns_, i) >= 0) return false;
+    for (int c = 0; c < arity_; ++c) {
+      const Value prev = columns_[c][i - 1];
+      const Value cur = columns_[c][i];
+      if (prev != cur) {
+        if (prev > cur) return false;
+        break;
+      }
+      if (c + 1 == arity_) return false;  // duplicate row
+    }
   }
   return true;
 }
 
-void Relation::EngageDelta() {
-  if (delta_engaged_) return;
-  if (!IsNormalized()) Normalize();
-  main_columns_ = columns_;
-  main_rows_ = num_rows_;
-  add_columns_.assign(static_cast<std::size_t>(arity_), {});
-  del_columns_.assign(static_cast<std::size_t>(arity_), {});
-  add_rows_ = del_rows_ = 0;
-  delta_engaged_ = true;
-}
-
-void Relation::AbandonDelta() {
-  if (!delta_engaged_) return;
-  main_columns_.clear();
-  add_columns_.clear();
-  del_columns_.clear();
-  main_rows_ = add_rows_ = del_rows_ = 0;
-  delta_engaged_ = false;
-  ++compactions_;  // the main tier is gone: overlay holders must rebuild
-}
-
-void Relation::RebuildVisible() {
-  const int k = arity_;
-  std::vector<std::vector<Value>> out(static_cast<std::size_t>(k));
-  const std::size_t visible = main_rows_ - del_rows_ + add_rows_;
-  for (auto& column : out) column.reserve(visible);
-  std::size_t m = 0;
-  std::size_t d = 0;
-  std::size_t a = 0;
-  while (m < main_rows_ || a < add_rows_) {
-    bool take_main;
-    if (m >= main_rows_) {
-      take_main = false;
-    } else if (a >= add_rows_) {
-      take_main = true;
-    } else {
-      // Never equal: the added tier is disjoint from main by invariant.
-      take_main = CompareRows(main_columns_, m, add_columns_, a) < 0;
-    }
-    if (take_main) {
-      if (d < del_rows_ &&
-          CompareRows(main_columns_, m, del_columns_, d) == 0) {
-        ++m;  // tombstoned
-        ++d;
-        continue;
-      }
-      for (int c = 0; c < k; ++c) out[c].push_back(main_columns_[c][m]);
-      ++m;
-    } else {
-      for (int c = 0; c < k; ++c) out[c].push_back(add_columns_[c][a]);
-      ++a;
-    }
-  }
-  num_rows_ = out[0].size();
-  columns_ = std::move(out);
-}
-
 DeltaResult Relation::ApplyDelta(const std::vector<Tuple>& adds,
-                                 const std::vector<Tuple>& deletes) {
+                                 const std::vector<Tuple>& deletes,
+                                 std::vector<Tuple>* changed) {
   for (const Tuple& t : adds) {
     CLFTJ_CHECK(static_cast<int>(t.size()) == arity_);
   }
   for (const Tuple& t : deletes) {
     CLFTJ_CHECK(static_cast<int>(t.size()) == arity_);
   }
-  EngageDelta();
-  std::vector<Tuple> add_set = RowsOf(add_columns_, add_rows_, arity_);
-  std::vector<Tuple> del_set = RowsOf(del_columns_, del_rows_, arity_);
+  if (!IsNormalized()) Normalize();
+  const std::vector<Tuple> add_set = SortedSet(adds);
+  const std::vector<Tuple> del_set = SortedSet(deletes);
+
+  // Classify the batch against the current rows by binary search: a delete
+  // of a visible tuple applies, and removes its row unless the batch adds
+  // the tuple back; an add applies when its tuple is invisible or deleted
+  // by this batch, and inserts a row only in the first case. Both lists
+  // come out ascending, because the sets are.
   DeltaResult res;
-  for (const Tuple& t : deletes) {
-    if (SortedErase(&add_set, t)) {
-      ++res.applied_deletes;
-      continue;
-    }
-    if (ColumnsContainRow(main_columns_, main_rows_, t) &&
-        SortedInsert(&del_set, t)) {
-      ++res.applied_deletes;
+  std::vector<std::size_t> removed_at;  // row indices
+  std::vector<std::pair<std::size_t, const Tuple*>> inserted_at;  // before row
+  for (const Tuple& t : del_set) {
+    bool found = false;
+    const std::size_t row = LowerBoundRow(columns_, num_rows_, t, &found);
+    if (!found) continue;
+    ++res.applied_deletes;
+    if (!std::binary_search(add_set.begin(), add_set.end(), t)) {
+      removed_at.push_back(row);
     }
   }
-  for (const Tuple& t : adds) {
-    if (SortedErase(&del_set, t)) {  // un-tombstone: visible again
+  for (const Tuple& t : add_set) {
+    bool found = false;
+    const std::size_t row = LowerBoundRow(columns_, num_rows_, t, &found);
+    if (!found) {
       ++res.applied_adds;
-      continue;
+      inserted_at.emplace_back(row, &t);
+    } else if (std::binary_search(del_set.begin(), del_set.end(), t)) {
+      ++res.applied_adds;  // deleted and re-added: the row stays
     }
-    if (ColumnsContainRow(main_columns_, main_rows_, t)) continue;
-    if (SortedInsert(&add_set, t)) ++res.applied_adds;
   }
-  StoreRows(add_set, arity_, &add_columns_, &add_rows_);
-  StoreRows(del_set, arity_, &del_columns_, &del_rows_);
-  RebuildVisible();
-  ++delta_version_;
-  InvalidateStats();
-  if (add_rows_ + del_rows_ > compaction_threshold()) {
-    Compact();
-    res.compacted = true;
+  if (removed_at.empty() && inserted_at.empty()) return res;
+
+  if (changed != nullptr) {
+    for (const auto& [row, t] : inserted_at) changed->push_back(*t);
+    for (const std::size_t row : removed_at) changed->push_back(TupleAt(row));
   }
-  return res;
-}
-
-std::size_t Relation::compaction_threshold() const {
-  if (compaction_threshold_ != 0) return compaction_threshold_;
-  const std::size_t base = delta_engaged_ ? main_rows_ : num_rows_;
-  return std::max<std::size_t>(64, base / 8);
-}
-
-void Relation::Compact() {
-  if (!delta_engaged_) return;
-  // columns_ already holds the merged visible image as a sorted set; it
-  // simply becomes the next main tier.
-  main_columns_.clear();
-  add_columns_.clear();
-  del_columns_.clear();
-  main_rows_ = add_rows_ = del_rows_ = 0;
-  delta_engaged_ = false;
+  // One pass per column: copy the runs between change points, skipping
+  // removed rows and splicing each new tuple in before its lower-bound row.
+  const std::size_t rows = num_rows_ - removed_at.size() + inserted_at.size();
+  for (int c = 0; c < arity_; ++c) {
+    const std::vector<Value>& src = columns_[c];
+    std::vector<Value> out;
+    out.reserve(rows);
+    std::size_t r = 0;
+    std::size_t del = 0;
+    std::size_t ins = 0;
+    while (true) {
+      std::size_t stop = num_rows_;
+      if (del < removed_at.size()) stop = removed_at[del];
+      if (ins < inserted_at.size()) {
+        stop = std::min(stop, inserted_at[ins].first);
+      }
+      out.insert(out.end(), src.begin() + static_cast<std::ptrdiff_t>(r),
+                 src.begin() + static_cast<std::ptrdiff_t>(stop));
+      r = stop;
+      if (ins < inserted_at.size() && inserted_at[ins].first == r) {
+        out.push_back((*inserted_at[ins].second)[c]);
+        ++ins;
+      } else if (del < removed_at.size() && removed_at[del] == r) {
+        ++del;
+        ++r;
+      } else {
+        break;  // r == num_rows_ and nothing left to splice
+      }
+    }
+    columns_[c] = std::move(out);
+  }
+  num_rows_ = rows;
   ++compactions_;
+  InvalidateStats();
+  return res;
 }
 
 std::uint64_t Relation::stats_builds() const {

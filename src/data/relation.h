@@ -74,7 +74,6 @@ int NormalizeParallelism();
 struct DeltaResult {
   std::size_t applied_adds = 0;     ///< tuples that became visible
   std::size_t applied_deletes = 0;  ///< tuples that stopped being visible
-  bool compacted = false;           ///< the batch triggered a compaction
 };
 
 /// An in-memory relation stored column-major: one contiguous vector of
@@ -84,22 +83,17 @@ struct DeltaResult {
 /// instead of a strided row-major gather. All index structure lives in the
 /// Trie module. Relations are set-semantics after Normalize().
 ///
-/// Incremental maintenance (see docs/incremental.md): ApplyDelta keeps the
-/// relation in a two-tier state — an immutable sorted *main* tier (what
-/// long-lived trie substrates are built from) plus small sorted *added* and
-/// *deleted* (tombstone) tiers. Column()/size() always expose the merged
-/// visible image, so every consumer that doesn't know about deltas stays
-/// correct; delta-aware consumers read MainColumn()/AddedColumn()/
-/// DeletedColumn() and overlay. When the delta tiers outgrow
-/// compaction_threshold(), Compact() folds them into a new main tier and
-/// bumps compactions() — the signal for overlay-holding caches to rebuild.
+/// Incremental maintenance (see docs/incremental.md): ApplyDelta merges a
+/// batch straight into the sorted columns and bumps compactions(), the
+/// relation's version, so there is only ever one image of the data and
+/// every consumer reads it through Column()/size().
 ///
 /// Statistics: DistinctInColumn / MaxFrequencyInColumn / Stats are memoized
 /// per column and PrefixDistinct per column order (each installed at most
-/// once between mutations); any Add, Normalize or ApplyDelta invalidates
-/// the memo. The memo is mutex-guarded (the compute itself runs outside the
-/// lock), so concurrent *readers* of one relation are safe; mutation is not
-/// safe against concurrent access, like any container.
+/// once between mutations); any Add, Normalize or row-changing ApplyDelta
+/// invalidates the memo. The memo is mutex-guarded (the compute itself runs
+/// outside the lock), so concurrent *readers* of one relation are safe;
+/// mutation is not safe against concurrent access, like any container.
 class Relation {
  public:
   /// Creates an empty relation. Requires arity >= 1.
@@ -209,82 +203,29 @@ class Relation {
   /// contract.
   std::uint64_t stats_builds() const;
 
-  // --- Incremental maintenance (two-tier storage) ---------------------------
+  // --- Incremental maintenance --------------------------------------------
 
   /// Applies one incremental batch: `deletes` first (a tuple that is not
   /// visible is a no-op), then `adds` (a tuple that is already visible is a
-  /// no-op). Every tuple must have arity() values. Invariants afterwards:
-  /// deleted ⊆ main, added ∩ main = ∅, visible = (main − deleted) ∪ added,
-  /// all tiers sorted sets. The visible image (Column()/size()) is re-merged
-  /// eagerly — O(size()) per batch, no sort — while the main tier stays
-  /// byte-identical until the delta outgrows compaction_threshold() and the
-  /// batch ends in a Compact(). Like every mutator, invalidates spans/stats
-  /// and requires exclusive access.
+  /// no-op). Every tuple must have arity() values. A batch that changes a
+  /// row is merged into the sorted columns in one O(size()) pass (no sort),
+  /// bumps compactions() and, like every mutator, invalidates spans and
+  /// stats; a batch that changes nothing leaves the relation untouched.
+  /// When `changed` is non-null it receives exactly the tuples whose
+  /// visibility flipped (a tuple deleted and re-added by the same batch is
+  /// not among them). Requires exclusive access.
   DeltaResult ApplyDelta(const std::vector<Tuple>& adds,
-                         const std::vector<Tuple>& deletes);
+                         const std::vector<Tuple>& deletes,
+                         std::vector<Tuple>* changed = nullptr);
 
-  /// True while the added/deleted tiers are non-empty (the relation is in
-  /// two-tier state and MainColumn() differs from Column()).
-  bool has_delta() const { return add_rows_ + del_rows_ > 0; }
-
-  /// The immutable main tier (== Column(col) when !has_delta()). This is
-  /// what substrate registries key long-lived tries on: it only changes on
-  /// classic mutation or compaction, never on ApplyDelta.
-  ColumnSpan MainColumn(int col) const {
-    return delta_engaged_
-               ? ColumnSpan(main_columns_[col].data(), main_rows_)
-               : Column(col);
-  }
-  std::size_t main_size() const {
-    return delta_engaged_ ? main_rows_ : num_rows_;
-  }
-
-  /// The added tier: visible tuples not in main, as a sorted set.
-  ColumnSpan AddedColumn(int col) const {
-    return delta_engaged_ ? ColumnSpan(add_columns_[col].data(), add_rows_)
-                          : ColumnSpan();
-  }
-  std::size_t added_size() const { return add_rows_; }
-
-  /// The tombstone tier: main tuples no longer visible, as a sorted set.
-  ColumnSpan DeletedColumn(int col) const {
-    return delta_engaged_ ? ColumnSpan(del_columns_[col].data(), del_rows_)
-                          : ColumnSpan();
-  }
-  std::size_t deleted_size() const { return del_rows_; }
-
-  /// Bumped by every ApplyDelta call; overlay tries cached against one
-  /// delta_version are stale once it moves.
-  std::uint64_t delta_version() const { return delta_version_; }
-
-  /// Bumped whenever the main tier is replaced wholesale: by Compact() and
-  /// by any classic mutation (Add/AddPair/Normalize) on a two-tier
-  /// relation. Caches keyed on the main tier must key on this too.
+  /// The relation's version: bumped by every ApplyDelta batch that changes
+  /// a row. Long-lived state derived from the rows (the substrate
+  /// registry's tries) keys on it. The name dates from the two-tier
+  /// storage whose compactions this counter once tracked.
   std::uint64_t compactions() const { return compactions_; }
-
-  /// Delta rows (added + deleted) beyond which ApplyDelta compacts. The
-  /// default policy is max(64, main/8); set_compaction_threshold overrides
-  /// it (0 restores the default).
-  std::size_t compaction_threshold() const;
-  void set_compaction_threshold(std::size_t rows) {
-    compaction_threshold_ = rows;
-  }
-
-  /// Folds the delta tiers into a new main tier (the visible image is
-  /// already merged, so this is O(1) bookkeeping) and bumps compactions().
-  /// No-op when not in two-tier state.
-  void Compact();
 
  private:
   void InvalidateStats();
-  /// Enters two-tier state: snapshots the (normalized) visible image as the
-  /// main tier. No-op if already engaged.
-  void EngageDelta();
-  /// Leaves two-tier state because a classic mutator re-baselined the
-  /// visible image; counts as a main-tier replacement.
-  void AbandonDelta();
-  /// Recomputes columns_ = (main − deleted) ∪ added, a linear 3-way merge.
-  void RebuildVisible();
   /// True if rows are strictly increasing lexicographically (sorted set).
   bool IsNormalized() const;
 
@@ -294,18 +235,7 @@ class Relation {
   std::vector<std::vector<Value>> columns_;  // arity_ vectors of num_rows_
   std::vector<ColumnType> types_;            // arity_ entries, default kInt
 
-  // Two-tier state (valid iff delta_engaged_): columns_ then holds the
-  // merged visible image while main/add/del hold the tiers.
-  bool delta_engaged_ = false;
-  std::vector<std::vector<Value>> main_columns_;
-  std::size_t main_rows_ = 0;
-  std::vector<std::vector<Value>> add_columns_;
-  std::size_t add_rows_ = 0;
-  std::vector<std::vector<Value>> del_columns_;
-  std::size_t del_rows_ = 0;
-  std::uint64_t delta_version_ = 0;
   std::uint64_t compactions_ = 0;
-  std::size_t compaction_threshold_ = 0;  // 0 = default policy
 
   // Lazily built per-column stats and per-order prefix counts; mutex guards
   // lazy engagement so concurrent readers (e.g. plan resolution on several

@@ -48,81 +48,72 @@ struct ValueBloom {
   }
 };
 
-// What one delta means for the entries cached at one TD node.
-enum class NodeAction { kKeep, kEvictAll, kTargeted };
-
-struct NodeRule {
-  NodeAction action = NodeAction::kKeep;
-  std::vector<ValueBloom> dims;  // kTargeted: one filter per adhesion dim
+// One participating atom's filter at one TD node: for each adhesion
+// dimension the atom binds, a Bloom filter over the changed tuples' values
+// at that variable's term position. A key passes when every dimension may
+// hold one of them; a filter with no dimensions passes every key.
+struct AtomFilter {
+  std::vector<int> dims;          // adhesion indices the atom binds
+  std::vector<ValueBloom> blooms;  // one per entry of dims
 };
 
-// Derives the per-node eviction rule for a change to relation `delta`'s
-// tuples under `plan`. Soundness argument (docs/incremental.md): the entry
-// cached at node n summarizes the subtree owned by depths
-// [first_depth[n], subtree_last_depth[n]] as a function of (participating
-// atoms' data, adhesion assignment). So:
-//  - no atom over the changed relation participates in the subtree: no
-//    entry at n can change — keep them all;
-//  - every participating changed-relation atom contains all of n's
-//    adhesion variables: a changed tuple pins each adhesion value at that
-//    variable's term position, so only entries whose key matches some
-//    changed tuple in *every* dimension can change — evict exactly those
-//    (per-dimension Bloom membership, AND across dimensions);
-//  - otherwise a changed tuple can affect entries under any key — evict
-//    everything at n.
-std::vector<NodeRule> RulesFor(const CachedPlan& plan,
-                               const std::vector<Atom>& atoms,
-                               const DeltaLogEntry& delta) {
+// Builds the eviction rule of every TD node of `plan` for the changed
+// tuples of `deltas`: rules[n] holds one AtomFilter per participating atom
+// over a changed relation, and an entry at n is evicted iff its key passes
+// some filter (no filters: keep everything). Soundness argument
+// (docs/incremental.md): the entry cached at node n under adhesion key k is
+// the join of the atoms participating in n's subtree (those with a variable
+// at depths [first_depth[n], subtree_last_depth[n]]) with the adhesion
+// variables fixed to k. It reads an atom's tuples only where they agree
+// with k on the adhesion variables that atom binds, so a changed tuple can
+// move the entry only if it agrees with k there — which is what the atom's
+// filter tests. An atom that binds no adhesion variable reads its tuples
+// under every key, so its filter has no dimensions and evicts all of n.
+// Filters for the same atom across several deltas share their Blooms: a
+// union of over-approximations still over-approximates.
+std::vector<std::vector<AtomFilter>> RulesFor(
+    const CachedPlan& plan, const std::vector<Atom>& atoms,
+    const std::vector<const DeltaLogEntry*>& deltas) {
   const int num_nodes = static_cast<int>(plan.cacheable.size());
-  std::vector<NodeRule> rules(num_nodes);
-  std::vector<const Atom*> r_atoms;
+  std::vector<std::vector<AtomFilter>> rules(num_nodes);
   for (const Atom& atom : atoms) {
-    if (atom.relation == delta.relation) r_atoms.push_back(&atom);
-  }
-  if (r_atoms.empty()) return rules;  // all kKeep
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (!plan.cacheable[n]) continue;  // no entries exist at n
-    const int lo = plan.first_depth[n];
-    const int hi = plan.subtree_last_depth[n];
-    std::vector<const Atom*> participating;
-    for (const Atom* atom : r_atoms) {
-      for (const Term& term : atom->terms) {
+    std::vector<const Tuple*> changed;
+    for (const DeltaLogEntry* delta : deltas) {
+      if (delta->relation != atom.relation) continue;
+      for (const Tuple& t : delta->changed) changed.push_back(&t);
+    }
+    if (changed.empty()) continue;
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      if (!plan.cacheable[n]) continue;  // no entries exist at n
+      const int lo = plan.first_depth[n];
+      const int hi = plan.subtree_last_depth[n];
+      bool participates = false;
+      for (const Term& term : atom.terms) {
         if (!term.is_variable) continue;
         const int rank = plan.var_rank[term.var];
-        if (rank >= lo && rank <= hi) {
-          participating.push_back(atom);
-          break;
-        }
+        participates = participates || (rank >= lo && rank <= hi);
       }
-    }
-    if (participating.empty()) continue;  // kKeep
-    NodeRule& rule = rules[n];
-    const std::vector<VarId>& avars = plan.adhesion_vars[n];
-    rule.dims.resize(avars.size());
-    bool targeted = true;
-    for (const Atom* atom : participating) {
-      std::vector<int> pos(avars.size(), -1);
+      if (!participates) continue;
+      AtomFilter filter;
+      std::vector<int> pos;  // the bound variable's term position per dim
+      const std::vector<VarId>& avars = plan.adhesion_vars[n];
       for (std::size_t i = 0; i < avars.size(); ++i) {
-        for (std::size_t p = 0; p < atom->terms.size(); ++p) {
-          if (atom->terms[p].is_variable && atom->terms[p].var == avars[i]) {
-            pos[i] = static_cast<int>(p);
+        for (std::size_t p = 0; p < atom.terms.size(); ++p) {
+          if (atom.terms[p].is_variable && atom.terms[p].var == avars[i]) {
+            filter.dims.push_back(static_cast<int>(i));
+            pos.push_back(static_cast<int>(p));
             break;
           }
         }
-        if (pos[i] < 0) {
-          targeted = false;
-          break;
+      }
+      filter.blooms.resize(pos.size());
+      for (const Tuple* t : changed) {
+        for (std::size_t d = 0; d < pos.size(); ++d) {
+          filter.blooms[d].Insert((*t)[pos[d]]);
         }
       }
-      if (!targeted) break;
-      for (const Tuple& t : delta.changed) {
-        for (std::size_t i = 0; i < avars.size(); ++i) {
-          rule.dims[i].Insert(t[pos[i]]);
-        }
-      }
+      rules[n].push_back(std::move(filter));
     }
-    rule.action = targeted ? NodeAction::kTargeted : NodeAction::kEvictAll;
-    if (!targeted) rule.dims.clear();
   }
   return rules;
 }
@@ -155,36 +146,28 @@ CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
 void CrossQueryReuse::InvalidateForDeltas(
     const std::vector<const DeltaLogEntry*>& deltas) {
   for (CacheEntry& entry : cache_lru_) {
-    for (const DeltaLogEntry* delta : deltas) {
-      const std::vector<NodeRule> rules =
-          RulesFor(*entry.plan, entry.atoms, *delta);
-      bool any = false;
-      for (const NodeRule& rule : rules) {
-        if (rule.action != NodeAction::kKeep) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) continue;
-      const auto pred = [&rules](NodeId node, const Value* values, int dims) {
-        const NodeRule& rule = rules[node];
-        switch (rule.action) {
-          case NodeAction::kKeep:
-            return false;
-          case NodeAction::kEvictAll:
-            return true;
-          case NodeAction::kTargeted:
-            break;
-        }
-        if (static_cast<std::size_t>(dims) != rule.dims.size()) return true;
-        for (int i = 0; i < dims; ++i) {
-          if (!rule.dims[i].MayContain(values[i])) return false;
-        }
-        return true;  // key may match a changed tuple in every dimension
-      };
-      entry.caches->count.EvictIf(pred);
-      entry.caches->eval.EvictIf(pred);
+    const std::vector<std::vector<AtomFilter>> rules =
+        RulesFor(*entry.plan, entry.atoms, deltas);
+    bool any = false;
+    for (const std::vector<AtomFilter>& rule : rules) {
+      any = any || !rule.empty();
     }
+    if (!any) continue;
+    // One sweep per table for all pending deltas.
+    const auto pred = [&rules](NodeId node, const Value* values, int dims) {
+      for (const AtomFilter& filter : rules[node]) {
+        bool passes = true;
+        for (std::size_t d = 0; d < filter.dims.size() && passes; ++d) {
+          // A key narrower than the adhesion cannot be checked: evict.
+          passes = filter.dims[d] >= dims ||
+                   filter.blooms[d].MayContain(values[filter.dims[d]]);
+        }
+        if (passes) return true;
+      }
+      return false;
+    };
+    entry.caches->count.EvictIf(pred);
+    entry.caches->eval.EvictIf(pred);
   }
 }
 
@@ -244,18 +227,9 @@ std::shared_ptr<ShapeCaches> CrossQueryReuse::AcquireShapeCaches(
   } else if (caches_minor_ != minor) {
     // Delta-only change: evict just the entries the deltas can touch. Fall
     // back to dropping everything when the delta log no longer reaches back
-    // to our sync point or a compaction replaced a main tier.
+    // to our sync point.
     std::vector<const DeltaLogEntry*> deltas;
-    bool targeted = db.DeltasSince(caches_minor_, &deltas);
-    if (targeted) {
-      for (const DeltaLogEntry* delta : deltas) {
-        if (delta->compacted) {
-          targeted = false;
-          break;
-        }
-      }
-    }
-    if (targeted) {
+    if (db.DeltasSince(caches_minor_, &deltas)) {
       InvalidateForDeltas(deltas);
     } else {
       cache_index_.clear();

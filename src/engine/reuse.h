@@ -127,9 +127,11 @@ class CrossQueryReuse {
   /// (may be null).
   void SeedFromResidentShapes(CacheEntry& target, ExecStats* stats);
 
-  /// Targeted invalidation after ApplyDelta batches: evicts only cache
-  /// entries whose adhesion key may intersect the changed values. Called
-  /// under mu_.
+  /// Targeted invalidation after ApplyDelta batches: one sweep per table
+  /// evicts the entries whose adhesion key agrees with some changed tuple
+  /// on the adhesion variables of some participating atom (per-atom rule,
+  /// docs/incremental.md). Called under mu_, from the first Prepare after
+  /// the deltas.
   void InvalidateForDeltas(const std::vector<const DeltaLogEntry*>& deltas);
 
   const ReuseOptions options_;

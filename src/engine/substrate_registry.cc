@@ -12,13 +12,12 @@ namespace clftj {
 namespace {
 
 // The trie of an atom view depends on the relation's data (pinned by the
-// generation plus the relation's main-tier epoch — its compaction count),
-// which term positions carry which constants, the repeated-variable
-// equality pattern, and the level -> term-position mapping — not on the
-// query's variable *identities*. The key encodes exactly that: variables as
+// generation plus the relation's version), which term positions carry which
+// constants, the repeated-variable equality pattern, and the level ->
+// term-position mapping — not on the query's variable *identities*. The key encodes exactly that: variables as
 // indices into the atom's distinct-variable list (first-occurrence order),
 // levels as those indices in trie-level order.
-std::string ViewKey(std::uint64_t generation, std::uint64_t compactions,
+std::string ViewKey(std::uint64_t generation, std::uint64_t version,
                     const Atom& atom, const std::vector<int>& var_rank) {
   const std::vector<VarId> distinct = atom.Vars();
   const auto local_index = [&distinct](VarId v) {
@@ -30,7 +29,7 @@ std::string ViewKey(std::uint64_t generation, std::uint64_t compactions,
   };
   std::string key = std::to_string(generation);
   key += '#';
-  key += std::to_string(compactions);
+  key += std::to_string(version);
   key += '|';
   key += atom.relation;
   key += '|';
@@ -67,13 +66,6 @@ std::vector<VarId> LevelVars(const Atom& atom,
 
 }  // namespace
 
-std::uint64_t SubstrateRegistry::OverlayBytes(const AtomView& view) {
-  std::uint64_t bytes = 0;
-  if (view.delta_add != nullptr) bytes += view.delta_add->MemoryBytes();
-  if (view.delta_del != nullptr) bytes += view.delta_del->MemoryBytes();
-  return bytes;
-}
-
 std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
     const Query& q, const Database& db, const std::vector<VarId>& order,
     ExecStats* stats) {
@@ -89,19 +81,17 @@ std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
       generation_.store(generation, std::memory_order_release);
     }
   }
-  // Minor-version turnover: entries whose main-tier epoch was replaced by a
-  // compaction can never be hit again (their key embeds the old compaction
-  // count) — drop them now instead of waiting for the byte budget. Entries
-  // on the live epoch survive; only their overlays go stale, and those are
-  // patched lazily on Acquire.
+  // Minor-version turnover: entries cut at an older version of their
+  // relation can never be hit again (their key embeds the version) — drop
+  // them now instead of waiting for the byte budget.
   const std::uint64_t minor = db.minor_version();
   if (minor_.load(std::memory_order_acquire) != minor) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (minor_.load(std::memory_order_relaxed) != minor) {
       for (auto it = tries_.begin(); it != tries_.end();) {
         const Relation* rel = db.Find(it->second->relation);
-        if (rel == nullptr || rel->compactions() != it->second->compactions) {
-          bytes_ -= it->second->bytes;
+        if (rel == nullptr || rel->compactions() != it->second->version) {
+          bytes_ -= it->second->trie->MemoryBytes();
           it = tries_.erase(it);
         } else {
           ++it;
@@ -122,7 +112,6 @@ std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
     const Relation& rel = db.Get(atom.relation);
     const std::string key =
         ViewKey(generation, rel.compactions(), atom, var_rank);
-    std::shared_ptr<const Trie> reused_main;
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
       const auto it = tries_.find(key);
@@ -130,47 +119,25 @@ std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
         Entry& entry = *it->second;
         entry.tick.store(ticks_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
-        if (entry.delta_version == rel.delta_version()) {
-          AtomView view;
-          view.level_vars = LevelVars(atom, var_rank);
-          view.trie = entry.trie;
-          view.delta_add = entry.delta_add;
-          view.delta_del = entry.delta_del;
-          view.non_empty = entry.non_empty;
-          views.push_back(std::move(view));
-          if (stats != nullptr) ++stats->substrate_reuses;
-          continue;
-        }
-        // Main tier still current; only the overlay is stale. Keep the big
-        // trie, rebuild the small one below.
-        reused_main = entry.trie;
+        AtomView view;
+        view.level_vars = LevelVars(atom, var_rank);
+        view.trie = entry.trie;
+        view.non_empty = entry.trie->num_tuples() > 0;
+        views.push_back(std::move(view));
+        if (stats != nullptr) ++stats->substrate_reuses;
+        continue;
       }
     }
-    // Cold or overlay-stale view: build outside any lock (can be seconds
-    // of work and may throw), publish under the exclusive lock. Views
-    // published before a later atom's build fails stay cached — a retried
-    // request only redoes the failed build.
+    // Cold view: build outside any lock (can be seconds of work and may
+    // throw), publish under the exclusive lock. Views published before a
+    // later atom's build fails stay cached — a retried request only redoes
+    // the failed build.
     Timer timer;
-    AtomView view;
-    if (reused_main != nullptr) {
-      view.level_vars = LevelVars(atom, var_rank);
-      view.trie = std::move(reused_main);
-      AttachDeltaOverlay(rel, atom, &view);
-      if (stats != nullptr) {
-        // The expensive half was reused; only the O(delta) overlay was
-        // rebuilt, charged to build time but not as a substrate build.
-        ++stats->substrate_reuses;
-        stats->substrate_build_ns +=
-            static_cast<std::uint64_t>(timer.Seconds() * 1e9);
-      }
-    } else {
-      view = BuildMainAtomView(rel, atom, var_rank);
-      AttachDeltaOverlay(rel, atom, &view);
-      if (stats != nullptr) {
-        ++stats->substrate_builds;
-        stats->substrate_build_ns +=
-            static_cast<std::uint64_t>(timer.Seconds() * 1e9);
-      }
+    AtomView view = BuildAtomView(rel, atom, var_rank);
+    if (stats != nullptr) {
+      ++stats->substrate_builds;
+      stats->substrate_build_ns +=
+          static_cast<std::uint64_t>(timer.Seconds() * 1e9);
     }
     Publish(key, rel, &view);
     views.push_back(std::move(view));
@@ -183,39 +150,18 @@ void SubstrateRegistry::Publish(const std::string& key, const Relation& rel,
   std::unique_lock<std::shared_mutex> lock(mu_);
   const auto it = tries_.find(key);
   if (it != tries_.end()) {
-    Entry& entry = *it->second;
-    if (entry.delta_version == rel.delta_version()) {
-      // Lost a build race: adopt the published tries so concurrent queries
-      // converge on one instance and the duplicate is freed.
-      view->trie = entry.trie;
-      view->delta_add = entry.delta_add;
-      view->delta_del = entry.delta_del;
-      view->non_empty = entry.non_empty;
-      return;
-    }
-    // Patch the stale overlay in place; the main trie is shared already.
-    bytes_ -= entry.bytes;
-    view->trie = entry.trie;
-    entry.delta_add = view->delta_add;
-    entry.delta_del = view->delta_del;
-    entry.delta_version = rel.delta_version();
-    entry.non_empty = view->non_empty;
-    entry.bytes = entry.trie->MemoryBytes() + OverlayBytes(*view);
-    bytes_ += entry.bytes;
+    // Lost a build race: adopt the published trie so concurrent queries
+    // converge on one instance and the duplicate is freed.
+    view->trie = it->second->trie;
     return;
   }
   auto entry = std::make_unique<Entry>();
   entry->relation = rel.name();
-  entry->compactions = rel.compactions();
+  entry->version = rel.compactions();
   entry->trie = view->trie;
-  entry->delta_add = view->delta_add;
-  entry->delta_del = view->delta_del;
-  entry->delta_version = rel.delta_version();
-  entry->non_empty = view->non_empty;
-  entry->bytes = entry->trie->MemoryBytes() + OverlayBytes(*view);
   entry->tick.store(ticks_.fetch_add(1, std::memory_order_relaxed) + 1,
                     std::memory_order_relaxed);
-  bytes_ += entry->bytes;
+  bytes_ += entry->trie->MemoryBytes();
   tries_.emplace(key, std::move(entry));
 
   // LRU byte budget: drop the stalest entries (never the one just
@@ -242,7 +188,7 @@ void SubstrateRegistry::EvictOverBudget(const std::string& keep) {
       }
     }
     if (victim == tries_.end()) break;
-    bytes_ -= victim->second->bytes;
+    bytes_ -= victim->second->trie->MemoryBytes();
     tries_.erase(victim);
   }
 }

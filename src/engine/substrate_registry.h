@@ -20,34 +20,31 @@ namespace clftj {
 
 /// Long-lived store of atom-view tries, shared across queries and across
 /// concurrent workers — tries stop being per-request throwaways. Entries
-/// are keyed on (database generation, relation + its compaction count, term
-/// pattern, level permutation): everything the trie's *contents* depend on,
-/// with query variable identities erased. Two different queries whose atoms
+/// are keyed on (database generation, relation + its version, term pattern,
+/// level permutation): everything the trie's *contents* depend on, with
+/// query variable identities erased. Two different queries whose atoms
 /// project the same relation the same way (same constants, same
 /// repeated-variable pattern, same level ordering) share one immutable
 /// Trie; the query-specific parts of an AtomView (level_vars) are assembled
 /// per Acquire call, which is O(arity), not O(data).
 ///
-/// Incremental maintenance (docs/incremental.md): the retained trie is
-/// built from the relation's *main tier*, and each entry additionally
-/// carries the small delta-overlay tries for the relation's current
-/// delta_version. An ApplyDelta therefore does not rebuild anything big —
-/// the next Acquire reuses the main trie (charged as a substrate reuse) and
-/// patches only the overlay, O(delta) work. A compaction replaces the main
-/// tier, which shows up as a changed compaction count in the key: the entry
-/// goes cold and is swept on the next minor-version turnover.
+/// Incremental maintenance (docs/incremental.md): the relation's version is
+/// Relation::compactions(), bumped by every ApplyDelta batch that changes a
+/// row. A delta therefore turns the relation's keys over: the next Acquire
+/// builds each view once from the new rows, and every read after it shares
+/// that build until the next delta. Entries cut at an older version can
+/// never be hit again and are swept on the next minor-version turnover.
 ///
 /// Concurrency: lookups take a shared lock and copy out the shared_ptrs, so
 /// the read-mostly steady state never serializes workers; builds happen
 /// outside any lock and are published one at a time under the exclusive
-/// lock (a lost race adopts the winner's tries). A bulk data change bumps
+/// lock (a lost race adopts the winner's trie). A bulk data change bumps
 /// the database generation, and the next Acquire drops every stale entry.
 ///
 /// Budget: capacity_bytes bounds the *retained* bytes (Trie::MemoryBytes
-/// sums, overlays included). Over budget, least-recently-used entries are
-/// dropped from the registry; outstanding shared_ptrs keep evicted tries
-/// alive until their last user finishes, so eviction never invalidates a
-/// running query.
+/// sums). Over budget, least-recently-used entries are dropped from the
+/// registry; outstanding shared_ptrs keep evicted tries alive until their
+/// last user finishes, so eviction never invalidates a running query.
 class SubstrateRegistry {
  public:
   struct Options {
@@ -61,10 +58,8 @@ class SubstrateRegistry {
   /// Builds (or reuses) every atom view of `q` over `db` for the variable
   /// order `order` and assembles them into a fresh substrate. Charges
   /// substrate_builds / substrate_reuses / substrate_build_ns to *stats
-  /// (may be null); a main-tier reuse whose overlay is patched counts as a
-  /// reuse, with the overlay build time in substrate_build_ns. Throws
-  /// whatever the trie build throws (e.g. injected bad_alloc);
-  /// already-published views survive a mid-build failure.
+  /// (may be null). Throws whatever the trie build throws (e.g. injected
+  /// bad_alloc); already-published views survive a mid-build failure.
   std::shared_ptr<const TrieJoinSubstrate> Acquire(const Query& q,
                                                    const Database& db,
                                                    const std::vector<VarId>& order,
@@ -110,22 +105,14 @@ class SubstrateRegistry {
 
   struct Entry {
     std::string relation;
-    std::uint64_t compactions = 0;    // main-tier epoch the key was cut at
-    std::shared_ptr<const Trie> trie;  // the relation's main tier
-    std::shared_ptr<const Trie> delta_add;  // overlay for delta_version
-    std::shared_ptr<const Trie> delta_del;
-    std::uint64_t delta_version = 0;
-    bool non_empty = false;  // of the merged view
-    std::uint64_t bytes = 0;  // main + overlay
+    std::uint64_t version = 0;  // the relation's compactions() at the build
+    std::shared_ptr<const Trie> trie;
     std::atomic<std::uint64_t> tick{0};
   };
 
-  /// Inserts (or adopts, or overlay-patches) the entry for `key` under the
-  /// exclusive lock and applies the byte budget. On return *view holds the
-  /// retained tries.
+  /// Inserts (or adopts) the entry for `key` under the exclusive lock and
+  /// applies the byte budget. On return view->trie is the retained trie.
   void Publish(const std::string& key, const Relation& rel, AtomView* view);
-
-  static std::uint64_t OverlayBytes(const AtomView& view);
 
   const Options options_;
   mutable std::shared_mutex mu_;

@@ -72,11 +72,7 @@ void TrieJoinContext::Attach(ExecStats* stats) {
   const std::vector<AtomView>& views = substrate_->views();
   iters_.reserve(views.size());
   for (const AtomView& view : views) {
-    // Views with a delta overlay get the merged two-tier cursor; the common
-    // single-tier case constructs exactly the plain cursor (null overlays
-    // degenerate to it, so counting stays byte-identical).
-    iters_.push_back(std::make_unique<TrieIterator>(
-        view.trie.get(), view.delta_add.get(), view.delta_del.get(), stats));
+    iters_.push_back(std::make_unique<TrieIterator>(view.trie.get(), stats));
   }
   const std::size_t depths = substrate_->order().size();
   at_depth_.resize(depths);

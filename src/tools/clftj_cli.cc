@@ -397,8 +397,7 @@ int main(int argc, char** argv) {
           return 2;
         }
         std::cout << "applied +" << delta_result.applied_adds << " to "
-                  << batch.relation
-                  << (delta_result.compacted ? " (compacted)" : "") << "\n";
+                  << batch.relation << "\n";
       }
     }
   }

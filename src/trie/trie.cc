@@ -131,16 +131,9 @@ std::vector<int> LevelPosFor(const Atom& atom,
   return level_pos;
 }
 
-// The filter + projection core shared by the visible, main-tier, and
-// overlay builds: applies the atom's constant and repeated-variable
-// filters to `total_rows` rows given per-term source columns, projects to
-// the level variables, and builds the trie. The same rows fed through this
-// function always produce the same view tuples — and because dropped
-// columns are either constants (pinned by the filter) or repeated
-// variables (pinned to their first occurrence), distinct filtered rows
-// project to *distinct* view tuples. That injectivity is what lets
-// relation-level tier invariants (deleted ⊆ main, added ∩ main = ∅) carry
-// over to the per-atom overlay tries.
+// The filter + projection core of BuildAtomView: applies the atom's
+// constant and repeated-variable filters to `total_rows` rows given per-term
+// source columns, projects to the level variables, and builds the trie.
 Trie BuildFilteredTrie(const Atom& atom, const std::vector<VarId>& level_vars,
                        const std::vector<int>& level_pos,
                        const std::vector<ColumnSpan>& term_col,
@@ -197,10 +190,10 @@ Trie BuildFilteredTrie(const Atom& atom, const std::vector<VarId>& level_vars,
                            std::move(columns));
 }
 
-enum class Tier { kVisible, kMain };
+}  // namespace
 
-AtomView BuildAtomViewFromTier(const Relation& relation, const Atom& atom,
-                               const std::vector<int>& var_rank, Tier tier) {
+AtomView BuildAtomView(const Relation& relation, const Atom& atom,
+                       const std::vector<int>& var_rank) {
   CLFTJ_CHECK(static_cast<int>(atom.terms.size()) == relation.arity());
   AtomView view;
   view.level_vars = LevelVarsFor(atom, var_rank);
@@ -209,64 +202,14 @@ AtomView BuildAtomViewFromTier(const Relation& relation, const Atom& atom,
   // Columnar staging: one value vector per trie level instead of one heap
   // tuple per row, feeding Trie::FromColumns' permutation sort. The source
   // columns are streamed as contiguous ColumnSpans.
-  const std::size_t total_rows =
-      tier == Tier::kMain ? relation.main_size() : relation.size();
   std::vector<ColumnSpan> term_col(atom.terms.size());
   for (std::size_t p = 0; p < atom.terms.size(); ++p) {
-    term_col[p] = tier == Tier::kMain
-                      ? relation.MainColumn(static_cast<int>(p))
-                      : relation.Column(static_cast<int>(p));
+    term_col[p] = relation.Column(static_cast<int>(p));
   }
   view.trie = std::make_shared<Trie>(BuildFilteredTrie(
-      atom, view.level_vars, level_pos, term_col, total_rows));
+      atom, view.level_vars, level_pos, term_col, relation.size()));
   view.non_empty = view.trie->num_tuples() > 0;
   return view;
-}
-
-}  // namespace
-
-AtomView BuildAtomView(const Relation& relation, const Atom& atom,
-                       const std::vector<int>& var_rank) {
-  return BuildAtomViewFromTier(relation, atom, var_rank, Tier::kVisible);
-}
-
-AtomView BuildMainAtomView(const Relation& relation, const Atom& atom,
-                           const std::vector<int>& var_rank) {
-  return BuildAtomViewFromTier(relation, atom, var_rank, Tier::kMain);
-}
-
-void AttachDeltaOverlay(const Relation& relation, const Atom& atom,
-                        AtomView* view) {
-  CLFTJ_CHECK(static_cast<int>(atom.terms.size()) == relation.arity());
-  if (!relation.has_delta()) {
-    view->delta_add.reset();
-    view->delta_del.reset();
-    view->non_empty = view->trie->num_tuples() > 0;
-    return;
-  }
-  const std::vector<int> level_pos = LevelPosFor(atom, view->level_vars);
-  std::vector<ColumnSpan> term_col(atom.terms.size());
-  for (std::size_t p = 0; p < atom.terms.size(); ++p) {
-    term_col[p] = relation.AddedColumn(static_cast<int>(p));
-  }
-  Trie add = BuildFilteredTrie(atom, view->level_vars, level_pos, term_col,
-                               relation.added_size());
-  for (std::size_t p = 0; p < atom.terms.size(); ++p) {
-    term_col[p] = relation.DeletedColumn(static_cast<int>(p));
-  }
-  Trie del = BuildFilteredTrie(atom, view->level_vars, level_pos, term_col,
-                               relation.deleted_size());
-  // Because the view projection is injective on filtered rows, the view
-  // tuple counts subtract and add exactly like the relation tiers do.
-  const std::size_t merged = view->trie->num_tuples() - del.num_tuples() +
-                             add.num_tuples();
-  view->delta_add = add.num_tuples() > 0
-                        ? std::make_shared<Trie>(std::move(add))
-                        : nullptr;
-  view->delta_del = del.num_tuples() > 0
-                        ? std::make_shared<Trie>(std::move(del))
-                        : nullptr;
-  view->non_empty = merged > 0;
 }
 
 std::vector<AtomView> BuildAtomViews(const Query& q, const Database& db,

@@ -87,41 +87,15 @@ struct AtomView {
   /// query-specific while the expensive part is built once. Never null
   /// after BuildAtomView.
   std::shared_ptr<const Trie> trie;
-  /// Optional LSM-style overlay (see docs/incremental.md): when set, `trie`
-  /// holds the relation's *main tier* only and the logical view is
-  /// (trie − delta_del) ∪ delta_add, presented by the merged TrieIterator.
-  /// delta_del ⊆ trie tuple-for-tuple and delta_add is disjoint from trie
-  /// (both built by the same filter + projection as the main build — the
-  /// projection is injective on filtered rows, so the relation-level tier
-  /// invariants carry over to the views). Null when the view is single-tier.
-  std::shared_ptr<const Trie> delta_add;
-  std::shared_ptr<const Trie> delta_del;
-  /// False iff the filtered view (after overlay merge, if any) is empty —
-  /// in particular a fully-constant atom that matched no tuple, which makes
-  /// the whole query empty.
+  /// False iff the filtered view is empty — in particular a fully-constant
+  /// atom that matched no tuple, which makes the whole query empty.
   bool non_empty = false;
 };
 
 /// Builds the AtomView of `atom` over `relation` for a global variable order
-/// given as ranks: var_rank[v] = position of variable v in the order. Always
-/// builds from the merged *visible* image (Relation::Column), so the result
-/// is a single-tier view regardless of the relation's delta state.
+/// given as ranks: var_rank[v] = position of variable v in the order.
 AtomView BuildAtomView(const Relation& relation, const Atom& atom,
                        const std::vector<int>& var_rank);
-
-/// Builds the atom view over the relation's *main tier only*, with no
-/// overlay attached: the long-lived half of a two-tier view. Equals
-/// BuildAtomView when the relation has no delta.
-AtomView BuildMainAtomView(const Relation& relation, const Atom& atom,
-                           const std::vector<int>& var_rank);
-
-/// Builds the small overlay tries from the relation's added/tombstone tiers
-/// (filtered and projected exactly like the main build) and attaches them to
-/// *view, recomputing non_empty for the merged image. Clears the overlay
-/// when the relation has no delta. `view` must have been built over the same
-/// relation/atom with the same level order.
-void AttachDeltaOverlay(const Relation& relation, const Atom& atom,
-                        AtomView* view);
 
 /// Builds every atom's view of `q` over `db` in atom order (the bulk path
 /// used by TrieJoinSubstrate). Sets *any_empty to true iff some filtered

@@ -8,22 +8,6 @@
 
 namespace clftj {
 
-namespace {
-
-// Number of leaves under the subtree rooted at the level-`level` value at
-// index `idx`: walk the CSR start arrays down to the leaf level. O(depth).
-std::size_t SubtreeLeafCount(const Trie& trie, int level, std::size_t idx) {
-  std::size_t lo = idx;
-  std::size_t hi = idx + 1;
-  for (int l = level; l + 1 < trie.depth(); ++l) {
-    lo = trie.starts(l)[lo];
-    hi = trie.starts(l)[hi];
-  }
-  return hi - lo;
-}
-
-}  // namespace
-
 TrieIterator::TrieIterator(const Trie* trie, ExecStats* stats)
     : trie_(trie), stats_(stats) {
   CLFTJ_CHECK(trie != nullptr);
@@ -33,45 +17,12 @@ TrieIterator::TrieIterator(const Trie* trie, ExecStats* stats)
   group_end_.resize(d, 0);
 }
 
-TrieIterator::TrieIterator(const Trie* main, const Trie* add, const Trie* del,
-                           ExecStats* stats)
-    : TrieIterator(main, stats) {
-  if (add == nullptr && del == nullptr) return;  // plain single-trie cursor
-  merged_ = true;
-  add_ = add;
-  del_ = del;
-  if (add_ != nullptr) CLFTJ_CHECK(add_->depth() == main->depth());
-  if (del_ != nullptr) CLFTJ_CHECK(del_->depth() == main->depth());
-  const std::size_t d = static_cast<std::size_t>(main->depth());
-  m_pos_.resize(d, 0);
-  m_begin_.resize(d, 0);
-  m_end_.resize(d, 0);
-  a_pos_.resize(d, 0);
-  a_begin_.resize(d, 0);
-  a_end_.resize(d, 0);
-  t_pos_.resize(d, 0);
-  t_begin_.resize(d, 0);
-  t_end_.resize(d, 0);
-  m_active_.resize(d, 0);
-  a_active_.resize(d, 0);
-  t_active_.resize(d, 0);
-  m_here_.resize(d, 0);
-  a_here_.resize(d, 0);
-  t_here_.resize(d, 0);
-  key_.resize(d, 0);
-}
-
 Value TrieIterator::Key() const {
   CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
-  if (merged_) return key_[depth_];
   return trie_->values(depth_)[pos_[depth_]];
 }
 
 void TrieIterator::Open() {
-  if (merged_) {
-    MergedOpen();
-    return;
-  }
   CLFTJ_DCHECK(!at_end_);
   CLFTJ_DCHECK(depth_ + 1 < trie_->depth());
   std::size_t begin = 0;
@@ -99,10 +50,6 @@ void TrieIterator::Up() {
 }
 
 void TrieIterator::Next() {
-  if (merged_) {
-    MergedNext();
-    return;
-  }
   CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
   ++pos_[depth_];
   at_end_ = pos_[depth_] >= group_end_[depth_];
@@ -110,10 +57,6 @@ void TrieIterator::Next() {
 }
 
 void TrieIterator::Seek(Value bound) {
-  if (merged_) {
-    MergedSeek(bound);
-    return;
-  }
   CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
   const std::vector<Value>& vals = trie_->values(depth_);
   const std::size_t lo = pos_[depth_];
@@ -133,171 +76,6 @@ void TrieIterator::Seek(Value bound) {
   Touch(comparisons);
   pos_[depth_] = first;
   at_end_ = first >= end;
-}
-
-// --- Merged two-tier mode ---------------------------------------------------
-
-void TrieIterator::AdvanceMainToSurviving(int d) {
-  if (!m_active_[d]) return;
-  const std::vector<Value>& mvals = trie_->values(d);
-  while (m_pos_[d] < m_end_[d]) {
-    const Value v = mvals[m_pos_[d]];
-    Touch();
-    if (!t_active_[d]) {
-      t_here_[d] = 0;
-      return;
-    }
-    // Position the tombstone cursor at the first deleted value >= v. Both
-    // cursors only move forward within the group, so this stays amortized.
-    const std::vector<Value>& tvals = del_->values(d);
-    if (t_pos_[d] < t_end_[d] && tvals[t_pos_[d]] < v) {
-      std::uint64_t comparisons = 0;
-      t_pos_[d] = simd::SeekLowerBound(tvals.data(), t_pos_[d], t_end_[d], v,
-                                       &comparisons);
-      Touch(comparisons);
-    }
-    if (t_pos_[d] >= t_end_[d] || tvals[t_pos_[d]] != v) {
-      t_here_[d] = 0;  // untouched by deletion: survives whole
-      return;
-    }
-    // v is tombstoned at least partially: it survives iff some leaf under
-    // it does. Equal leaf counts mean the whole subtree is gone (the
-    // tombstone view is a subset of the main view, so counts compare
-    // exactly) — skip the value.
-    const std::size_t full = SubtreeLeafCount(*trie_, d, m_pos_[d]);
-    const std::size_t dead = SubtreeLeafCount(*del_, d, t_pos_[d]);
-    Touch(2);
-    if (dead < full) {
-      t_here_[d] = 1;  // partially deleted: descend will filter deeper
-      return;
-    }
-    ++m_pos_[d];
-  }
-}
-
-void TrieIterator::MergedPosition(int d) {
-  const bool m_ok = m_active_[d] != 0 && m_pos_[d] < m_end_[d];
-  const bool a_ok = a_active_[d] != 0 && a_pos_[d] < a_end_[d];
-  if (!m_ok && !a_ok) {
-    m_here_[d] = a_here_[d] = 0;
-    at_end_ = true;
-    return;
-  }
-  const Value mk = m_ok ? trie_->values(d)[m_pos_[d]] : Value{};
-  const Value ak = a_ok ? add_->values(d)[a_pos_[d]] : Value{};
-  if (m_ok && (!a_ok || mk <= ak)) {
-    key_[d] = mk;
-    m_here_[d] = 1;
-    a_here_[d] = (a_ok && ak == mk) ? 1 : 0;
-  } else {
-    key_[d] = ak;
-    a_here_[d] = 1;
-    m_here_[d] = 0;
-    t_here_[d] = 0;  // tombstones only shadow main values
-  }
-  at_end_ = false;
-}
-
-void TrieIterator::MergedOpen() {
-  CLFTJ_DCHECK(!at_end_);
-  CLFTJ_DCHECK(depth_ + 1 < trie_->depth());
-  const int nd = depth_ + 1;
-  if (depth_ < 0) {
-    m_begin_[nd] = 0;
-    m_end_[nd] = trie_->values(0).size();
-    m_active_[nd] = m_end_[nd] > 0 ? 1 : 0;
-    a_begin_[nd] = 0;
-    a_end_[nd] = add_ != nullptr ? add_->values(0).size() : 0;
-    a_active_[nd] = a_end_[nd] > 0 ? 1 : 0;
-    t_begin_[nd] = 0;
-    t_end_[nd] = del_ != nullptr ? del_->values(0).size() : 0;
-    t_active_[nd] = t_end_[nd] > 0 ? 1 : 0;
-  } else {
-    const int d = depth_;
-    if (m_here_[d] != 0) {
-      const auto& starts = trie_->starts(d);
-      m_begin_[nd] = starts[m_pos_[d]];
-      m_end_[nd] = starts[m_pos_[d] + 1];
-      m_active_[nd] = 1;
-    } else {
-      m_active_[nd] = 0;
-    }
-    if (a_here_[d] != 0) {
-      const auto& starts = add_->starts(d);
-      a_begin_[nd] = starts[a_pos_[d]];
-      a_end_[nd] = starts[a_pos_[d] + 1];
-      a_active_[nd] = 1;
-    } else {
-      a_active_[nd] = 0;
-    }
-    if (m_here_[d] != 0 && t_here_[d] != 0) {
-      const auto& starts = del_->starts(d);
-      t_begin_[nd] = starts[t_pos_[d]];
-      t_end_[nd] = starts[t_pos_[d] + 1];
-      t_active_[nd] = 1;
-    } else {
-      t_active_[nd] = 0;
-    }
-  }
-  m_pos_[nd] = m_begin_[nd];
-  a_pos_[nd] = a_begin_[nd];
-  t_pos_[nd] = t_begin_[nd];
-  ++depth_;
-  Touch();  // loading the first child
-  AdvanceMainToSurviving(nd);
-  MergedPosition(nd);
-  // A surviving parent value guarantees a surviving child (subtree leaf
-  // counts are how survival is defined), so the merged group is never
-  // empty on open.
-  CLFTJ_DCHECK(!at_end_);
-}
-
-void TrieIterator::MergedNext() {
-  CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
-  const int d = depth_;
-  if (m_here_[d] != 0) {
-    ++m_pos_[d];
-    Touch();
-    AdvanceMainToSurviving(d);
-  }
-  if (a_here_[d] != 0) {
-    ++a_pos_[d];
-    Touch();
-  }
-  MergedPosition(d);
-}
-
-void TrieIterator::MergedSeek(Value bound) {
-  CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
-  const int d = depth_;
-  if (key_[d] >= bound) {
-    Touch();
-    return;
-  }
-  // Each tier cursor fast-paths when already positioned at or past the
-  // bound (no probe charged — the merged key check above already paid for
-  // the load) and otherwise gallops through the dispatched kernel, so both
-  // tiers ride the same scalar/AVX2 arm as plain Seek.
-  if (m_active_[d] != 0 && m_pos_[d] < m_end_[d]) {
-    const std::vector<Value>& mvals = trie_->values(d);
-    if (mvals[m_pos_[d]] < bound) {
-      std::uint64_t comparisons = 0;
-      m_pos_[d] = simd::SeekLowerBound(mvals.data(), m_pos_[d], m_end_[d],
-                                       bound, &comparisons);
-      Touch(comparisons);
-    }
-    AdvanceMainToSurviving(d);
-  }
-  if (a_active_[d] != 0 && a_pos_[d] < a_end_[d]) {
-    const std::vector<Value>& avals = add_->values(d);
-    if (avals[a_pos_[d]] < bound) {
-      std::uint64_t comparisons = 0;
-      a_pos_[d] = simd::SeekLowerBound(avals.data(), a_pos_[d], a_end_[d],
-                                       bound, &comparisons);
-      Touch(comparisons);
-    }
-  }
-  MergedPosition(d);
 }
 
 }  // namespace clftj

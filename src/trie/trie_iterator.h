@@ -25,19 +25,6 @@ class TrieIterator {
   /// The trie must outlive the iterator. `stats` may be null.
   explicit TrieIterator(const Trie* trie, ExecStats* stats = nullptr);
 
-  /// Merged two-tier cursor (see docs/incremental.md): presents the view
-  /// (main − del) ∪ add as one logical trie without materializing it. `add`
-  /// and `del` may each be null (absent tier); when both are, this is
-  /// exactly the single-trie cursor. Requires the tier invariants of
-  /// AtomView: del's tuples ⊆ main's, add's tuples disjoint from main's,
-  /// and all three tries of equal depth. A main value whose subtree is
-  /// fully tombstoned is skipped; partially tombstoned values are exposed
-  /// and the filtering recurses on descent. The single-trie constructor's
-  /// memory-access counting is unchanged — the merged mode charges its own
-  /// (deterministic) probe counts.
-  TrieIterator(const Trie* main, const Trie* add, const Trie* del,
-               ExecStats* stats = nullptr);
-
   /// Current depth: -1 at the root, 0..depth-1 inside the trie.
   int depth() const { return depth_; }
 
@@ -74,33 +61,6 @@ class TrieIterator {
   std::vector<std::size_t> pos_;
   std::vector<std::size_t> group_begin_;
   std::vector<std::size_t> group_end_;
-
-  // --- Merged two-tier mode (engaged only by the 3-trie constructor) ------
-  // Three sub-cursors walk main (m_), add (a_) and tombstone (t_) tries in
-  // lockstep; the merged key at each depth is the least value among the
-  // surviving main value and the add value. All state is per-depth so Up()
-  // restores it for free, mirroring the single-trie cursor.
-  bool merged_ = false;
-  const Trie* add_ = nullptr;  // may be null: no added tier
-  const Trie* del_ = nullptr;  // may be null: no tombstone tier
-  // active: the source has a sibling group at this depth (its parent value
-  // was present in the source). here: the source's current value equals the
-  // merged key. key: the merged key.
-  std::vector<std::size_t> m_pos_, m_begin_, m_end_;
-  std::vector<std::size_t> a_pos_, a_begin_, a_end_;
-  std::vector<std::size_t> t_pos_, t_begin_, t_end_;
-  std::vector<char> m_active_, a_active_, t_active_;
-  std::vector<char> m_here_, a_here_, t_here_;
-  std::vector<Value> key_;
-
-  void MergedOpen();
-  void MergedNext();
-  void MergedSeek(Value bound);
-  /// Skips main values at depth d whose subtrees are fully tombstoned,
-  /// keeping the tombstone cursor positioned at the main value.
-  void AdvanceMainToSurviving(int d);
-  /// Recomputes key_[d] / *_here_[d] / at_end_ from the sub-cursors.
-  void MergedPosition(int d);
 
   void Touch(std::uint64_t n = 1) const {
     if (stats_ != nullptr) stats_->memory_accesses += n;

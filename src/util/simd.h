@@ -141,8 +141,8 @@ inline const Kernels& Active() {
   return k != nullptr ? *k : internal::ResolveActive();
 }
 
-/// Dispatched seek lower bound (TrieIterator::Seek and the merged overlay
-/// cursor route every gallop through this).
+/// Dispatched seek lower bound (TrieIterator::Seek routes every gallop
+/// through this).
 inline std::size_t SeekLowerBound(const Value* vals, std::size_t pos,
                                   std::size_t end, Value bound,
                                   std::uint64_t* comparisons) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <random>
@@ -316,6 +317,114 @@ TEST(CacheManager, MixedInlineAndWideKeys) {
   EXPECT_EQ(*cache.Lookup(0, PK({7})), 1u);
   EXPECT_EQ(*cache.Lookup(0, PK({7, 8})), 2u);
   EXPECT_EQ(*cache.Lookup(0, PK(wide)), 3u);
+}
+
+// --- In-place targeted eviction ------------------------------------------
+
+TEST(CacheManager, EvictIfInPlaceKeepsSurvivorsAndRecency) {
+  // A bounded cache of capacity 8 is pre-sized to 16 slots and never grows
+  // here. Its keys are drawn mostly from those whose ideal slot is one of
+  // the last four, so their probe chains wrap past the table's end — the
+  // case where backward shift moves an already-examined entry into the
+  // slot EvictIf re-examines. Random partial predicates must remove
+  // exactly their matches and leave the survivors findable, in the
+  // reference model's recency order.
+  constexpr std::uint64_t kMask = 15;
+  struct Key {
+    NodeId node;
+    Tuple values;
+  };
+  std::vector<Key> near_end;
+  std::vector<Key> anywhere;
+  for (Value v = 0; near_end.size() < 64 || anywhere.size() < 16; ++v) {
+    // Inline (1 and 2 values) and wide (3 values, arena-backed) keys.
+    const Tuple values = v % 3 == 0   ? Tuple{v}
+                         : v % 3 == 1 ? Tuple{v, -v}
+                                      : Tuple{v, 7, v};
+    const NodeId node = static_cast<NodeId>(v % 2);
+    const std::uint64_t ideal = CacheKeyHash(node, PK(values)) & kMask;
+    if (ideal >= 12 && near_end.size() < 64) {
+      near_end.push_back({node, values});
+    } else if (ideal < 12 && anywhere.size() < 16) {
+      anywhere.push_back({node, values});
+    }
+  }
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    ExecStats stats;
+    CacheOptions options;
+    options.capacity = 8;
+    CacheManager<std::uint64_t> cache(2, options, &stats);
+    // Pick up to 8 distinct keys, at most two from anywhere in the table.
+    std::vector<Key> keys;
+    std::vector<std::size_t> order(near_end.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    const std::size_t wanted = 3 + rng() % 6;
+    for (std::size_t i = 0; keys.size() + 2 < wanted; ++i) {
+      keys.push_back(near_end[order[i]]);
+    }
+    while (keys.size() < wanted) keys.push_back(anywhere[rng() % 16]);
+    // Distinct keys only (the two draws from `anywhere` may repeat).
+    if (keys[keys.size() - 1].values == keys[keys.size() - 2].values &&
+        keys[keys.size() - 1].node == keys[keys.size() - 2].node) {
+      keys.pop_back();
+    }
+    // Reference recency model, MRU first, of payload = key index.
+    std::list<std::uint64_t> model;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(cache.Insert(keys[i].node, PK(keys[i].values), i));
+      model.push_front(i);
+    }
+    for (int touch = 0; touch < 4; ++touch) {
+      const std::uint64_t i = rng() % keys.size();
+      ASSERT_NE(cache.Lookup(keys[i].node, PK(keys[i].values)), nullptr);
+      model.remove(i);
+      model.push_front(i);
+    }
+    std::vector<bool> doomed(keys.size());
+    std::size_t victims = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      doomed[i] = rng() % 2 == 0;
+      victims += doomed[i] ? 1 : 0;
+    }
+    const auto index_of = [&keys](NodeId node, const Value* values,
+                                  int dims) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (keys[i].node == node &&
+            keys[i].values == Tuple(values, values + dims)) {
+          return i;
+        }
+      }
+      ADD_FAILURE() << "EvictIf saw a key that was never inserted";
+      return keys.size();
+    };
+    const auto pred = [&](NodeId node, const Value* values, int dims) {
+      const std::size_t i = index_of(node, values, dims);
+      return i < keys.size() && doomed[i];
+    };
+    ASSERT_EQ(cache.EvictIf(pred), victims) << "trial " << trial;
+    ASSERT_EQ(cache.size(), keys.size() - victims);
+
+    std::vector<std::uint64_t> want_order;
+    for (const std::uint64_t i : model) {
+      if (!doomed[i]) want_order.push_back(i);
+    }
+    EXPECT_EQ(cache.LruOrderForTest(), want_order) << "trial " << trial;
+    cache.ForEach(
+        [&](NodeId node, const Value* values, int dims, std::uint64_t) {
+          EXPECT_FALSE(pred(node, values, dims)) << "a match was left";
+        });
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::uint64_t* hit = cache.Lookup(keys[i].node, PK(keys[i].values));
+      if (doomed[i]) {
+        EXPECT_EQ(hit, nullptr) << "trial " << trial << " key " << i;
+      } else {
+        ASSERT_NE(hit, nullptr) << "trial " << trial << " key " << i;
+        EXPECT_EQ(*hit, i);
+      }
+    }
+  }
 }
 
 // --- Differential test against a map-based oracle -------------------------

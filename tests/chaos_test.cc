@@ -114,7 +114,10 @@ TEST(Chaos, CacheInsertFaultsKeepShardedResultsBitIdentical) {
   const Database db = testing::SmallSkewedDb(31, /*nodes=*/200,
                                              /*edges_per_node=*/5);
   const Query q = testing::Q(kFourCycle);
-  const std::uint64_t want = testing::ReferenceCount(q, db);
+  // LFTJ is pinned against NestedLoop in lftj_test, and on this graph it is
+  // the far cheaper reference under the sanitizers.
+  const std::uint64_t want =
+      MakeEngine("LFTJ")->Count(q, db, RunLimits{}).count;
   fault::ScopedFaults scoped(FaultAt(fault::Site::kCacheInsert, 2));
   EngineOptions options;
   options.threads = 4;

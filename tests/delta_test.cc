@@ -1,11 +1,12 @@
-// Incremental maintenance end-to-end (docs/incremental.md): relation delta
-// tiers and compaction, database minor versions and the bounded delta log,
-// merged (main + add − tombstone) trie cursors via every engine, reuse
-// survival across deltas (plans revalidated, substrates patched, subtree
-// caches invalidated in a targeted way), and DELTA through the service and
-// wire protocol. The randomized differential pins delta application against
-// rebuild-from-scratch: bit-identical tuple sets, every engine, every
-// worker count.
+// Incremental maintenance end-to-end (docs/incremental.md): relation
+// delta batches merged into the sorted columns, database minor versions and
+// the bounded delta log, every engine over the post-delta data, reuse
+// survival across deltas (plans revalidated, substrates rebuilt once per
+// relation version and shared, subtree caches invalidated per atom), and
+// DELTA through the service and wire protocol. The randomized
+// differentials pin delta application against rebuild-from-scratch:
+// bit-identical tuple sets for every engine and worker count, and
+// bit-identical warm-cache answers across rounds of deltas.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "data/generators.h"
 #include "engine/engine.h"
 #include "engine/reuse.h"
+#include "query/patterns.h"
 #include "server/protocol.h"
 #include "server/service.h"
 #include "td/planner.h"
@@ -47,65 +49,55 @@ std::vector<Tuple> VisibleTuples(const Relation& rel) {
 }
 
 // ---------------------------------------------------------------------------
-// Relation: the two-tier delta layer.
+// Relation: batches merged into the sorted image.
 
-TEST(RelationDelta, VisibleImageMergesTiersMainStaysPut) {
+TEST(RelationDelta, BatchMergesIntoTheVisibleImage) {
   Relation rel = EdgeRelation("E", {{1, 2}, {3, 4}, {5, 6}});
-  rel.set_compaction_threshold(1000);
-
-  const DeltaResult result = rel.ApplyDelta({{2, 3}}, {{3, 4}});
+  std::vector<Tuple> changed;
+  const DeltaResult result = rel.ApplyDelta({{2, 3}}, {{3, 4}}, &changed);
   EXPECT_EQ(result.applied_adds, 1u);
   EXPECT_EQ(result.applied_deletes, 1u);
-  EXPECT_FALSE(result.compacted);
-
-  EXPECT_TRUE(rel.has_delta());
+  EXPECT_EQ(changed, (std::vector<Tuple>{{2, 3}, {3, 4}}));
   EXPECT_EQ(rel.size(), 3u);
   EXPECT_EQ(VisibleTuples(rel),
             (std::vector<Tuple>{{1, 2}, {2, 3}, {5, 6}}));
-  // The main tier is byte-stable: overlay consumers key on it.
-  EXPECT_EQ(rel.main_size(), 3u);
-  EXPECT_EQ(rel.added_size(), 1u);
-  EXPECT_EQ(rel.deleted_size(), 1u);
-  EXPECT_EQ(rel.compactions(), 0u);
-  EXPECT_GT(rel.delta_version(), 0u);
+  // Every batch that changes a row is one version step.
+  EXPECT_EQ(rel.compactions(), 1u);
+
+  // Inserts land in order around kept rows, also before the first and
+  // after the last one, and several may share one insertion point.
+  changed.clear();
+  rel.ApplyDelta({{0, 9}, {1, 3}, {1, 4}, {9, 0}}, {{1, 2}, {5, 6}},
+                 &changed);
+  EXPECT_EQ(VisibleTuples(rel),
+            (std::vector<Tuple>{{0, 9}, {1, 3}, {1, 4}, {2, 3}, {9, 0}}));
+  EXPECT_EQ(changed.size(), 6u);
+  EXPECT_EQ(rel.compactions(), 2u);
 }
 
 TEST(RelationDelta, NoOpAddsAndDeletesAreIgnored) {
   Relation rel = EdgeRelation("E", {{1, 2}});
-  rel.set_compaction_threshold(1000);
+  const std::size_t stats_distinct = rel.DistinctInColumn(0);
+  const std::uint64_t stats_builds = rel.stats_builds();
   // Re-adding a present tuple and deleting an absent one change nothing.
-  const DeltaResult result = rel.ApplyDelta({{1, 2}}, {{9, 9}});
+  std::vector<Tuple> changed;
+  DeltaResult result = rel.ApplyDelta({{1, 2}}, {{9, 9}}, &changed);
   EXPECT_EQ(result.applied_adds, 0u);
   EXPECT_EQ(result.applied_deletes, 0u);
-  EXPECT_FALSE(rel.has_delta());
+  EXPECT_TRUE(changed.empty());
   EXPECT_EQ(rel.size(), 1u);
-}
+  EXPECT_EQ(rel.compactions(), 0u);
 
-TEST(RelationDelta, ThresholdTriggersCompaction) {
-  Relation rel = EdgeRelation("E", {{1, 2}});
-  rel.set_compaction_threshold(2);
-  const DeltaResult result = rel.ApplyDelta({{2, 3}, {3, 4}, {4, 5}}, {});
-  EXPECT_EQ(result.applied_adds, 3u);
-  EXPECT_TRUE(result.compacted);
-  EXPECT_FALSE(rel.has_delta());
-  EXPECT_EQ(rel.compactions(), 1u);
-  EXPECT_EQ(rel.main_size(), 4u);
-  EXPECT_EQ(rel.size(), 4u);
-}
-
-TEST(RelationDelta, ClassicMutatorAbandonsTheDelta) {
-  Relation rel = EdgeRelation("E", {{1, 2}, {3, 4}});
-  rel.set_compaction_threshold(1000);
-  rel.ApplyDelta({{5, 6}}, {});
-  ASSERT_TRUE(rel.has_delta());
-  // A bulk mutation replaces the main tier wholesale; overlay holders must
-  // see the epoch change.
-  const std::uint64_t epochs_before = rel.compactions();
-  rel.AddPair(7, 8);
-  rel.Normalize();
-  EXPECT_FALSE(rel.has_delta());
-  EXPECT_GT(rel.compactions(), epochs_before);
-  EXPECT_EQ(rel.size(), 4u);
+  // Deleting and re-adding the same tuple in one batch applies both steps
+  // but leaves the visible image, the version and the stats as they were.
+  result = rel.ApplyDelta({{1, 2}}, {{1, 2}}, &changed);
+  EXPECT_EQ(result.applied_adds, 1u);
+  EXPECT_EQ(result.applied_deletes, 1u);
+  EXPECT_TRUE(changed.empty());
+  EXPECT_EQ(VisibleTuples(rel), (std::vector<Tuple>{{1, 2}}));
+  EXPECT_EQ(rel.compactions(), 0u);
+  EXPECT_EQ(rel.DistinctInColumn(0), stats_distinct);
+  EXPECT_EQ(rel.stats_builds(), stats_builds) << "stats memo survived";
 }
 
 // ---------------------------------------------------------------------------
@@ -119,7 +111,7 @@ TEST(DatabaseDelta, MinorVersionBumpsWithoutAGenerationBump) {
 
   DeltaBatch batch;
   batch.relation = "E";
-  batch.adds = {{3, 4}};
+  batch.adds = {{3, 4}, {1, 2}};  // (1,2) is present: a no-op
   std::string error;
   DeltaResult result;
   ASSERT_TRUE(db.ApplyDelta(batch, &error, &result)) << error;
@@ -131,6 +123,7 @@ TEST(DatabaseDelta, MinorVersionBumpsWithoutAGenerationBump) {
   ASSERT_TRUE(db.DeltasSince(minor, &deltas));
   ASSERT_EQ(deltas.size(), 1u);
   EXPECT_EQ(deltas[0]->relation, "E");
+  // Only the tuple that changed the visible image is logged.
   EXPECT_EQ(deltas[0]->changed, (std::vector<Tuple>{{3, 4}}));
 }
 
@@ -197,11 +190,11 @@ std::vector<Tuple> EngineTuples(const EngineConfig& config, const Query& q,
   return testing::CollectTuples(*engine, q, db);
 }
 
-// Applies `rounds` random add/delete batches to a live database while
-// mirroring them in a plain set-of-edges model; after every round, every
-// engine over the live (overlaid) relation must produce the bit-identical
-// tuple set an engine over a rebuilt-from-scratch relation produces.
-void RunDifferential(std::uint64_t seed, std::size_t compaction_threshold) {
+// Applies random add/delete batches to a live database while mirroring
+// them in a plain set-of-edges model; after every round, every engine over
+// the live relation must produce the bit-identical tuple set an engine over
+// a rebuilt-from-scratch relation produces.
+void RunDifferential(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<Value> value(0, 24);
 
@@ -209,7 +202,6 @@ void RunDifferential(std::uint64_t seed, std::size_t compaction_threshold) {
   for (int i = 0; i < 120; ++i) model.insert({value(rng), value(rng)});
   Database live;
   live.Put(EdgeRelation("E", {model.begin(), model.end()}));
-  live.FindMutable("E")->set_compaction_threshold(compaction_threshold);
 
   const std::vector<Query> queries = {
       testing::Q("E(x,y), E(y,z)"),
@@ -251,21 +243,141 @@ void RunDifferential(std::uint64_t seed, std::size_t compaction_threshold) {
 }
 
 TEST(DeltaDifferential, OverlaidTriesMatchRebuiltOnes) {
-  // Threshold high enough that every round keeps the delta overlay engaged:
-  // this is the merged three-cursor iterator under real joins.
-  RunDifferential(/*seed=*/7, /*compaction_threshold=*/100000);
+  // No overlay is left to engage: every batch merges into the sorted
+  // columns, so the tries the engines read are the per-version builds.
+  RunDifferential(/*seed=*/7);
 }
 
 TEST(DeltaDifferential, CompactionPreservesResults) {
-  // Tiny threshold: every round compacts, exercising the epoch-bump path.
-  RunDifferential(/*seed=*/8, /*compaction_threshold=*/4);
+  // Every row-changing batch is compacted into the columns at once and
+  // bumps the version each round.
+  RunDifferential(/*seed=*/8);
+}
+
+// The engine's answer for `q` as the serving loop computes it: `prepared`
+// injected exactly as QueryService injects it (plan, substrate, and the
+// persistent cache of the request's mode), or only `plan` injected when
+// `prepared` is null. Eval answers keep their emission order.
+struct Answer {
+  std::uint64_t count = 0;
+  std::vector<Tuple> stream;
+};
+
+Answer RunWith(const Query& q, const Database& db, const std::string& mode,
+               const CrossQueryReuse::Prepared* prepared,
+               std::shared_ptr<const CachedPlan> plan = nullptr) {
+  EngineOptions options;
+  options.prepared_plan = std::move(plan);
+  if (prepared != nullptr) {
+    options.prepared_plan = prepared->plan;
+    options.prepared_substrate = prepared->substrate;
+    if (mode == "count") {
+      options.shared_count_cache = &prepared->caches->count;
+    } else {
+      options.shared_eval_cache = &prepared->caches->eval;
+    }
+  }
+  const std::unique_ptr<JoinEngine> engine = MakeEngine("CLFTJ", options);
+  Answer answer;
+  RunResult result;
+  if (mode == "count") {
+    result = engine->Count(q, db, RunLimits{});
+  } else {
+    result = engine->Evaluate(
+        q, db, [&answer](const Tuple& t) { answer.stream.push_back(t); },
+        RunLimits{});
+  }
+  EXPECT_EQ(result.status, RunStatus::kOk);
+  answer.count = result.count;
+  return answer;
+}
+
+// Subtree-cache hits of both tables, locked and lock-free.
+std::uint64_t Hits(const ShapeCaches& caches) {
+  return caches.count.AggregatedStats().cache_hits + caches.count.HotHits() +
+         caches.eval.AggregatedStats().cache_hits + caches.eval.HotHits();
+}
+
+// Warm caches across deltas: one CrossQueryReuse serves every shape in both
+// modes through rounds of random deltas (several batches land between some
+// Prepares, so one invalidation sweep covers several deltas; some batches
+// are partly or wholly no-ops). After every round each warm answer must
+// equal a cold run on a database rebuilt from the model — the same plan, no
+// reused trie and no cached subtree result, the same (single) thread
+// count — with an identical count and an identical tuple multiset. The
+// stream is compared sorted: a cached eval subtree is expanded at the leaf,
+// after the depths that follow it, so a warm run emits the same tuples as
+// a cold one in a different order even when no delta ever lands.
+TEST(DeltaDifferential, WarmCachesMatchAColdRebuild) {
+  std::mt19937_64 rng(29);
+  std::uniform_int_distribution<Value> value(0, 29);
+  std::set<Edge> model;
+  for (int i = 0; i < 110; ++i) model.insert({value(rng), value(rng)});
+  Database live;
+  live.Put(EdgeRelation("E", {model.begin(), model.end()}));
+
+  const std::vector<Query> shapes = {
+      CycleQuery(3),
+      CycleQuery(4),
+      CycleQuery(5),
+      PathQuery(4),  // the 3-path
+      LollipopQuery(3, 2),
+      testing::Q("E(x,y), E(x,z), E(x,w)"),  // star
+      RandomPatternQuery(5, 0.5, 3),
+  };
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                        /*stripes_hint=*/1);
+  std::uint64_t hits = 0;
+  for (int round = 0; round < 6; ++round) {
+    if (round > 0) {
+      const int batches = 1 + round % 2;
+      for (int b = 0; b < batches; ++b) {
+        DeltaBatch batch;
+        batch.relation = "E";
+        for (int i = 0; i < 3; ++i) {
+          batch.adds.push_back({value(rng), value(rng)});
+        }
+        std::uniform_int_distribution<std::size_t> pick(0, model.size() - 1);
+        for (int i = 0; i < 3; ++i) {
+          auto it = model.begin();
+          std::advance(it, pick(rng));
+          batch.deletes.push_back({it->first, it->second});
+        }
+        if (round == 3) batch.adds.push_back(batch.deletes.front());
+        ASSERT_TRUE(live.ApplyDelta(batch));
+        for (const Tuple& t : batch.deletes) model.erase({t[0], t[1]});
+        for (const Tuple& t : batch.adds) model.insert({t[0], t[1]});
+      }
+    }
+    Database rebuilt;
+    rebuilt.Put(EdgeRelation("E", {model.begin(), model.end()}));
+    for (const Query& q : shapes) {
+      for (const std::string mode : {"count", "eval"}) {
+        ExecStats stats;
+        const CrossQueryReuse::Prepared prepared =
+            reuse.Prepare(q, live, &stats);
+        ASSERT_NE(prepared.caches, nullptr);
+        const std::uint64_t hits_before = Hits(*prepared.caches);
+        const Answer warm = RunWith(q, live, mode, &prepared);
+        hits += Hits(*prepared.caches) - hits_before;
+        Answer cold = RunWith(q, rebuilt, mode, nullptr, prepared.plan);
+        EXPECT_EQ(warm.count, cold.count)
+            << q.ToString() << " " << mode << " round " << round;
+        std::vector<Tuple> warm_tuples = warm.stream;
+        std::sort(warm_tuples.begin(), warm_tuples.end());
+        std::sort(cold.stream.begin(), cold.stream.end());
+        EXPECT_EQ(warm_tuples, cold.stream)
+            << q.ToString() << " " << mode << " round " << round;
+      }
+    }
+  }
+  EXPECT_GT(hits, 0u) << "the warm runs must actually hit the caches";
 }
 
 TEST(DeltaDifferential, DeleteEverythingThenReadd) {
   Database live;
   const std::vector<Edge> edges = {{1, 2}, {2, 3}, {3, 1}, {3, 4}};
   live.Put(EdgeRelation("E", edges));
-  live.FindMutable("E")->set_compaction_threshold(100000);
 
   DeltaBatch wipe;
   wipe.relation = "E";
@@ -290,7 +402,8 @@ TEST(DeltaDifferential, DeleteEverythingThenReadd) {
 }
 
 // ---------------------------------------------------------------------------
-// Reuse survival: plans revalidate, substrates patch, caches evict narrowly.
+// Reuse survival: plans revalidate, substrates rebuild once per version,
+// caches evict narrowly.
 
 QueryRequest Req(const std::string& text, const std::string& mode = "count",
                  const std::string& engine = "") {
@@ -315,31 +428,44 @@ constexpr const char* kTriangle = "E(x,y), E(y,z), E(z,x)";
 
 TEST(DeltaReuse, PlanAndSubstrateSurviveASmallDelta) {
   Database db = testing::SmallSkewedDb(13);
-  db.FindMutable("E")->set_compaction_threshold(100000);
   ServiceOptions options;
   options.workers = 1;
   QueryService service(&db, options);
+  const std::uint64_t atoms =
+      static_cast<std::uint64_t>(testing::Q(kTriangle).num_atoms());
 
   const QueryResponse cold = service.Execute(Req(kTriangle));
   ASSERT_EQ(cold.status, RunStatus::kOk);
   EXPECT_EQ(cold.stats.plan_cache_misses, 1u);
+  // Atoms that project E the same way share one trie, so the cold request
+  // builds each distinct view once.
+  const std::uint64_t distinct_views = cold.stats.substrate_builds;
+  ASSERT_GE(distinct_views, 1u);
+  EXPECT_EQ(cold.stats.substrate_builds + cold.stats.substrate_reuses, atoms);
 
-  const QueryResponse applied = service.Execute(DeltaReq("E", {{1, 2}}));
+  const QueryResponse applied = service.Execute(DeltaReq("E", {{1, 999}}));
   ASSERT_EQ(applied.status, RunStatus::kOk);
+  ASSERT_EQ(applied.count, 1u) << "the edge must be new";
 
   const std::uint64_t searches_before = PlannerSearchCount();
   const QueryResponse warm = service.Execute(Req(kTriangle));
   ASSERT_EQ(warm.status, RunStatus::kOk);
   EXPECT_EQ(warm.count, testing::ReferenceCount(testing::Q(kTriangle), db));
   // The delta must NOT tear down the reuse layer: the plan revalidates as a
-  // hit (shape key + stats-drift recheck), the main-tier tries are patched
-  // with the delta overlay instead of rebuilt.
+  // hit (shape key + stats-drift recheck). The relation's version moved, so
+  // each distinct view is rebuilt once from the new rows...
   EXPECT_EQ(PlannerSearchCount(), searches_before);
   EXPECT_EQ(warm.stats.plan_cache_hits, 1u);
   EXPECT_EQ(warm.stats.plan_cache_misses, 0u);
-  EXPECT_EQ(warm.stats.substrate_builds, 0u);
-  EXPECT_EQ(warm.stats.substrate_reuses,
-            static_cast<std::uint64_t>(testing::Q(kTriangle).num_atoms()));
+  EXPECT_EQ(warm.stats.substrate_builds, distinct_views);
+  EXPECT_EQ(warm.stats.substrate_reuses, atoms - distinct_views);
+
+  // ...and then shared by every read until the next delta.
+  const QueryResponse again = service.Execute(Req(kTriangle));
+  ASSERT_EQ(again.status, RunStatus::kOk);
+  EXPECT_EQ(again.count, warm.count);
+  EXPECT_EQ(again.stats.substrate_builds, 0u);
+  EXPECT_EQ(again.stats.substrate_reuses, atoms);
 }
 
 TEST(DeltaReuse, TargetedInvalidationSparesUntouchedEntries) {
@@ -349,8 +475,6 @@ TEST(DeltaReuse, TargetedInvalidationSparesUntouchedEntries) {
   Database db;
   db.Put(EdgeRelation("E", {{1, 2}, {2, 3}, {2, 4}, {5, 6}, {6, 7}}));
   db.Put(EdgeRelation("F", {{1, 1}}));
-  db.FindMutable("E")->set_compaction_threshold(100000);
-  db.FindMutable("F")->set_compaction_threshold(100000);
 
   CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
                         /*stripes_hint=*/1);
@@ -409,7 +533,6 @@ TEST(DeltaReuse, TouchingDeltaEvictsTheMatchingEntries) {
   // matching keys are evicted; adding a far-away edge first evicts nothing.
   Database db;
   db.Put(EdgeRelation("E", {{1, 2}, {2, 3}}));
-  db.FindMutable("E")->set_compaction_threshold(100000);
   CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
                         /*stripes_hint=*/1);
   const Query q = testing::Q("E(x,y), E(y,z)");
@@ -438,25 +561,174 @@ TEST(DeltaReuse, TouchingDeltaEvictsTheMatchingEntries) {
       << "the entry keyed by the changed adhesion value must go";
 }
 
-TEST(DeltaReuse, CompactionFallsBackToFullEviction) {
+// Warms the persistent count cache of `q` once through `reuse`.
+CrossQueryReuse::Prepared WarmCount(CrossQueryReuse& reuse, const Query& q,
+                                    const Database& db) {
+  ExecStats stats;
+  CrossQueryReuse::Prepared prepared = reuse.Prepare(q, db, &stats);
+  EngineOptions options;
+  options.prepared_plan = prepared.plan;
+  options.prepared_substrate = prepared.substrate;
+  options.shared_count_cache = &prepared.caches->count;
+  MakeEngine("CLFTJ", options)->Count(q, db, RunLimits{});
+  return prepared;
+}
+
+TEST(DeltaReuse, CachesSurviveEveryDelta) {
   Database db;
-  db.Put(EdgeRelation("E", {{1, 2}, {2, 3}}));
-  db.FindMutable("E")->set_compaction_threshold(1);  // every delta compacts
+  db.Put(EdgeRelation("E", {{1, 2}, {2, 3}, {5, 6}, {6, 7}}));
   CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
                         /*stripes_hint=*/1);
   const Query q = testing::Q("E(x,y), E(y,z)");
+  const CrossQueryReuse::Prepared prepared = WarmCount(reuse, q, db);
+  const std::size_t warm_entries = prepared.caches->count.size();
+  ASSERT_GT(warm_entries, 0u);
+
+  // Every batch changes rows and bumps E's version; none of them may drop
+  // the shape's tables. Batches far from every cached key evict nothing.
   ExecStats stats;
-  CrossQueryReuse::Prepared prepared = reuse.Prepare(q, db, &stats);
-  ASSERT_TRUE(db.ApplyDelta({"E", {{3, 4}, {4, 5}}, {}}));
-  CrossQueryReuse::Prepared after = reuse.Prepare(q, db, &stats);
-  // The main tier was replaced wholesale: the per-shape caches are rebuilt
-  // rather than surgically evicted (new instance), and results stay right.
-  EXPECT_NE(after.caches.get(), prepared.caches.get());
+  for (Value k = 0; k < 4; ++k) {
+    ASSERT_TRUE(db.ApplyDelta({"E", {{100 + 2 * k, 101 + 2 * k}}, {}}));
+    ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(),
+              prepared.caches.get())
+        << "same shape caches instance after delta " << k;
+    EXPECT_EQ(prepared.caches->count.size(), warm_entries);
+  }
+  // A batch touching a cached key evicts the matching entries only.
+  ASSERT_TRUE(db.ApplyDelta({"E", {}, {{2, 3}}}));
+  ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(), prepared.caches.get());
+  EXPECT_LT(prepared.caches->count.size(), warm_entries);
+  EXPECT_GT(prepared.caches->count.size(), 0u);
+
+  const CrossQueryReuse::Prepared after = WarmCount(reuse, q, db);
+  ASSERT_EQ(after.caches.get(), prepared.caches.get());
   Database rebuilt;
-  rebuilt.Put(EdgeRelation("E", {{1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+  rebuilt.Put(EdgeRelation(
+      "E", {{1, 2}, {5, 6}, {6, 7}, {100, 101}, {102, 103}, {104, 105},
+            {106, 107}}));
   EXPECT_EQ(MakeEngine("CLFTJ", EngineOptions{})->Count(q, db, RunLimits{})
                 .count,
             testing::ReferenceCount(q, rebuilt));
+}
+
+TEST(DeltaReuse, ReappliedBatchEvictsNothing) {
+  // An idempotent retry (docs/robustness.md) changes no row: it must keep
+  // the tables, their entries and the tries warm.
+  Database db = testing::SmallSkewedDb(5);
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                        /*stripes_hint=*/1);
+  const Query q = CycleQuery(4);
+  const DeltaBatch batch = {"E", {{1, 2}, {2, 1}}, {}};
+  ASSERT_TRUE(db.ApplyDelta(batch));
+  const CrossQueryReuse::Prepared prepared = WarmCount(reuse, q, db);
+  const std::size_t warm_entries = prepared.caches->count.size();
+  ASSERT_GT(warm_entries, 0u);
+
+  DeltaResult result;
+  ASSERT_TRUE(db.ApplyDelta(batch, nullptr, &result));
+  EXPECT_EQ(result.applied_adds, 0u);
+  ExecStats stats;
+  const CrossQueryReuse::Prepared retried = reuse.Prepare(q, db, &stats);
+  EXPECT_EQ(retried.caches.get(), prepared.caches.get());
+  EXPECT_EQ(prepared.caches->count.size(), warm_entries);
+  EXPECT_EQ(stats.substrate_builds, 0u) << "E's version did not move";
+}
+
+TEST(DeltaReuse, FourCycleDeltaEvictsOnlyKeysAgreeingPerAtom) {
+  // Each child atom of the 4-cycle binds one of the child's two adhesion
+  // variables. A 1-edge delta must evict exactly the child entries whose
+  // key agrees with the edge on a variable some participating atom binds,
+  // at that atom's term position — and, up to Bloom false positives,
+  // nothing else.
+  Database db = testing::SmallSkewedDb(11);
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                        /*stripes_hint=*/1);
+  const Query q = CycleQuery(4);
+  const CrossQueryReuse::Prepared prepared = WarmCount(reuse, q, db);
+  const CachedPlan& plan = *prepared.plan;
+
+  // Per cacheable node: (adhesion index, term position) of every
+  // participating atom's bound adhesion variables.
+  using Binding = std::vector<std::pair<int, int>>;
+  std::vector<std::vector<Binding>> atoms_at(plan.cacheable.size());
+  for (NodeId n = 0; n < static_cast<NodeId>(plan.cacheable.size()); ++n) {
+    if (!plan.cacheable[n]) continue;
+    for (const Atom& atom : q.atoms()) {
+      bool participates = false;
+      for (const Term& term : atom.terms) {
+        const int rank = plan.var_rank[term.var];
+        participates = participates || (rank >= plan.first_depth[n] &&
+                                         rank <= plan.subtree_last_depth[n]);
+      }
+      if (!participates) continue;
+      Binding binding;
+      const std::vector<VarId>& avars = plan.adhesion_vars[n];
+      for (int i = 0; i < static_cast<int>(avars.size()); ++i) {
+        for (int p = 0; p < static_cast<int>(atom.terms.size()); ++p) {
+          if (atom.terms[p].var == avars[i]) {
+            binding.push_back({i, p});
+            break;
+          }
+        }
+      }
+      EXPECT_FALSE(binding.empty()) << "every 4-cycle atom binds one";
+      EXPECT_LT(binding.size(), avars.size())
+          << "no atom binds the whole adhesion: the per-atom case";
+      atoms_at[n].push_back(binding);
+    }
+  }
+  using Entry = std::pair<NodeId, Tuple>;
+  const auto entries = [&prepared] {
+    std::set<Entry> out;
+    prepared.caches->count.ForEach(
+        [&out](NodeId node, const Value* values, int dims, std::uint64_t) {
+          out.insert({node, Tuple(values, values + dims)});
+        });
+    return out;
+  };
+  const std::set<Entry> warm = entries();
+  ASSERT_GT(warm.size(), 100u);
+
+  // Delete one edge from the middle of E's sorted rows.
+  const Tuple edge = db.Get("E").TupleAt(db.Get("E").size() / 2);
+  ASSERT_TRUE(db.ApplyDelta({"E", {}, {edge}}));
+  ExecStats stats;
+  ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(), prepared.caches.get());
+  const std::set<Entry> kept = entries();
+
+  std::size_t must_go = 0;
+  std::size_t may_stay = 0;
+  std::size_t over_evicted = 0;
+  for (const Entry& e : warm) {
+    bool agrees = false;
+    for (const Binding& binding : atoms_at[e.first]) {
+      bool all = true;
+      for (const auto& [dim, pos] : binding) {
+        all = all && e.second[dim] == edge[pos];
+      }
+      agrees = agrees || all;
+    }
+    if (agrees) {
+      ++must_go;
+      EXPECT_EQ(kept.count(e), 0u) << "an agreeing entry survived";
+    } else {
+      ++may_stay;
+      if (kept.count(e) == 0) ++over_evicted;
+    }
+  }
+  EXPECT_GT(must_go, 0u) << "the edge must touch some cached key";
+  EXPECT_GT(may_stay, 0u);
+  EXPECT_LE(over_evicted * 100, may_stay) << "more than Bloom noise evicted";
+  EXPECT_EQ(kept.size(), warm.size() - must_go - over_evicted);
+
+  // The next answer through the surviving entries is right.
+  const CrossQueryReuse::Prepared next = reuse.Prepare(q, db, &stats);
+  EngineOptions options;
+  options.prepared_plan = next.plan;
+  options.prepared_substrate = next.substrate;
+  options.shared_count_cache = &next.caches->count;
+  EXPECT_EQ(MakeEngine("CLFTJ", options)->Count(q, db, RunLimits{}).count,
+            MakeEngine("LFTJ")->Count(q, db, RunLimits{}).count);
 }
 
 // ---------------------------------------------------------------------------
@@ -472,7 +744,6 @@ TEST(ServiceDelta, ReadOnlyServiceRejectsDeltas) {
 TEST(ServiceDelta, DeltaChangesSubsequentResults) {
   Database db;
   db.Put(EdgeRelation("E", {{1, 2}, {2, 3}}));
-  db.FindMutable("E")->set_compaction_threshold(100000);
   ServiceOptions options;
   options.workers = 1;
   QueryService service(&db, options);
@@ -506,7 +777,6 @@ TEST(ServiceDelta, BadDeltasAreTypedRejections) {
 
 TEST(ServiceDelta, ConcurrentWritersAndReadersStayConsistent) {
   Database db = testing::SmallSkewedDb(17);
-  db.FindMutable("E")->set_compaction_threshold(100000);
   ServiceOptions options;
   options.workers = 4;
   options.queue_capacity = 256;

@@ -398,7 +398,7 @@ void ExpectStatsIdentical(const ExecStats& a, const ExecStats& b) {
 
 // Full-engine bit-identity: same tuples, same deterministic counters,
 // whichever dispatch arm runs — across engines, thread counts, and a
-// post-delta (merged 3-cursor overlay) pass.
+// pass over the data a delta batch merged into the relation.
 TEST(SimdDispatch, EnginesBitIdenticalAcrossArms) {
   if (!simd::Avx2Available()) GTEST_SKIP() << "AVX2 arm unavailable";
   DispatchGuard guard;
@@ -427,7 +427,7 @@ TEST(SimdDispatch, EnginesBitIdenticalAcrossArms) {
       RunResult r = engine->Count(q, db, RunLimits{});
       ASSERT_TRUE(r.ok());
       cold[arm] = r.stats;
-      // Delta pass: exercises the merged 3-cursor overlay seeks.
+      // Delta pass: seeks over the post-delta rows.
       ASSERT_TRUE(db.ApplyDelta(batch));
       tuples[arm] = CollectTuples(*engine, q, db);
       r = engine->Count(q, db, RunLimits{});
