@@ -7,14 +7,15 @@
 //   * MinPlusSemiring   — the lightest 4-path (shortest weighted walk),
 //   * MaxPlusSemiring   — the heaviest 4-path,
 //   * BooleanSemiring   — does any 4-path exist at all.
-// All five share one plan and one cache structure; only ⊕/⊗ change.
+// All five are CachedTrieJoin::Aggregate<S>, the same cached trie join
+// that counts: one plan and one cache structure; only ⊕/⊗ change.
 //
 //   $ ./weighted_patterns
 
 #include <cstdio>
 #include <map>
 
-#include "clftj/aggregate_join.h"
+#include "clftj/cached_trie_join.h"
 #include "clftj/semiring.h"
 #include "data/generators.h"
 #include "query/patterns.h"
@@ -39,34 +40,33 @@ int main() {
     return 1.0 + static_cast<double>((u * 31 + v * 17) % 100) / 100.0;
   };
 
+  clftj::CachedTrieJoin engine;
   {
-    clftj::AggregatingCachedTrieJoin<clftj::CountingSemiring> agg;
-    const auto r = agg.Aggregate(query, db);
+    const auto r = engine.Aggregate<clftj::CountingSemiring>(query, db);
     std::printf("count        : %llu paths (%.2fms, %llu cache hits)\n",
                 static_cast<unsigned long long>(r.value), r.seconds * 1e3,
                 static_cast<unsigned long long>(r.stats.cache_hits));
   }
   {
-    clftj::AggregatingCachedTrieJoin<clftj::RealSemiring> agg;
-    const auto r = agg.Aggregate(query, db, edge_weight);
+    const auto r =
+        engine.Aggregate<clftj::RealSemiring>(query, db, edge_weight);
     std::printf("sum-product  : %.3e total weight mass (%.2fms)\n", r.value,
                 r.seconds * 1e3);
   }
   {
-    clftj::AggregatingCachedTrieJoin<clftj::MinPlusSemiring> agg;
-    const auto r = agg.Aggregate(query, db, edge_weight);
+    const auto r =
+        engine.Aggregate<clftj::MinPlusSemiring>(query, db, edge_weight);
     std::printf("min-plus     : lightest 4-path weighs %.4f (%.2fms)\n",
                 r.value, r.seconds * 1e3);
   }
   {
-    clftj::AggregatingCachedTrieJoin<clftj::MaxPlusSemiring> agg;
-    const auto r = agg.Aggregate(query, db, edge_weight);
+    const auto r =
+        engine.Aggregate<clftj::MaxPlusSemiring>(query, db, edge_weight);
     std::printf("max-plus     : heaviest 4-path weighs %.4f (%.2fms)\n",
                 r.value, r.seconds * 1e3);
   }
   {
-    clftj::AggregatingCachedTrieJoin<clftj::BooleanSemiring> agg;
-    const auto r = agg.Aggregate(query, db);
+    const auto r = engine.Aggregate<clftj::BooleanSemiring>(query, db);
     std::printf("boolean      : 4-path exists? %s (%.2fms)\n",
                 r.value ? "yes" : "no", r.seconds * 1e3);
   }

@@ -52,10 +52,9 @@ struct CacheOptions {
   enum class Eviction { kRejectNew, kLru };
   Eviction eviction = Eviction::kLru;
 
-  /// Adhesions wider than this are never cached (the paper's implementation
-  /// supports keys of up to two dimensions). Keys up to
-  /// PackedKey::kInlineDims live entirely inside the table; wider keys take
-  /// the interned spill path.
+  /// Adhesions wider than this are never cached. 0-2: the paper's
+  /// implementation supports keys of up to two dimensions, and so does
+  /// PackedKey (CachedPlan::Build checks the bound).
   int max_dimension = 2;
 
   /// One-line description for bench output.
@@ -92,19 +91,15 @@ inline std::uint64_t CacheKeyHash(NodeId node, PackedKey key) {
 /// tombstone-free (backward-shift), so probe sequences never degrade under
 /// eviction churn. Per Lookup the hot path performs zero heap allocations;
 /// an Insert allocates at most when the table grows (doubling rehash).
-/// Keys wider than PackedKey::kInlineDims are interned into a value arena
-/// (`spill path`); with the default max_dimension = 2 the arena is never
-/// touched.
+/// Node ids are mixed into the key hash, so there are no per-node tables.
 template <typename V>
 class CacheManager {
  public:
-  CacheManager(int num_nodes, const CacheOptions& options, ExecStats* stats)
+  CacheManager(const CacheOptions& options, ExecStats* stats)
       : options_(options),
         bounded_(options.capacity > 0),
         byte_bounded_(options.capacity_bytes > 0),
-        stats_(stats) {
-    (void)num_nodes;  // node ids are mixed into the key hash; no per-node maps
-  }
+        stats_(stats) {}
 
   /// Returns the payload cached for (node, key), or nullptr. Counts a hit
   /// or miss; under a bounded capacity also refreshes LRU recency. The
@@ -220,7 +215,7 @@ class CacheManager {
 
   /// Read-only iteration over every live entry: fn(node, values, dims,
   /// value) with `values` pointing at the entry's adhesion key values
-  /// (decoded from the slot's inline words or its arena segment). Used by
+  /// (decoded from the slot's two words). Used by
   /// cross-shape seeding (docs/serving.md "Batch admission") to copy count
   /// entries between shapes; charges no stats and never mutates the table,
   /// so recency and probe chains are untouched.
@@ -259,7 +254,7 @@ class CacheManager {
 
   struct Slot {
     std::uint64_t hash = 0;
-    std::uint64_t lo = 0;  // inline values, or (wide) offset into arena_
+    std::uint64_t lo = 0;  // the key's values (PackedKey's lo/hi)
     std::uint64_t hi = 0;
     std::uint64_t bytes = 0;  // payload charge (byte-budget mode only)
     std::uint32_t lru_prev = kNil;
@@ -269,31 +264,20 @@ class CacheManager {
     V value{};
 
     bool occupied() const { return dims != kEmptyDims; }
-    bool wide() const {
-      return occupied() &&
-             dims > static_cast<std::uint32_t>(PackedKey::kInlineDims);
-    }
   };
 
-  /// The adhesion key values of occupied slot `s`: its arena segment, or
-  /// its inline words decoded into `inline_vals` (two values of storage).
-  const Value* KeyValues(const Slot& s, Value* inline_vals) const {
-    if (s.wide()) return arena_.data() + s.lo;
+  /// The adhesion key values of occupied slot `s`, decoded from its two
+  /// words into `inline_vals` (two values of storage).
+  static const Value* KeyValues(const Slot& s, Value* inline_vals) {
     inline_vals[0] = static_cast<Value>(s.lo);
     inline_vals[1] = static_cast<Value>(s.hi);
     return inline_vals;
   }
 
-  bool SlotMatches(const Slot& s, NodeId node, PackedKey key,
-                   std::uint64_t hash) const {
-    if (s.hash != hash || s.node != node || s.dims != key.dims) return false;
-    if (!key.wide()) return s.lo == key.lo && s.hi == key.hi;
-    const Value* stored = arena_.data() + s.lo;
-    const Value* probe = key.wide_data();
-    for (std::uint32_t i = 0; i < key.dims; ++i) {
-      if (stored[i] != probe[i]) return false;
-    }
-    return true;
+  static bool SlotMatches(const Slot& s, NodeId node, PackedKey key,
+                          std::uint64_t hash) {
+    return s.hash == hash && s.node == node && s.dims == key.dims &&
+           s.lo == key.lo && s.hi == key.hi;
   }
 
   /// Linear probe for an existing entry; kNil on miss. Charges one memory
@@ -366,7 +350,6 @@ class CacheManager {
   /// chain so linear probing invariants hold without deleted markers.
   void EraseSlot(std::uint32_t i) {
     Slot& victim = slots_[i];
-    if (victim.wide()) arena_live_ -= victim.dims;
     Unlink(i);
     victim.value = V{};
     victim.dims = kEmptyDims;
@@ -433,20 +416,8 @@ class CacheManager {
     s.dims = key.dims;
     s.bytes = payload_bytes;
     bytes_ += payload_bytes;
-    if (key.wide()) {
-      // Spill path: intern the borrowed values. Compact first if eviction
-      // churn left the arena mostly garbage (bounded caches never rehash in
-      // steady state, so this is their reclamation point).
-      if (arena_.size() > 2 * arena_live_ + 64) CompactArena();
-      s.lo = arena_.size();
-      s.hi = 0;
-      arena_.insert(arena_.end(), key.wide_data(), key.wide_data() + key.dims);
-      arena_live_ += key.dims;
-      stats_->memory_accesses += key.dims;
-    } else {
-      s.lo = key.lo;
-      s.hi = key.hi;
-    }
+    s.lo = key.lo;
+    s.hi = key.hi;
     s.value = std::move(value);
     LinkFront(i);
     ++size_;
@@ -454,15 +425,11 @@ class CacheManager {
   }
 
   /// Doubling rehash. Walks the LRU chain MRU->LRU and re-links in order,
-  /// so recency survives growth; wide-key arena segments are compacted into
-  /// a fresh arena as a side effect.
+  /// so recency survives growth.
   void Rehash(std::size_t new_slot_count) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_slot_count, Slot{});
     mask_ = new_slot_count - 1;
-    std::vector<Value> old_arena = std::move(arena_);
-    arena_.clear();
-    arena_.reserve(arena_live_);
     const std::uint32_t old_head = lru_head_;
     lru_head_ = lru_tail_ = kNil;
     for (std::uint32_t i = old_head; i != kNil;) {
@@ -474,15 +441,8 @@ class CacheManager {
       t.node = s.node;
       t.dims = s.dims;
       t.bytes = s.bytes;
-      if (s.wide()) {
-        t.lo = arena_.size();
-        t.hi = 0;
-        arena_.insert(arena_.end(), old_arena.data() + s.lo,
-                      old_arena.data() + s.lo + s.dims);
-      } else {
-        t.lo = s.lo;
-        t.hi = s.hi;
-      }
+      t.lo = s.lo;
+      t.hi = s.hi;
       t.value = std::move(s.value);
       // Append at tail: the walk is MRU-first, so order is preserved.
       t.lru_prev = lru_tail_;
@@ -494,28 +454,11 @@ class CacheManager {
     }
   }
 
-  /// Rewrites the arena with only live segments, updating slot offsets.
-  void CompactArena() {
-    std::vector<Value> fresh;
-    fresh.reserve(arena_live_);
-    for (std::uint32_t i = lru_head_; i != kNil; i = slots_[i].lru_next) {
-      Slot& s = slots_[i];
-      if (!s.wide()) continue;
-      const std::uint64_t offset = fresh.size();
-      fresh.insert(fresh.end(), arena_.data() + s.lo,
-                   arena_.data() + s.lo + s.dims);
-      s.lo = offset;
-    }
-    arena_ = std::move(fresh);
-  }
-
   CacheOptions options_;
   bool bounded_;
   bool byte_bounded_;
   ExecStats* stats_;
   std::vector<Slot> slots_;
-  std::vector<Value> arena_;      // interned wide-key values (spill path)
-  std::size_t arena_live_ = 0;    // values in arena_ owned by live entries
   std::uint64_t bytes_ = 0;       // payload bytes charged to capacity_bytes
   std::uint64_t mask_ = 0;
   std::uint32_t lru_head_ = kNil;  // most recently used
@@ -589,9 +532,8 @@ struct HotPayload<V, false> {
 /// probe the hot slot *before* taking the stripe mutex and return on a
 /// stable match, so batch members polling the same hot subtree never
 /// serialize. Every hot-slot field is individually atomic (the seq check
-/// only guards against a *mixed* snapshot from two writes), writers are
-/// already serialized by the stripe mutex, and wide keys are never
-/// published. Hot hits skip the stripe's stat counters and LRU refresh
+/// only guards against a *mixed* snapshot from two writes), and writers are
+/// already serialized by the stripe mutex. Hot hits skip the stripe's stat counters and LRU refresh
 /// (recency becomes approximate for hot keys — acceptable for the
 /// persistent caches, which are the only users); EvictIf clears a
 /// stripe's hot slots so targeted invalidation cannot leave a deleted
@@ -604,7 +546,7 @@ class StripedCacheManager {
   /// `workers` sizes the stripe count; `options` carries the *global*
   /// budget (split across stripes here — callers must not pre-divide).
   /// `hot_reads` engages the lock-free hot-slot read path above.
-  StripedCacheManager(int num_nodes, const CacheOptions& options, int workers,
+  StripedCacheManager(const CacheOptions& options, int workers,
                       bool hot_reads = false)
       : stripe_shift_(0), hot_reads_(hot_reads) {
     const int count = ChooseStripes(options, workers);
@@ -623,8 +565,8 @@ class StripedCacheManager {
       if (cap_bytes > 0) {
         slice.capacity_bytes = cap_bytes / n + (i < cap_bytes % n ? 1 : 0);
       }
-      stripes_.push_back(std::make_unique<Stripe>(num_nodes, slice,
-                                                  hot_reads ? kHotSlots : 0));
+      stripes_.push_back(
+          std::make_unique<Stripe>(slice, hot_reads ? kHotSlots : 0));
     }
   }
 
@@ -636,7 +578,7 @@ class StripedCacheManager {
   bool Lookup(NodeId node, PackedKey key, V* out) {
     const std::uint64_t hash = CacheKeyHash(node, key);
     Stripe& s = StripeAt(hash);
-    if (!s.hot.empty() && !key.wide() && HotProbe(s, hash, node, key, out)) {
+    if (!s.hot.empty() && HotProbe(s, hash, node, key, out)) {
       s.hot_hits.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
@@ -644,7 +586,7 @@ class StripedCacheManager {
     const V* hit = s.cache.Lookup(node, key, hash);
     if (hit == nullptr) return false;
     *out = *hit;
-    if (!s.hot.empty() && !key.wide()) PublishHot(s, hash, node, key, *out);
+    if (!s.hot.empty()) PublishHot(s, hash, node, key, *out);
     return true;
   }
 
@@ -657,7 +599,7 @@ class StripedCacheManager {
     const std::uint64_t hash = CacheKeyHash(node, key);
     Stripe& s = StripeAt(hash);
     std::lock_guard<std::mutex> lock(s.mu);
-    const bool publish = !s.hot.empty() && !key.wide();
+    const bool publish = !s.hot.empty();
     V copy = publish ? value : V{};
     if (s.cache.Insert(node, key, hash, std::move(value)) && publish) {
       PublishHot(s, hash, node, key, copy);
@@ -793,8 +735,8 @@ class StripedCacheManager {
   // mutexes never share a line (the unique_ptr indirection already gives
   // each stripe its own allocation; the alignment makes it explicit).
   struct alignas(64) Stripe {
-    Stripe(int num_nodes, const CacheOptions& slice, int hot_slots)
-        : options(slice), cache(num_nodes, slice, &stats), hot(hot_slots) {}
+    Stripe(const CacheOptions& slice, int hot_slots)
+        : options(slice), cache(slice, &stats), hot(hot_slots) {}
     CacheOptions options;
     ExecStats stats;
     std::mutex mu;
@@ -882,9 +824,9 @@ class StripedCacheManager {
 template <typename V>
 class RunCache {
  public:
-  RunCache(int num_nodes, const CacheOptions& options, ExecStats* stats,
+  RunCache(const CacheOptions& options, ExecStats* stats,
            StripedCacheManager<V>* shared = nullptr)
-      : shared_(shared), private_(num_nodes, options, stats) {}
+      : shared_(shared), private_(options, stats) {}
 
   bool Lookup(NodeId node, PackedKey key, V* out) {
     if (shared_ != nullptr) return shared_->Lookup(node, key, out);

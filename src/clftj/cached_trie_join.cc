@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -14,11 +15,10 @@
 namespace clftj {
 
 // Key extraction and admission both live on CachedPlan: keys are packed
-// into a fixed-size PackedKey straight from the assignment (allocation-free
-// for adhesions up to PackedKey::kInlineDims; wider adhesions stage their
-// values in a per-node spill buffer), and the support-threshold probe is a
-// precomputed per-value bitmap test (CachedPlan::AdmitsKey) instead of a
-// hash lookup per dimension.
+// into a fixed-size, allocation-free PackedKey straight from the
+// assignment, and the support-threshold probe is a precomputed per-value
+// bitmap test (CachedPlan::AdmitsKey) instead of a hash lookup per
+// dimension.
 //
 // Both run states honor a FirstVarRange: at depth 0 the leapfrog join is
 // seeked to range.lo before iteration and the loop stops at the first key
@@ -26,9 +26,30 @@ namespace clftj {
 // enumerates keys in ascending order, concatenating the per-shard outputs
 // in shard order reproduces the unrestricted run exactly.
 
-void CountRun::RCachedJoin(int d, std::uint64_t f) {
+template <typename S>
+typename S::Value CountRun<S>::Run() {
+  if (weights_ != nullptr) {
+    RCachedJoin<true>(0, S::One());
+  } else {
+    RCachedJoin<false>(0, S::One());
+  }
+  return total_;
+}
+
+template <typename S>
+typename S::Value CountRun<S>::WeightsAt(int d) const {
+  Weight w = S::One();
+  for (const AtomId a : weights_->ending_at[d]) {
+    w = S::Times(w, weights_->fn(a, assignment_));
+  }
+  return w;
+}
+
+template <typename S>
+template <bool kWeighted>
+void CountRun<S>::RCachedJoin(int d, Weight f) {
   if (d == static_cast<int>(plan_.order.size())) {
-    total_ += f;
+    total_ = S::Plus(total_, f);
     return;
   }
   const NodeId v = plan_.owner_of_depth[d];
@@ -36,16 +57,18 @@ void CountRun::RCachedJoin(int d, std::uint64_t f) {
   PackedKey& key = node_key_[v];
   bool try_cache = false;
   if (entering) {
-    intrmd_[v] = 0;
+    intrmd_[v] = S::Zero();
     if (plan_.cacheable[v]) {
       try_cache = true;
-      key = plan_.AdhesionKey(v, assignment_, &node_wide_[v]);
-      std::uint64_t hit;
+      key = plan_.AdhesionKey(v, assignment_);
+      Weight hit;
       if (cache_.Lookup(v, key, &hit)) {
         intrmd_[v] = hit;
-        if (hit != 0) {
+        // Zero annihilates ⊗: skipping the dead branch is sound.
+        if (!(hit == S::Zero())) {
           // Skip the whole subtree of v; its contribution is the factor.
-          RCachedJoin(plan_.subtree_last_depth[v] + 1, f * hit);
+          RCachedJoin<kWeighted>(plan_.subtree_last_depth[v] + 1,
+                                 S::Times(f, hit));
         }
         return;
       }
@@ -64,12 +87,26 @@ void CountRun::RCachedJoin(int d, std::uint64_t f) {
       break;
     }
     assignment_[plan_.order[d]] = join->Key();
-    RCachedJoin(d + 1, f);
+    if constexpr (kWeighted) {
+      depth_weight_[d] = WeightsAt(d);
+      RCachedJoin<true>(d + 1, S::Times(f, depth_weight_[d]));
+    } else {
+      RCachedJoin<false>(d + 1, f);
+    }
     if (aborted_) break;
     if (is_last_owned) {
-      std::uint64_t prod = 1;
-      for (const NodeId c : plan_.children[v]) prod *= intrmd_[c];
-      intrmd_[v] += prod;
+      // intrmd(v) += (weights of the atoms completing at v's own depths) ⊗
+      // the children's intermediates.
+      Weight local = S::One();
+      if constexpr (kWeighted) {
+        for (int dd = plan_.first_depth[v]; dd <= plan_.last_depth[v]; ++dd) {
+          local = S::Times(local, depth_weight_[dd]);
+        }
+      }
+      for (const NodeId c : plan_.children[v]) {
+        local = S::Times(local, intrmd_[c]);
+      }
+      intrmd_[v] = S::Plus(intrmd_[v], local);
     }
     join->Next();
   }
@@ -115,7 +152,7 @@ void EvalRun::RCachedJoin(int d) {
     }
     if (plan_.cacheable[v]) {
       try_cache = true;
-      key = plan_.AdhesionKey(v, assignment_, &node_wide_[v]);
+      key = plan_.AdhesionKey(v, assignment_);
       FactorizedSetPtr hit;
       if (cache_.Lookup(v, key, &hit)) {
         completed_[v] = hit;
@@ -317,7 +354,8 @@ void RunShards(std::size_t n, const std::function<void(std::size_t)>& work) {
 // What one shard leaves behind; each entry point fills the fields it uses.
 struct ShardOutcome {
   ExecStats stats;
-  /// Count: the shard's count. Evaluate: tuples passed to its callback.
+  /// Evaluate: tuples passed to its callback. (Count and Aggregate keep
+  /// their shard values apart; see RunCounts.)
   std::uint64_t count = 0;
   /// Evaluate with K > 1 shards: the buffered tuple stream.
   std::vector<Tuple> tuples;
@@ -406,9 +444,12 @@ const TrieJoinSubstrate* CachedTrieJoin::SubstrateFor(
   return &local->emplace(q, db, plan.order);
 }
 
-RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
-                                const RunLimits& limits) {
-  RunResult result;
+template <typename S>
+CachedTrieJoin::AggregateResult<S> CachedTrieJoin::RunCounts(
+    const Query& q, const Database& db, const AtomWeightFn<S>& weight,
+    StripedCacheManager<typename S::Value>* shared_cache,
+    const RunLimits& limits) {
+  AggregateResult<S> result;
   Timer timer;
   std::optional<CachedPlan> local_plan;
   const CachedPlan& plan = *PlanFor(q, db, &local_plan);
@@ -416,6 +457,19 @@ RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
   const TrieJoinSubstrate& substrate =
       *SubstrateFor(q, db, plan, &local_substrate);
   if (!substrate.HasEmptyAtom()) {
+    std::optional<AtomWeights<S>> weights;
+    if (weight != nullptr) {
+      weights.emplace();
+      weights->fn = weight;
+      weights->ending_at.resize(plan.order.size());
+      for (AtomId a = 0; a < q.num_atoms(); ++a) {
+        int last = 0;
+        for (const VarId x : q.atom(a).Vars()) {
+          last = std::max(last, plan.var_rank[x]);
+        }
+        weights->ending_at[last].push_back(a);
+      }
+    }
     const ShardSetup setup =
         PrepareShards(substrate, EffectiveThreads(), options_.cache);
     const std::vector<FirstVarRange>& shards = setup.shards;
@@ -423,21 +477,59 @@ RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
     AbortFlag local_abort;
     AbortFlag* abort = SharedAbort(limits, &local_abort);
     std::vector<ShardOutcome> out(shards.size());
+    // A deque, not a vector: vector<bool> would pack BooleanSemiring's
+    // shard values into shared words that concurrent shards race on.
+    std::deque<typename S::Value> values(shards.size(), S::Zero());
     RunShards(shards.size(), [&](std::size_t s) {
       ShardOutcome& o = out[s];
       TrieJoinContext ctx(substrate, &o.stats);
-      CountRun run(plan, setup.cache, &ctx, &o.stats, shard_limits, shards[s],
-                   abort, options_.shared_count_cache);
-      o.count = run.Run();
+      CountRun<S> run(plan, setup.cache, &ctx, &o.stats, shard_limits,
+                      shards[s], abort, shared_cache,
+                      weights.has_value() ? &*weights : nullptr);
+      values[s] = run.Run();
       o.timed_out = run.timed_out();
     });
-    for (const ShardOutcome& o : out) result.count += o.count;
+    for (const typename S::Value& v : values) {
+      result.value = S::Plus(result.value, v);
+    }
     result.status = MergeShards(out, abort, &result.stats);
   }
-  result.stats.output_tuples = result.count;
   result.seconds = timer.Seconds();
   return result;
 }
+
+RunResult CachedTrieJoin::Count(const Query& q, const Database& db,
+                                const RunLimits& limits) {
+  AggregateResult<CountingSemiring> counted = RunCounts<CountingSemiring>(
+      q, db, nullptr, options_.shared_count_cache, limits);
+  RunResult result;
+  result.count = counted.value;
+  result.status = counted.status;
+  result.seconds = counted.seconds;
+  result.stats = counted.stats;
+  result.stats.output_tuples = result.count;
+  return result;
+}
+
+template <typename S>
+CachedTrieJoin::AggregateResult<S> CachedTrieJoin::Aggregate(
+    const Query& q, const Database& db, const AtomWeightFn<S>& weight,
+    const RunLimits& limits) {
+  return RunCounts<S>(q, db, weight, /*shared_cache=*/nullptr, limits);
+}
+
+// The five semirings of semiring.h.
+#define CLFTJ_INSTANTIATE_SEMIRING(S)                                    \
+  template class CountRun<S>;                                            \
+  template CachedTrieJoin::AggregateResult<S> CachedTrieJoin::Aggregate<S>( \
+      const Query&, const Database&, const AtomWeightFn<S>&,             \
+      const RunLimits&);
+CLFTJ_INSTANTIATE_SEMIRING(CountingSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(RealSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(MaxPlusSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(MinPlusSemiring)
+CLFTJ_INSTANTIATE_SEMIRING(BooleanSemiring)
+#undef CLFTJ_INSTANTIATE_SEMIRING
 
 RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
                                    const TupleCallback& cb,

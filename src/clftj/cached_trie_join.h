@@ -2,6 +2,7 @@
 #define CLFTJ_CLFTJ_CACHED_TRIE_JOIN_H_
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include "clftj/cache.h"
 #include "clftj/factorized.h"
 #include "clftj/plan.h"
+#include "clftj/semiring.h"
 #include "engine/engine.h"
 #include "lftj/trie_join.h"
 #include "td/planner.h"
@@ -31,17 +33,47 @@ struct FirstVarRange {
   Value hi = 0;
 };
 
-/// Per-run mutable state of counting CLFTJ (RCachedJoin of Figure 2 with f
-/// carried as a multiplicative factor and intrmd(v) as plain counters).
+/// Weight of one atom under the current assignment (indexed by VarId) in a
+/// semiring aggregate; see CachedTrieJoin::Aggregate.
+template <typename S>
+using AtomWeightFn = std::function<typename S::Value(AtomId, const Tuple&)>;
+
+/// The per-atom weights a weighted CountRun folds in. `fn(a, µ)` is
+/// multiplied into the ⊗-factor at the depth of atom a's last variable;
+/// `ending_at[d]` lists, in atom order, the atoms whose last variable sits
+/// at depth d (an atom without variables ends at depth 0). Shared and
+/// immutable across the shards of one run.
+template <typename S>
+struct AtomWeights {
+  AtomWeightFn<S> fn;
+  std::vector<std::vector<AtomId>> ending_at;
+};
+
+/// Per-run mutable state of cached trie join over a commutative semiring
+/// S (semiring.h): RCachedJoin of Figure 2 with f carried as a ⊗-factor and
+/// intrmd(v) as ⊕-sums. With S = CountingSemiring and no weights this is
+/// the paper's count; with weights it is the Section 6 aggregate
+///
+///   ⊕ over assignments µ ∈ q(D) of  ⊗ over atoms φ of  weight(φ, µ).
+///
+/// A cached value is the subtree's full aggregate given the adhesion
+/// assignment, and a hit multiplies it into the factor exactly like a
+/// count. Correctness needs only the semiring laws (⊕/⊗ commutative and
+/// associative, Zero annihilates ⊗).
 ///
 /// This is the run half of the run/plan split: everything mutable —
 /// iterators (via the TrieJoinContext cursor), the partial assignment,
-/// intermediate counters, the cache, stats and the deadline — lives here,
-/// while the CachedPlan and the trie substrate behind `ctx` are shared
-/// immutable inputs. N CountRuns over one plan/substrate (each with its own
-/// cursor, stats sink and cache) may execute concurrently.
+/// intermediate values, the cache, stats and the deadline — lives here,
+/// while the CachedPlan, the trie substrate behind `ctx` and the weights
+/// are shared immutable inputs. N CountRuns over one plan/substrate (each
+/// with its own cursor, stats sink and cache) may execute concurrently.
+/// Instantiated in cached_trie_join.cc for the five semirings of
+/// semiring.h.
+template <typename S>
 class CountRun {
  public:
+  using Weight = typename S::Value;
+
   /// `range` restricts the first variable; `abort` (optional) is a stop
   /// flag shared across concurrent runs — this run trips it on its own
   /// deadline expiry and halts within one deadline stride when any other
@@ -49,42 +81,51 @@ class CountRun {
   /// cache with the serving loop's persistent striped table: this run then
   /// probes and fills the one table all concurrent runs of the shape
   /// share, and `cache_options` budgets are ignored (the striped table
-  /// carries its own budget).
+  /// carries its own budget). `weights` (optional, borrowed) makes the run
+  /// a weighted aggregate; without it every atom weighs S::One() and the
+  /// loop does no weight work at all.
   CountRun(const CachedPlan& plan, const CacheOptions& cache_options,
            TrieJoinContext* ctx, ExecStats* stats, const RunLimits& limits,
            const FirstVarRange& range = {}, AbortFlag* abort = nullptr,
-           StripedCacheManager<std::uint64_t>* shared_cache = nullptr)
+           StripedCacheManager<Weight>* shared_cache = nullptr,
+           const AtomWeights<S>* weights = nullptr)
       : plan_(plan),
         ctx_(ctx),
-        cache_(static_cast<int>(plan.cacheable.size()), cache_options, stats,
-               shared_cache),
-        intrmd_(plan.cacheable.size(), 0),
+        weights_(weights),
+        cache_(cache_options, stats, shared_cache),
+        intrmd_(plan.cacheable.size(), S::Zero()),
         node_key_(plan.cacheable.size()),
-        node_wide_(plan.cacheable.size()),
         assignment_(plan.order.size(), kNullValue),
         range_(range),
-        deadline_(limits.timeout_seconds, abort) {}
-
-  std::uint64_t Run() {
-    RCachedJoin(0, 1);
-    return total_;
+        deadline_(limits.timeout_seconds, abort) {
+    if (weights_ != nullptr) depth_weight_.assign(plan.order.size(), S::One());
   }
+
+  /// The ⊕-sum of this run's range.
+  Weight Run();
 
   bool timed_out() const { return aborted_; }
 
  private:
-  void RCachedJoin(int d, std::uint64_t f);
+  /// kWeighted is fixed per run, so the unweighted loop carries no weight
+  /// test at all.
+  template <bool kWeighted>
+  void RCachedJoin(int d, Weight f);
+
+  /// ⊗ of the weights of the atoms whose last variable sits at depth d.
+  Weight WeightsAt(int d) const;
 
   const CachedPlan& plan_;
   TrieJoinContext* ctx_;
-  RunCache<std::uint64_t> cache_;
-  std::vector<std::uint64_t> intrmd_;
+  const AtomWeights<S>* weights_;
+  RunCache<Weight> cache_;
+  std::vector<Weight> intrmd_;
   std::vector<PackedKey> node_key_;
-  std::vector<Tuple> node_wide_;  // spill buffers for wide adhesion keys
+  std::vector<Weight> depth_weight_;  // weighted runs only: per depth
   Tuple assignment_;
   FirstVarRange range_;
   DeadlineChecker deadline_;
-  std::uint64_t total_ = 0;
+  Weight total_ = S::Zero();
   bool aborted_ = false;
 };
 
@@ -116,12 +157,10 @@ class EvalRun {
         ctx_(ctx),
         stats_(stats),
         cb_(cb),
-        cache_(static_cast<int>(plan.cacheable.size()), cache_options, stats,
-               shared_cache),
+        cache_(cache_options, stats, shared_cache),
         building_(plan.cacheable.size()),
         completed_(plan.cacheable.size()),
         node_key_(plan.cacheable.size()),
-        node_wide_(plan.cacheable.size()),
         assignment_(plan.order.size(), kNullValue),
         range_(range),
         deadline_(limits.timeout_seconds, abort),
@@ -159,7 +198,6 @@ class EvalRun {
   std::vector<std::vector<FactorizedEntry>> building_;
   std::vector<FactorizedSetPtr> completed_;
   std::vector<PackedKey> node_key_;
-  std::vector<Tuple> node_wide_;  // spill buffers for wide adhesion keys
   std::vector<std::pair<NodeId, FactorizedSetPtr>> skips_;
   Tuple assignment_;
   FirstVarRange range_;
@@ -202,11 +240,16 @@ class EvalRun {
 /// root entries in shard order reproduce the one-shard result — identical
 /// counts and identical tuple sets at every thread count and with or
 /// without an injected cache (cached entries are exact subtree results, so
-/// any hit/miss pattern preserves correctness), and a tuple stream that is
-/// deterministic for a given thread count (its interleaving can differ
-/// from the one-shard stream, because cache hits expand skipped subtrees at
-/// the emission point and K private shard caches hit differently than one
-/// cache). Stats are fully deterministic too: each shard's traversal is
+/// any hit/miss pattern preserves correctness). The order of the tuple
+/// stream follows the hit pattern, because a hit defers its subtree to
+/// the emission point, where it is expanded after the depths that follow
+/// it, while a miss enumerates the subtree in join order. With private
+/// caches the stream is therefore deterministic for a given thread count
+/// (but can differ from the one-shard stream: K shard caches hit
+/// differently than one cache). With an injected persistent eval cache a
+/// warm run emits the same tuples as a cold run, in a different order: the
+/// entries earlier runs left behind are hits the cold run did not have.
+/// Stats are fully deterministic too: each shard's traversal is
 /// fixed, and the merged stats report the shard sum, with cache peaks
 /// summed because the private caches coexist. An injected cache charges
 /// its traffic to its own stripes, and whether shard B hits a subtree
@@ -249,6 +292,31 @@ class CachedTrieJoin : public JoinEngine {
   RunResult Count(const Query& q, const Database& db,
                   const RunLimits& limits) override;
 
+  /// Outcome of a semiring aggregate: the ⊕-sum with the run's typed
+  /// status, wall time and merged stats. A run that hits a limit reports a
+  /// partial value with the status set.
+  template <typename S>
+  struct AggregateResult {
+    typename S::Value value = S::Zero();
+    RunStatus status = RunStatus::kOk;
+    double seconds = 0.0;
+    ExecStats stats;
+  };
+
+  /// The paper's Section 6 extension to general aggregates: the same run
+  /// as Count — same plan, substrate, shards, cache options and limits —
+  /// over semiring S, with `weight` (optional) applied to each atom at the
+  /// depth of its last variable (see CountRun). Without a weight every
+  /// atom weighs S::One(), i.e. the result is the semiring "count" of
+  /// q(D). Shards combine with S::Plus in shard order. `weight` must be
+  /// pure; with threads > 1 it is called concurrently. Cache entries hold
+  /// weighted values, so the injected persistent count cache is never
+  /// probed or filled. Instantiated for the five semirings of semiring.h.
+  template <typename S>
+  AggregateResult<S> Aggregate(const Query& q, const Database& db,
+                               const AtomWeightFn<S>& weight = nullptr,
+                               const RunLimits& limits = RunLimits());
+
   /// One shard streams tuples straight into `cb`; streamed tuples are not
   /// materialized, so they draw nothing from max_intermediate_tuples.
   /// K > 1 shards each buffer their tuples, and the buffers are drained
@@ -276,6 +344,17 @@ class CachedTrieJoin : public JoinEngine {
 
  private:
   int EffectiveThreads() const;
+
+  /// The one cached-count path behind Count and Aggregate: resolves the
+  /// plan and substrate, runs one CountRun<S> per shard and folds the
+  /// shards in shard order. `weight` may be empty; `shared_cache` is the
+  /// injected persistent table or null.
+  template <typename S>
+  AggregateResult<S> RunCounts(const Query& q, const Database& db,
+                               const AtomWeightFn<S>& weight,
+                               StripedCacheManager<typename S::Value>*
+                                   shared_cache,
+                               const RunLimits& limits);
 
   /// Returns the prepared plan if injected, else resolves into *local.
   const CachedPlan* PlanFor(const Query& q, const Database& db,

@@ -45,6 +45,9 @@ AdmissionFilter AdmissionFilter::Build(
 
 CachedPlan CachedPlan::Build(const Query& q, const Database& db, TdPlan base,
                              const CacheOptions& cache_options) {
+  CLFTJ_CHECK_MSG(cache_options.max_dimension >= 0 &&
+                      cache_options.max_dimension <= PackedKey::kInlineDims,
+                  "CacheOptions::max_dimension must be 0-2");
   CachedPlan plan;
   plan.order = base.order;
   const int n = q.num_vars();

@@ -101,29 +101,18 @@ struct CachedPlan {
   }
 
   /// Packs the adhesion assignment µ|α of `node` from the global partial
-  /// assignment (indexed by VarId). Adhesions wider than
-  /// PackedKey::kInlineDims are staged in *wide_buf, which must stay alive
-  /// and unmodified for as long as the returned key is used; buffers are
-  /// per-node in the join runners, which is safe because a node is never
-  /// re-entered while one of its own activations is live.
-  PackedKey AdhesionKey(NodeId node, const Tuple& assignment,
-                        Tuple* wide_buf) const {
+  /// assignment (indexed by VarId). Only cacheable nodes are keyed, and
+  /// their adhesions fit PackedKey (max_dimension <= kInlineDims).
+  PackedKey AdhesionKey(NodeId node, const Tuple& assignment) const {
     const std::vector<VarId>& vars = adhesion_vars[node];
     const int n = static_cast<int>(vars.size());
-    if (n <= PackedKey::kInlineDims) {
-      Value inline_vals[PackedKey::kInlineDims] = {0, 0};
-      for (int i = 0; i < n; ++i) {
-        CLFTJ_DCHECK(assignment[vars[i]] != kNullValue);
-        inline_vals[i] = assignment[vars[i]];
-      }
-      return PackedKey::Pack(inline_vals, n);
+    CLFTJ_DCHECK(n <= PackedKey::kInlineDims);
+    Value values[PackedKey::kInlineDims] = {0, 0};
+    for (int i = 0; i < n; ++i) {
+      CLFTJ_DCHECK(assignment[vars[i]] != kNullValue);
+      values[i] = assignment[vars[i]];
     }
-    wide_buf->clear();
-    for (const VarId x : vars) {
-      CLFTJ_DCHECK(assignment[x] != kNullValue);
-      wide_buf->push_back(assignment[x]);
-    }
-    return PackedKey::Pack(wide_buf->data(), n);
+    return PackedKey::Pack(values, n);
   }
 
   /// The admission decision of line 21 of Figure 2 for node `node` and its
@@ -140,8 +129,9 @@ struct CachedPlan {
   }
 
   /// Lowers a TdPlan. Aborts if the order is not strongly compatible, some
-  /// node owns no variable (run EliminateRedundantBags first), or subtree
-  /// depth intervals are not contiguous.
+  /// node owns no variable (run EliminateRedundantBags first), subtree
+  /// depth intervals are not contiguous, or cache_options.max_dimension is
+  /// outside 0..PackedKey::kInlineDims.
   static CachedPlan Build(const Query& q, const Database& db, TdPlan base,
                           const CacheOptions& cache_options);
 
@@ -150,8 +140,7 @@ struct CachedPlan {
   /// and sharded engines so both execute the identical plan — a
   /// precondition for the sharded executor's bit-identical-results
   /// guarantee. The returned plan is immutable in execution and safe for
-  /// concurrent shared reads (AdhesionKey/AdmitsKey are const and write
-  /// only through caller-owned buffers).
+  /// concurrent shared reads (AdhesionKey/AdmitsKey are const).
   static CachedPlan Resolve(const Query& q, const Database& db,
                             const std::optional<TdPlan>& explicit_plan,
                             const PlannerOptions& planner,

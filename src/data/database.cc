@@ -18,15 +18,14 @@ void Database::Put(Relation relation) {
   delta_log_floor_ = minor_version_;
 }
 
-bool Database::ApplyDelta(const DeltaBatch& batch, std::string* error,
-                          DeltaResult* result) {
-  const auto it = relations_.find(batch.relation);
-  if (it == relations_.end()) {
+bool Database::ValidateDelta(const DeltaBatch& batch,
+                             std::string* error) const {
+  const Relation* rel = Find(batch.relation);
+  if (rel == nullptr) {
     if (error != nullptr) *error = "unknown relation: " + batch.relation;
     return false;
   }
-  Relation& rel = it->second;
-  const int arity = rel.arity();
+  const int arity = rel->arity();
   for (const auto* tuples : {&batch.adds, &batch.deletes}) {
     for (const Tuple& t : *tuples) {
       if (static_cast<int>(t.size()) != arity) {
@@ -37,6 +36,13 @@ bool Database::ApplyDelta(const DeltaBatch& batch, std::string* error,
       }
     }
   }
+  return true;
+}
+
+bool Database::ApplyDelta(const DeltaBatch& batch, std::string* error,
+                          DeltaResult* result) {
+  if (!ValidateDelta(batch, error)) return false;
+  Relation& rel = relations_.find(batch.relation)->second;
   DeltaLogEntry entry;
   const DeltaResult res =
       rel.ApplyDelta(batch.adds, batch.deletes, &entry.changed);

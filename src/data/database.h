@@ -64,6 +64,12 @@ class Database {
   bool ApplyDelta(const DeltaBatch& batch, std::string* error = nullptr,
                   DeltaResult* result = nullptr);
 
+  /// The check ApplyDelta runs before it changes anything, for callers
+  /// that admit a batch now and apply it later: false with *error set
+  /// ("unknown relation: R" or "arity mismatch for relation R") when the
+  /// relation does not exist or a tuple's arity mismatches.
+  bool ValidateDelta(const DeltaBatch& batch, std::string* error) const;
+
   /// Monotone minor data-version, starting at 0 and bumped by every
   /// successful ApplyDelta(). Never reset — a (generation, minor) pair
   /// identifies a data state unambiguously.

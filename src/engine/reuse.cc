@@ -250,8 +250,7 @@ std::shared_ptr<ShapeCaches> CrossQueryReuse::AcquireShapeCaches(
     cache_index_.erase(it);
   }
   auto caches = std::make_shared<ShapeCaches>(
-      static_cast<int>(plan->cacheable.size()), cache_,
-      std::max(stripes_hint_, 1), options_.hot_stripe_reads);
+      cache_, std::max(stripes_hint_, 1), options_.hot_stripe_reads);
   std::vector<std::string> signatures =
       options_.cross_shape_seed ? SubtreeSignatures(*plan, q.atoms())
                                 : std::vector<std::string>();

@@ -63,10 +63,10 @@ struct ShapeCaches {
   StripedCacheManager<std::uint64_t> count;
   StripedCacheManager<FactorizedSetPtr> eval;
 
-  ShapeCaches(int num_nodes, const CacheOptions& options, int stripes_hint,
+  ShapeCaches(const CacheOptions& options, int stripes_hint,
               bool hot_reads = false)
-      : count(num_nodes, options, stripes_hint, hot_reads),
-        eval(num_nodes, options, stripes_hint, hot_reads) {}
+      : count(options, stripes_hint, hot_reads),
+        eval(options, stripes_hint, hot_reads) {}
 };
 
 /// The cross-query reuse layer under QueryService (and clftj_cli --repeat):

@@ -92,29 +92,16 @@ std::future<QueryResponse> QueryService::Submit(const QueryRequest& request) {
           "read-only service: delta requests need a mutable database"));
       return reject_future;
     }
-    // Admission-time validation mirrors Database::ApplyDelta's checks (the
+    // Admission-time validation is Database::ApplyDelta's own check (the
     // relation may not disappear later: deltas never add or drop
     // relations). Reads under the shared lock so a concurrent delta worker
     // cannot tear the relation mid-check.
     {
       std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-      const Relation* rel = db_.Find(request.delta.relation);
-      if (rel == nullptr) {
-        reject.set_value(MakeError(
-            RunStatus::kBadQuery,
-            "unknown relation: " + request.delta.relation));
+      std::string error;
+      if (!db_.ValidateDelta(request.delta, &error)) {
+        reject.set_value(MakeError(RunStatus::kBadQuery, error));
         return reject_future;
-      }
-      const int arity = rel->arity();
-      for (const auto* tuples : {&request.delta.adds, &request.delta.deletes}) {
-        for (const Tuple& t : *tuples) {
-          if (static_cast<int>(t.size()) != arity) {
-            reject.set_value(MakeError(
-                RunStatus::kBadQuery,
-                "arity mismatch for relation " + request.delta.relation));
-            return reject_future;
-          }
-        }
       }
     }
     pending->request = request;

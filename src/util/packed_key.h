@@ -10,68 +10,36 @@ namespace clftj {
 
 /// Fixed-size encoding of an adhesion assignment (the cache key of CLFTJ).
 ///
-/// The paper's implementation caps adhesion keys at two dimensions
-/// (CacheOptions::max_dimension = 2), so the common case fits entirely in
-/// two 64-bit words and key construction, hashing and comparison never
-/// touch the heap. Keys wider than kInlineDims take the *spill path*: the
-/// PackedKey carries a borrowed pointer to the caller's value buffer, and
-/// the cache interns the values into its own arena on insert. This keeps
-/// max_dimension raisable without giving up the allocation-free hot path
-/// for the configurations the paper actually runs.
-///
-/// A PackedKey is a value type; for wide keys the pointed-to buffer must
-/// outlive every cache call the key is passed to (per-node key buffers in
-/// the join runners guarantee this: a node is never re-entered while one of
-/// its own activations is live).
+/// The paper's implementation caps adhesion keys at two dimensions, and so
+/// does this one (CacheOptions::max_dimension is 0-2, checked by
+/// CachedPlan::Build): every key fits in two 64-bit words, so key
+/// construction, hashing and comparison never touch the heap.
 struct PackedKey {
   static constexpr int kInlineDims = 2;
 
-  std::uint64_t lo = 0;  // dims >= 1: value 0       | wide: borrowed pointer
-  std::uint64_t hi = 0;  // dims == 2: value 1       | wide: unused
+  std::uint64_t lo = 0;  // dims >= 1: value 0
+  std::uint64_t hi = 0;  // dims == 2: value 1
   std::uint32_t dims = 0;
 
-  bool wide() const { return dims > kInlineDims; }
-
-  const Value* wide_data() const {
-    return reinterpret_cast<const Value*>(static_cast<std::uintptr_t>(lo));
-  }
-
-  /// Encodes `n` values. For n <= kInlineDims the values are copied inline;
-  /// otherwise the key borrows `values` (see class comment).
+  /// Encodes `n` <= kInlineDims values.
   static PackedKey Pack(const Value* values, int n) {
-    // Pack/At/Hash hardcode the two-word inline layout. Raising kInlineDims
+    // Pack/At/Hash hardcode the two-word layout. Raising kInlineDims
     // without widening lo/hi would silently truncate keys (distinct
     // adhesion assignments comparing equal); widen the payload first.
-    static_assert(kInlineDims == 2,
-                  "inline layout stores exactly two values in lo/hi");
+    static_assert(kInlineDims == 2, "a key stores exactly two values in lo/hi");
     PackedKey key;
     key.dims = static_cast<std::uint32_t>(n);
-    if (n > kInlineDims) {
-      key.lo = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(values));
-      return key;
-    }
     if (n >= 1) key.lo = static_cast<std::uint64_t>(values[0]);
     if (n == 2) key.hi = static_cast<std::uint64_t>(values[1]);
     return key;
   }
 
-  /// The i-th key value (0 <= i < dims), regardless of representation.
-  Value At(int i) const {
-    if (wide()) return wide_data()[i];
-    return static_cast<Value>(i == 0 ? lo : hi);
-  }
+  /// The i-th key value (0 <= i < dims).
+  Value At(int i) const { return static_cast<Value>(i == 0 ? lo : hi); }
 
-  /// Hash of the key *values* (never of the borrowed pointer), mixed over
-  /// `seed`. Inline and spilled keys of equal content and width hash alike.
+  /// Hash of the key values and width, mixed over `seed`.
   std::uint64_t Hash(std::uint64_t seed) const {
     std::uint64_t h = HashCombine(seed, dims);
-    if (wide()) {
-      const Value* v = wide_data();
-      for (std::uint32_t i = 0; i < dims; ++i) {
-        h = HashCombine(h, static_cast<std::uint64_t>(v[i]));
-      }
-      return h;
-    }
     if (dims >= 1) h = HashCombine(h, lo);
     if (dims == 2) h = HashCombine(h, hi);
     return h;

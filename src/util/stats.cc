@@ -8,86 +8,64 @@
 
 namespace clftj {
 
-void ExecStats::Merge(const ExecStats& other) {
-  memory_accesses += other.memory_accesses;
-  intermediate_tuples += other.intermediate_tuples;
-  output_tuples += other.output_tuples;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_inserts += other.cache_inserts;
-  cache_rejects += other.cache_rejects;
-  cache_evictions += other.cache_evictions;
-  cache_entries_peak = std::max(cache_entries_peak, other.cache_entries_peak);
-  cache_bytes_peak = std::max(cache_bytes_peak, other.cache_bytes_peak);
-  plan_cache_hits += other.plan_cache_hits;
-  plan_cache_misses += other.plan_cache_misses;
-  substrate_builds += other.substrate_builds;
-  substrate_reuses += other.substrate_reuses;
-  plan_resolve_ns += other.plan_resolve_ns;
-  substrate_build_ns += other.substrate_build_ns;
-  batch_size += other.batch_size;
-  batch_shared_execs += other.batch_shared_execs;
-  batch_prefix_seeds += other.batch_prefix_seeds;
-}
-
-std::string ExecStats::ToString() const {
-  std::ostringstream os;
-  os << "mem_accesses=" << memory_accesses
-     << " intermediates=" << intermediate_tuples
-     << " outputs=" << output_tuples << " cache_hits=" << cache_hits
-     << " cache_misses=" << cache_misses << " cache_inserts=" << cache_inserts
-     << " cache_rejects=" << cache_rejects
-     << " cache_evictions=" << cache_evictions
-     << " cache_peak=" << cache_entries_peak
-     << " cache_bytes_peak=" << cache_bytes_peak
-     << " plan_cache_hits=" << plan_cache_hits
-     << " plan_cache_misses=" << plan_cache_misses
-     << " substrate_builds=" << substrate_builds
-     << " substrate_reuses=" << substrate_reuses
-     << " plan_resolve_ns=" << plan_resolve_ns
-     << " substrate_build_ns=" << substrate_build_ns
-     << " batch_size=" << batch_size
-     << " batch_shared_execs=" << batch_shared_execs
-     << " batch_prefix_seeds=" << batch_prefix_seeds;
-  return os.str();
-}
-
 namespace {
 
-// Wire keys, short on purpose: the stats token rides on every OK response.
-struct WireField {
+// The one table of counters. `key` is the wire key, short on purpose: the
+// stats token rides on every OK response. `name` is the ToString label.
+// Merge sums a flow counter and takes the max of a peak.
+struct Field {
   const char* key;
+  const char* name;
   std::uint64_t ExecStats::*member;
+  bool peak;
 };
 
-constexpr WireField kWireFields[] = {
-    {"ma", &ExecStats::memory_accesses},
-    {"it", &ExecStats::intermediate_tuples},
-    {"ot", &ExecStats::output_tuples},
-    {"ch", &ExecStats::cache_hits},
-    {"cm", &ExecStats::cache_misses},
-    {"ci", &ExecStats::cache_inserts},
-    {"cr", &ExecStats::cache_rejects},
-    {"ce", &ExecStats::cache_evictions},
-    {"cep", &ExecStats::cache_entries_peak},
-    {"cbp", &ExecStats::cache_bytes_peak},
-    {"pch", &ExecStats::plan_cache_hits},
-    {"pcm", &ExecStats::plan_cache_misses},
-    {"sb", &ExecStats::substrate_builds},
-    {"sr", &ExecStats::substrate_reuses},
-    {"prn", &ExecStats::plan_resolve_ns},
-    {"sbn", &ExecStats::substrate_build_ns},
-    {"bsz", &ExecStats::batch_size},
-    {"bse", &ExecStats::batch_shared_execs},
-    {"bps", &ExecStats::batch_prefix_seeds},
+constexpr Field kFields[] = {
+    {"ma", "mem_accesses", &ExecStats::memory_accesses, false},
+    {"it", "intermediates", &ExecStats::intermediate_tuples, false},
+    {"ot", "outputs", &ExecStats::output_tuples, false},
+    {"ch", "cache_hits", &ExecStats::cache_hits, false},
+    {"cm", "cache_misses", &ExecStats::cache_misses, false},
+    {"ci", "cache_inserts", &ExecStats::cache_inserts, false},
+    {"cr", "cache_rejects", &ExecStats::cache_rejects, false},
+    {"ce", "cache_evictions", &ExecStats::cache_evictions, false},
+    {"cep", "cache_peak", &ExecStats::cache_entries_peak, true},
+    {"cbp", "cache_bytes_peak", &ExecStats::cache_bytes_peak, true},
+    {"pch", "plan_cache_hits", &ExecStats::plan_cache_hits, false},
+    {"pcm", "plan_cache_misses", &ExecStats::plan_cache_misses, false},
+    {"sb", "substrate_builds", &ExecStats::substrate_builds, false},
+    {"sr", "substrate_reuses", &ExecStats::substrate_reuses, false},
+    {"prn", "plan_resolve_ns", &ExecStats::plan_resolve_ns, false},
+    {"sbn", "substrate_build_ns", &ExecStats::substrate_build_ns, false},
+    {"bsz", "batch_size", &ExecStats::batch_size, false},
+    {"bse", "batch_shared_execs", &ExecStats::batch_shared_execs, false},
+    {"bps", "batch_prefix_seeds", &ExecStats::batch_prefix_seeds, false},
 };
 
 }  // namespace
 
+void ExecStats::Merge(const ExecStats& other) {
+  for (const Field& f : kFields) {
+    this->*f.member = f.peak ? std::max(this->*f.member, other.*f.member)
+                             : this->*f.member + other.*f.member;
+  }
+}
+
+std::string ExecStats::ToString() const {
+  std::ostringstream os;
+  bool first = true;
+  for (const Field& f : kFields) {
+    if (!first) os << ' ';
+    first = false;
+    os << f.name << '=' << this->*f.member;
+  }
+  return os.str();
+}
+
 std::string ExecStats::ToWire() const {
   std::ostringstream os;
   bool first = true;
-  for (const WireField& f : kWireFields) {
+  for (const Field& f : kFields) {
     if (!first) os << ',';
     first = false;
     os << f.key << ':' << this->*f.member;
@@ -112,7 +90,7 @@ bool ExecStats::FromWire(const std::string& text, ExecStats* out) {
                      &number)) {
       return false;
     }
-    for (const WireField& f : kWireFields) {
+    for (const Field& f : kFields) {
       if (key == f.key) {
         parsed.*f.member = number;
         break;

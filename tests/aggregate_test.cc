@@ -3,7 +3,7 @@
 #include <cmath>
 #include <map>
 
-#include "clftj/aggregate_join.h"
+#include "clftj/cache.h"
 #include "clftj/cached_trie_join.h"
 #include "clftj/semiring.h"
 #include "query/patterns.h"
@@ -43,25 +43,64 @@ typename S::Value BruteAggregate(const Query& q, const Database& db) {
 }
 
 TEST(Aggregate, CountingSemiringMatchesCount) {
+  // Count is the unweighted CountingSemiring run, so the aggregate matches
+  // it in value, memory accesses and cache traffic at every thread count.
   const Database db = SmallSkewedDb(101, 50, 3);
-  for (const Query& q : {PathQuery(4), CycleQuery(4), LollipopQuery(3, 2)}) {
-    AggregatingCachedTrieJoin<CountingSemiring> agg;
-    CachedTrieJoin counter;
-    EXPECT_EQ(agg.Aggregate(q, db).value, counter.Count(q, db, {}).count)
-        << q.ToString();
+  for (const int threads : {1, 2, 4}) {
+    for (const std::uint64_t capacity : {0, 16}) {
+      CachedTrieJoin::Options options;
+      options.threads = threads;
+      options.cache.capacity = capacity;
+      CachedTrieJoin engine(options);
+      for (const Query& q :
+           {PathQuery(4), CycleQuery(4), LollipopQuery(3, 2)}) {
+        const RunResult count = engine.Count(q, db, {});
+        const auto agg = engine.Aggregate<CountingSemiring>(q, db);
+        const ExecStats& a = agg.stats;
+        const ExecStats& c = count.stats;
+        EXPECT_EQ(agg.status, RunStatus::kOk);
+        EXPECT_EQ(agg.value, count.count) << q.ToString();
+        EXPECT_EQ(a.memory_accesses, c.memory_accesses) << q.ToString();
+        EXPECT_EQ(a.cache_hits, c.cache_hits) << q.ToString();
+        EXPECT_EQ(a.cache_misses, c.cache_misses) << q.ToString();
+        EXPECT_EQ(a.cache_inserts, c.cache_inserts) << q.ToString();
+        EXPECT_EQ(a.cache_rejects, c.cache_rejects) << q.ToString();
+        EXPECT_EQ(a.cache_evictions, c.cache_evictions) << q.ToString();
+        EXPECT_EQ(a.cache_entries_peak, c.cache_entries_peak) << q.ToString();
+        EXPECT_EQ(a.cache_bytes_peak, c.cache_bytes_peak) << q.ToString();
+      }
+    }
   }
+}
+
+TEST(Aggregate, NeverTouchesTheInjectedCountCache) {
+  // Aggregate entries are weighted values, so an aggregate must neither
+  // read nor fill the serving loop's persistent count table.
+  const Database db = SmallSkewedDb(101, 50, 3);
+  const Query q = PathQuery(4);
+  StripedCacheManager<std::uint64_t> table(CacheOptions{}, /*workers=*/1);
+  CachedTrieJoin::Options options;
+  options.shared_count_cache = &table;
+  CachedTrieJoin engine(options);
+  const auto agg = engine.Aggregate<CountingSemiring>(q, db);
+  EXPECT_EQ(table.size(), 0u);
+  const ExecStats table_stats = table.AggregatedStats();
+  EXPECT_EQ(table_stats.cache_hits + table_stats.cache_misses, 0u);
+  EXPECT_GT(agg.stats.cache_inserts, 0u) << "the run's own cache is used";
+  EXPECT_EQ(agg.value, engine.Count(q, db, {}).count);
 }
 
 TEST(Aggregate, RealSemiringMatchesBruteForce) {
   const Database db = SmallSkewedDb(103, 40, 2);
   for (const Query& q : {PathQuery(3), PathQuery(4), CycleQuery(4)}) {
-    AggregatingCachedTrieJoin<RealSemiring> agg;
-    const double got =
-        agg.Aggregate(q, db,
-                      [&q](AtomId a, const Tuple& mu) {
-                        return EdgeWeight(q, a, mu);
-                      })
-            .value;
+    CachedTrieJoin engine;
+    const double got = engine
+                           .Aggregate<RealSemiring>(
+                               q, db,
+                               [&q](AtomId a, const Tuple& mu) {
+                                 return EdgeWeight(q, a, mu);
+                               })
+                           .value;
     const double expected = BruteAggregate<RealSemiring>(q, db);
     EXPECT_NEAR(got, expected, 1e-6 * std::max(1.0, std::fabs(expected)))
         << q.ToString();
@@ -71,13 +110,13 @@ TEST(Aggregate, RealSemiringMatchesBruteForce) {
 TEST(Aggregate, MaxPlusFindsHeaviestInstance) {
   const Database db = SmallSkewedDb(105, 40, 2);
   const Query q = PathQuery(4);
-  AggregatingCachedTrieJoin<MaxPlusSemiring> agg;
-  const double got =
-      agg.Aggregate(q, db,
-                    [&q](AtomId a, const Tuple& mu) {
-                      return EdgeWeight(q, a, mu);
-                    })
-          .value;
+  CachedTrieJoin engine;
+  const double got = engine
+                         .Aggregate<MaxPlusSemiring>(q, db,
+                                        [&q](AtomId a, const Tuple& mu) {
+                                          return EdgeWeight(q, a, mu);
+                                        })
+                         .value;
   // Brute force: max over tuples of the sum of atom weights.
   double expected = -std::numeric_limits<double>::infinity();
   for (const Tuple& t : ReferenceTuples(q, db)) {
@@ -91,13 +130,13 @@ TEST(Aggregate, MaxPlusFindsHeaviestInstance) {
 TEST(Aggregate, MinPlusFindsLightestInstance) {
   const Database db = SmallSkewedDb(107, 40, 2);
   const Query q = CycleQuery(4);
-  AggregatingCachedTrieJoin<MinPlusSemiring> agg;
-  const double got =
-      agg.Aggregate(q, db,
-                    [&q](AtomId a, const Tuple& mu) {
-                      return EdgeWeight(q, a, mu);
-                    })
-          .value;
+  CachedTrieJoin engine;
+  const double got = engine
+                         .Aggregate<MinPlusSemiring>(q, db,
+                                        [&q](AtomId a, const Tuple& mu) {
+                                          return EdgeWeight(q, a, mu);
+                                        })
+                         .value;
   double expected = std::numeric_limits<double>::infinity();
   for (const Tuple& t : ReferenceTuples(q, db)) {
     double sum = 0;
@@ -113,16 +152,17 @@ TEST(Aggregate, BooleanSemiringIsSatisfiability) {
   e.AddPair(1, 2);
   e.AddPair(2, 3);
   db.Put(std::move(e));
-  AggregatingCachedTrieJoin<BooleanSemiring> agg;
-  EXPECT_TRUE(agg.Aggregate(Q("E(x,y), E(y,z)"), db).value);
-  EXPECT_FALSE(agg.Aggregate(Q("E(x,y), E(y,x)"), db).value);
+  CachedTrieJoin engine;
+  EXPECT_TRUE(engine.Aggregate<BooleanSemiring>(Q("E(x,y), E(y,z)"), db).value);
+  EXPECT_FALSE(
+      engine.Aggregate<BooleanSemiring>(Q("E(x,y), E(y,x)"), db).value);
 }
 
 TEST(Aggregate, EmptySemiringResultIsZero) {
   Database db;
   db.Put(Relation("E", 2));
-  AggregatingCachedTrieJoin<RealSemiring> agg;
-  EXPECT_EQ(agg.Aggregate(PathQuery(3), db).value, 0.0);
+  CachedTrieJoin engine;
+  EXPECT_EQ(engine.Aggregate<RealSemiring>(PathQuery(3), db).value, 0.0);
 }
 
 TEST(Aggregate, CachePoliciesPreserveAggregates) {
@@ -131,10 +171,11 @@ TEST(Aggregate, CachePoliciesPreserveAggregates) {
   const auto weight = [&q](AtomId a, const Tuple& mu) {
     return EdgeWeight(q, a, mu);
   };
-  AggregatingCachedTrieJoin<RealSemiring> unbounded;
-  const double expected = unbounded.Aggregate(q, db, weight).value;
+  CachedTrieJoin unbounded;
+  const double expected =
+      unbounded.Aggregate<RealSemiring>(q, db, weight).value;
   for (int policy = 0; policy < 3; ++policy) {
-    AggregatingCachedTrieJoin<RealSemiring>::Options options;
+    CachedTrieJoin::Options options;
     switch (policy) {
       case 0:
         options.cache.capacity = 4;
@@ -148,8 +189,8 @@ TEST(Aggregate, CachePoliciesPreserveAggregates) {
         options.cache.support_threshold = 4;
         break;
     }
-    AggregatingCachedTrieJoin<RealSemiring> engine(options);
-    const double got = engine.Aggregate(q, db, weight).value;
+    CachedTrieJoin engine(options);
+    const double got = engine.Aggregate<RealSemiring>(q, db, weight).value;
     EXPECT_NEAR(got, expected, 1e-6 * std::max(1.0, std::fabs(expected)))
         << "policy " << policy;
   }
@@ -158,34 +199,99 @@ TEST(Aggregate, CachePoliciesPreserveAggregates) {
 TEST(Aggregate, ExplicitPlanHonored) {
   const Database db = SmallSkewedDb(111, 40, 2);
   const Query q = PathQuery(4);
-  AggregatingCachedTrieJoin<CountingSemiring>::Options options;
+  CachedTrieJoin::Options options;
   TreeDecomposition td;
   const NodeId root = td.AddNode({0, 1}, kNone);
   const NodeId mid = td.AddNode({1, 2}, root);
   td.AddNode({2, 3}, mid);
   options.plan = MakePlanFromTd(q, db, std::move(td));
-  AggregatingCachedTrieJoin<CountingSemiring> engine(options);
+  CachedTrieJoin engine(options);
   CachedTrieJoin counter;
-  EXPECT_EQ(engine.Aggregate(q, db).value, counter.Count(q, db, {}).count);
+  EXPECT_EQ(engine.Aggregate<CountingSemiring>(q, db).value,
+            counter.Count(q, db, {}).count);
 }
 
 TEST(Aggregate, TimeoutReported) {
   const Database db = SmallSkewedDb(113, 200, 8);
-  AggregatingCachedTrieJoin<CountingSemiring>::Options options;
+  CachedTrieJoin::Options options;
   options.cache.enabled = false;
-  AggregatingCachedTrieJoin<CountingSemiring> engine(options);
+  CachedTrieJoin engine(options);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;
-  EXPECT_TRUE(engine.Aggregate(PathQuery(6), db, nullptr, limits).timed_out);
+  EXPECT_EQ(
+      engine.Aggregate<CountingSemiring>(PathQuery(6), db, nullptr, limits)
+          .status,
+      RunStatus::kTimeout);
+}
+
+TEST(Aggregate, PreCancelledRunReportsCancelled) {
+  // A cancel handle tripped before the run starts stops every shard at its
+  // first deadline check, and the run reports the trip's reason.
+  const Database db = SmallSkewedDb(113, 60, 3);
+  const Query q = PathQuery(5);
+  const auto weight = [&q](AtomId a, const Tuple& mu) {
+    return EdgeWeight(q, a, mu);
+  };
+  AbortFlag cancel;
+  cancel.Trip(RunStatus::kCancelled);
+  RunLimits limits;
+  limits.cancel = &cancel;
+  for (const int threads : {1, 4}) {
+    CachedTrieJoin::Options options;
+    options.threads = threads;
+    CachedTrieJoin engine(options);
+    const auto full = engine.Aggregate<RealSemiring>(q, db, weight);
+    const auto cancelled =
+        engine.Aggregate<RealSemiring>(q, db, weight, limits);
+    EXPECT_EQ(full.status, RunStatus::kOk);
+    EXPECT_EQ(cancelled.status, RunStatus::kCancelled) << threads;
+    EXPECT_LT(cancelled.stats.memory_accesses, full.stats.memory_accesses)
+        << threads;
+  }
+}
+
+TEST(Aggregate, ShardedAggregatesMatchOneThread) {
+  // Shards are contiguous first-variable ranges combined with S::Plus in
+  // shard order, so max/min/or aggregates are exact at every thread count
+  // and sums agree up to floating-point reassociation.
+  const Database db = SmallSkewedDb(117, 60, 3);
+  for (const Query& q : {PathQuery(4), CycleQuery(4)}) {
+    const auto weight = [&q](AtomId a, const Tuple& mu) {
+      return EdgeWeight(q, a, mu);
+    };
+    CachedTrieJoin one;
+    const double real = one.Aggregate<RealSemiring>(q, db, weight).value;
+    const double heaviest =
+        one.Aggregate<MaxPlusSemiring>(q, db, weight).value;
+    const double lightest =
+        one.Aggregate<MinPlusSemiring>(q, db, weight).value;
+    const bool any = one.Aggregate<BooleanSemiring>(q, db).value;
+    for (const int threads : {2, 4}) {
+      CachedTrieJoin::Options options;
+      options.threads = threads;
+      CachedTrieJoin sharded(options);
+      EXPECT_NEAR(sharded.Aggregate<RealSemiring>(q, db, weight).value, real,
+                  1e-9 * std::max(1.0, std::fabs(real)))
+          << q.ToString() << " threads=" << threads;
+      EXPECT_EQ(sharded.Aggregate<MaxPlusSemiring>(q, db, weight).value,
+                heaviest)
+          << q.ToString() << " threads=" << threads;
+      EXPECT_EQ(sharded.Aggregate<MinPlusSemiring>(q, db, weight).value,
+                lightest)
+          << q.ToString() << " threads=" << threads;
+      EXPECT_EQ(sharded.Aggregate<BooleanSemiring>(q, db).value, any)
+          << q.ToString() << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Aggregate, CachingActuallyHappens) {
   const Database db = SmallSkewedDb(115, 60, 3);
-  AggregatingCachedTrieJoin<RealSemiring> engine;
+  CachedTrieJoin engine;
   const Query q = PathQuery(5);
-  const auto result = engine.Aggregate(q, db, [&q](AtomId a, const Tuple& mu) {
-    return EdgeWeight(q, a, mu);
-  });
+  const auto result = engine.Aggregate<RealSemiring>(
+      q, db,
+      [&q](AtomId a, const Tuple& mu) { return EdgeWeight(q, a, mu); });
   EXPECT_GT(result.stats.cache_hits, 0u);
 }
 

@@ -19,8 +19,7 @@
 namespace clftj {
 namespace {
 
-// Packs an inline (<= 2 dimension) key from a literal. Wide keys must use
-// named storage — PackedKey borrows the buffer beyond kInlineDims.
+// Packs a (<= 2 dimension) key from a literal.
 PackedKey PK(const Tuple& t) {
   return PackedKey::Pack(t.data(), static_cast<int>(t.size()));
 }
@@ -28,18 +27,9 @@ PackedKey PK(const Tuple& t) {
 TEST(PackedKey, InlineRoundTrip) {
   const Tuple t = {42, -7};
   const PackedKey k = PK(t);
-  EXPECT_FALSE(k.wide());
   EXPECT_EQ(k.dims, 2u);
   EXPECT_EQ(k.At(0), 42);
   EXPECT_EQ(k.At(1), -7);
-}
-
-TEST(PackedKey, WideRoundTrip) {
-  const Tuple t = {1, 2, 3, 4};
-  const PackedKey k = PK(t);
-  EXPECT_TRUE(k.wide());
-  EXPECT_EQ(k.dims, 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(k.At(i), t[i]);
 }
 
 TEST(PackedKey, HashDependsOnWidthAndContent) {
@@ -54,7 +44,7 @@ TEST(PackedKey, HashDependsOnWidthAndContent) {
 
 TEST(CacheManager, MissThenHit) {
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(2, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   EXPECT_EQ(cache.Lookup(0, PK({5})), nullptr);
   cache.Insert(0, PK({5}), 42);
   const std::uint64_t* hit = cache.Lookup(0, PK({5}));
@@ -67,7 +57,7 @@ TEST(CacheManager, MissThenHit) {
 
 TEST(CacheManager, NodesAreIsolated) {
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(2, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   cache.Insert(0, PK({5}), 1);
   EXPECT_EQ(cache.Lookup(1, PK({5})), nullptr)
       << "same key under another node must not hit";
@@ -77,7 +67,7 @@ TEST(CacheManager, SameInlineBitsDifferentWidthAreDistinct) {
   // {5} packs as lo=5,hi=0 and {5,0} packs identically except for dims;
   // the dims field must keep them apart.
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   cache.Insert(0, PK({5}), 1);
   cache.Insert(0, PK({5, 0}), 2);
   cache.Insert(0, PK({}), 3);
@@ -89,7 +79,7 @@ TEST(CacheManager, SameInlineBitsDifferentWidthAreDistinct) {
 
 TEST(CacheManager, EmptyKeySupported) {
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   cache.Insert(0, PK({}), 7);
   const std::uint64_t* hit = cache.Lookup(0, PK({}));
   ASSERT_NE(hit, nullptr);
@@ -98,7 +88,7 @@ TEST(CacheManager, EmptyKeySupported) {
 
 TEST(CacheManager, NegativeValuesInKeys) {
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   cache.Insert(0, PK({-3, -9}), 11);
   ASSERT_NE(cache.Lookup(0, PK({-3, -9})), nullptr);
   EXPECT_EQ(cache.Lookup(0, PK({-3, 9})), nullptr);
@@ -106,7 +96,7 @@ TEST(CacheManager, NegativeValuesInKeys) {
 
 TEST(CacheManager, InsertReplacesValue) {
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   cache.Insert(0, PK({1}), 10);
   cache.Insert(0, PK({1}), 20);
   EXPECT_EQ(*cache.Lookup(0, PK({1})), 20u);
@@ -118,7 +108,7 @@ TEST(CacheManager, RejectNewAtCapacity) {
   CacheOptions options;
   options.capacity = 2;
   options.eviction = CacheOptions::Eviction::kRejectNew;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);
   cache.Insert(0, PK({2}), 2);
   cache.Insert(0, PK({3}), 3);  // rejected
@@ -133,7 +123,7 @@ TEST(CacheManager, LruEvictsLeastRecentlyUsed) {
   CacheOptions options;
   options.capacity = 2;
   options.eviction = CacheOptions::Eviction::kLru;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);
   cache.Insert(0, PK({2}), 2);
   cache.Lookup(0, PK({1}));        // refresh key {1}
@@ -149,7 +139,7 @@ TEST(CacheManager, LruEvictionIsGlobalAcrossNodes) {
   CacheOptions options;
   options.capacity = 2;
   options.eviction = CacheOptions::Eviction::kLru;
-  CacheManager<std::uint64_t> cache(3, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);
   cache.Insert(1, PK({1}), 2);
   cache.Insert(2, PK({1}), 3);  // evicts node 0's entry (oldest globally)
@@ -164,7 +154,7 @@ TEST(CacheManager, LruEvictionOrderFollowsRecencyExactly) {
   ExecStats stats;
   CacheOptions options;
   options.capacity = 3;
-  CacheManager<std::uint64_t> cache(2, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);   // order (MRU->LRU): 1
   cache.Insert(1, PK({2}), 2);   // 2 1
   cache.Insert(0, PK({3}), 3);   // 3 2 1
@@ -186,7 +176,7 @@ TEST(CacheManager, CapacityOne) {
   ExecStats stats;
   CacheOptions options;
   options.capacity = 1;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);
   cache.Insert(0, PK({2}), 2);
   EXPECT_EQ(cache.size(), 1u);
@@ -195,7 +185,7 @@ TEST(CacheManager, CapacityOne) {
 
 TEST(CacheManager, PeakTracksHighWaterMark) {
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   for (Value v = 0; v < 10; ++v) cache.Insert(0, PK({v}), 1);
   EXPECT_EQ(stats.cache_entries_peak, 10u);
 }
@@ -204,7 +194,7 @@ TEST(CacheManager, BoundedReplaceDoesNotEvict) {
   ExecStats stats;
   CacheOptions options;
   options.capacity = 2;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);
   cache.Insert(0, PK({2}), 2);
   cache.Insert(0, PK({1}), 99);  // replace, not a new entry
@@ -216,7 +206,7 @@ TEST(CacheManager, SurvivesGrowthRehash) {
   // Push far past the initial table size so the flat table rehashes several
   // times; every entry must stay reachable with its value.
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(4, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   constexpr Value kN = 20000;
   for (Value v = 0; v < kN; ++v) {
     cache.Insert(static_cast<NodeId>(v & 3), PK({v, v * 31}),
@@ -238,7 +228,7 @@ TEST(CacheManager, LruOrderSurvivesGrowthRehash) {
   // still exact reverse insertion order afterwards — Rehash's MRU-first
   // re-link walk is what this pins.
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
+  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
   constexpr Value kN = 1000;
   for (Value v = 0; v < kN; ++v) {
     cache.Insert(0, PK({v}), static_cast<std::uint64_t>(v));
@@ -257,7 +247,7 @@ TEST(CacheManager, LruOrderSurvivesEvictionBackwardShift) {
   ExecStats stats;
   CacheOptions options;
   options.capacity = 4;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   for (Value v = 0; v < 100; ++v) {
     cache.Insert(0, PK({v}), static_cast<std::uint64_t>(v));
     if (v >= 2) cache.Lookup(0, PK({v - 2}));  // refresh an older entry
@@ -266,57 +256,6 @@ TEST(CacheManager, LruOrderSurvivesEvictionBackwardShift) {
   // Chain (MRU->LRU): lookup(97), insert(99), lookup(96), insert(98).
   const std::vector<std::uint64_t> order = cache.LruOrderForTest();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{97, 99, 96, 98}));
-}
-
-// --- Spill path: keys wider than PackedKey::kInlineDims -------------------
-
-TEST(CacheManager, WideKeysRoundTrip) {
-  ExecStats stats;
-  CacheManager<std::uint64_t> cache(2, CacheOptions{}, &stats);
-  const Tuple a = {1, 2, 3};
-  const Tuple b = {1, 2, 4};
-  cache.Insert(0, PK(a), 10);
-  cache.Insert(0, PK(b), 20);
-  EXPECT_EQ(*cache.Lookup(0, PK(a)), 10u);
-  EXPECT_EQ(*cache.Lookup(0, PK(b)), 20u);
-  const Tuple c = {1, 2, 5};
-  EXPECT_EQ(cache.Lookup(0, PK(c)), nullptr);
-  // The cache interned the values: the probe buffer can be reused freely.
-  Tuple probe = a;
-  EXPECT_EQ(*cache.Lookup(0, PK(probe)), 10u);
-}
-
-TEST(CacheManager, WideKeyEvictionChurnCompactsArena) {
-  // A tiny bounded cache fed a stream of distinct wide keys: the interning
-  // arena must keep reclaiming space (and stay correct) under churn.
-  ExecStats stats;
-  CacheOptions options;
-  options.capacity = 4;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
-  for (Value v = 0; v < 3000; ++v) {
-    const Tuple key = {v, v + 1, v + 2, v + 3};
-    cache.Insert(0, PK(key), static_cast<std::uint64_t>(v));
-  }
-  EXPECT_EQ(cache.size(), 4u);
-  for (Value v = 2996; v < 3000; ++v) {
-    const Tuple key = {v, v + 1, v + 2, v + 3};
-    const std::uint64_t* hit = cache.Lookup(0, PK(key));
-    ASSERT_NE(hit, nullptr) << v;
-    EXPECT_EQ(*hit, static_cast<std::uint64_t>(v));
-  }
-}
-
-TEST(CacheManager, MixedInlineAndWideKeys) {
-  ExecStats stats;
-  CacheManager<std::uint64_t> cache(1, CacheOptions{}, &stats);
-  const Tuple wide = {7, 8, 9};
-  cache.Insert(0, PK({7}), 1);
-  cache.Insert(0, PK({7, 8}), 2);
-  cache.Insert(0, PK(wide), 3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(*cache.Lookup(0, PK({7})), 1u);
-  EXPECT_EQ(*cache.Lookup(0, PK({7, 8})), 2u);
-  EXPECT_EQ(*cache.Lookup(0, PK(wide)), 3u);
 }
 
 // --- In-place targeted eviction ------------------------------------------
@@ -337,10 +276,10 @@ TEST(CacheManager, EvictIfInPlaceKeepsSurvivorsAndRecency) {
   std::vector<Key> near_end;
   std::vector<Key> anywhere;
   for (Value v = 0; near_end.size() < 64 || anywhere.size() < 16; ++v) {
-    // Inline (1 and 2 values) and wide (3 values, arena-backed) keys.
+    // Keys of one and of two values, the two widths a PackedKey holds.
     const Tuple values = v % 3 == 0   ? Tuple{v}
                          : v % 3 == 1 ? Tuple{v, -v}
-                                      : Tuple{v, 7, v};
+                                      : Tuple{7, v};
     const NodeId node = static_cast<NodeId>(v % 2);
     const std::uint64_t ideal = CacheKeyHash(node, PK(values)) & kMask;
     if (ideal >= 12 && near_end.size() < 64) {
@@ -354,7 +293,7 @@ TEST(CacheManager, EvictIfInPlaceKeepsSurvivorsAndRecency) {
     ExecStats stats;
     CacheOptions options;
     options.capacity = 8;
-    CacheManager<std::uint64_t> cache(2, options, &stats);
+    CacheManager<std::uint64_t> cache(options, &stats);
     // Pick up to 8 distinct keys, at most two from anywhere in the table.
     std::vector<Key> keys;
     std::vector<std::size_t> order(near_end.size());
@@ -518,13 +457,13 @@ CacheOptions DifferentialConfig(int index) {
 TEST_P(CacheDifferentialTest, RandomizedWorkloadMatchesOracle) {
   const CacheOptions options = DifferentialConfig(GetParam());
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(4, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   OracleCache oracle(options);
   std::mt19937_64 rng(12345 + GetParam());
   // Small domains force key reuse, collisions, replacement and (bounded)
-  // heavy eviction; dims 0..3 also exercises the wide-key spill path.
+  // heavy eviction; dims 0..2 covers every key width.
   std::uniform_int_distribution<int> node_dist(0, 3);
-  std::uniform_int_distribution<int> dims_dist(0, 3);
+  std::uniform_int_distribution<int> dims_dist(0, 2);
   std::uniform_int_distribution<Value> value_dist(0, 11);
   std::uniform_int_distribution<int> op_dist(0, 2);
   for (int step = 0; step < 50000; ++step) {
@@ -571,7 +510,7 @@ TEST(CacheByteBudget, EvictsByPayloadBytesNeverExceedingBudget) {
   ExecStats stats;
   CacheOptions options;
   options.capacity_bytes = 64;  // 8 uint64 payloads
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   for (Value v = 0; v < 50; ++v) cache.Insert(0, PK({v}), 1000 + v);
   EXPECT_LE(cache.payload_bytes(), options.capacity_bytes);
   EXPECT_LE(stats.cache_bytes_peak, options.capacity_bytes);
@@ -588,7 +527,7 @@ TEST(CacheByteBudget, RejectNewStopsAtBudget) {
   CacheOptions options;
   options.capacity_bytes = 16;  // two uint64 payloads
   options.eviction = CacheOptions::Eviction::kRejectNew;
-  CacheManager<std::uint64_t> cache(1, options, &stats);
+  CacheManager<std::uint64_t> cache(options, &stats);
   cache.Insert(0, PK({1}), 1);
   cache.Insert(0, PK({2}), 2);
   cache.Insert(0, PK({3}), 3);  // would overshoot: rejected
@@ -601,7 +540,7 @@ TEST(CacheByteBudget, OversizedPayloadIsRejectedOutright) {
   ExecStats stats;
   CacheOptions options;
   options.capacity_bytes = 64;
-  CacheManager<FactorizedSetPtr> cache(1, options, &stats);
+  CacheManager<FactorizedSetPtr> cache(options, &stats);
   auto big = std::make_shared<FactorizedSet>();
   big->entries.resize(100);  // entry array alone dwarfs the budget
   ASSERT_GT(CachePayloadBytes(FactorizedSetPtr(big)), options.capacity_bytes);
@@ -624,7 +563,7 @@ TEST(CacheByteBudget, GrownReplacementShedsLruEntries) {
   options.capacity_bytes = 8 * small_bytes;  // exactly eight small payloads
   ASSERT_LE(grown_bytes, options.capacity_bytes);
   ASSERT_GT(7 * small_bytes + grown_bytes, options.capacity_bytes);
-  CacheManager<FactorizedSetPtr> cache(1, options, &stats);
+  CacheManager<FactorizedSetPtr> cache(options, &stats);
   for (Value v = 0; v < 8; ++v) cache.Insert(0, PK({v}), small);
   ASSERT_EQ(cache.size(), 8u);
   cache.Insert(0, PK({0}), grown);  // replacement grows the charge
@@ -670,7 +609,7 @@ TEST(CacheByteBudget, ChargesRetainedChildClosure) {
   CacheOptions options;
   options.capacity_bytes = shallow + sizeof(FactorizedSetPtr);
   ASSERT_LT(options.capacity_bytes, CachePayloadBytes(parent_ptr));
-  CacheManager<FactorizedSetPtr> tight(1, options, &stats);
+  CacheManager<FactorizedSetPtr> tight(options, &stats);
   tight.Insert(0, PK({1}), parent_ptr);
   EXPECT_EQ(tight.size(), 0u);
   EXPECT_EQ(stats.cache_rejects, 1u);
@@ -680,7 +619,7 @@ TEST(CacheByteBudget, ChargesRetainedChildClosure) {
   ExecStats roomy_stats;
   CacheOptions roomy_options;
   roomy_options.capacity_bytes = 2 * CachePayloadBytes(parent_ptr);
-  CacheManager<FactorizedSetPtr> roomy(1, roomy_options, &roomy_stats);
+  CacheManager<FactorizedSetPtr> roomy(roomy_options, &roomy_stats);
   roomy.Insert(0, PK({1}), parent_ptr);
   ASSERT_EQ(roomy.size(), 1u);
   EXPECT_GE(roomy.payload_bytes(), deep);

@@ -148,6 +148,31 @@ TEST(DatabaseDelta, BadBatchAppliesNothing) {
   EXPECT_EQ(db.Get("E").size(), 1u);
 }
 
+TEST(DatabaseDelta, ValidateDeltaIsApplyDeltasCheck) {
+  // The service admits a delta with ValidateDelta and applies it later
+  // with ApplyDelta: both must give the same verdict and the same text,
+  // and validating alone must change nothing.
+  Database db;
+  db.Put(EdgeRelation("E", {{1, 2}}));
+  const std::vector<std::pair<DeltaBatch, std::string>> cases = {
+      {{"nope", {{1, 2}}, {}}, "unknown relation: nope"},
+      {{"E", {{1, 2, 3}}, {}}, "arity mismatch for relation E"},
+      {{"E", {}, {{1}}}, "arity mismatch for relation E"},
+      {{"E", {{2, 3}}, {{1, 2}}}, ""},
+  };
+  for (const auto& [batch, want] : cases) {
+    const std::uint64_t minor = db.minor_version();
+    std::string validated;
+    EXPECT_EQ(db.ValidateDelta(batch, &validated), want.empty());
+    EXPECT_EQ(validated, want);
+    EXPECT_EQ(db.minor_version(), minor) << "validation applied something";
+    std::string applied;
+    EXPECT_EQ(db.ApplyDelta(batch, &applied), want.empty());
+    EXPECT_EQ(applied, want);
+  }
+  EXPECT_EQ(db.Get("E").size(), 1u);  // {1,2} deleted, {2,3} added
+}
+
 TEST(DatabaseDelta, PutResetsTheDeltaLogFloor) {
   Database db;
   db.Put(EdgeRelation("E", {{1, 2}}));
@@ -766,10 +791,12 @@ TEST(ServiceDelta, BadDeltasAreTypedRejections) {
   Database db;
   db.Put(EdgeRelation("E", {{1, 2}}));
   QueryService service(&db, ServiceOptions{});
-  EXPECT_EQ(service.Execute(DeltaReq("nope", {{1, 2}})).status,
-            RunStatus::kBadQuery);
-  EXPECT_EQ(service.Execute(DeltaReq("E", {{1, 2, 3}})).status,
-            RunStatus::kBadQuery);
+  const QueryResponse unknown = service.Execute(DeltaReq("nope", {{1, 2}}));
+  EXPECT_EQ(unknown.status, RunStatus::kBadQuery);
+  EXPECT_EQ(unknown.message, "unknown relation: nope");
+  const QueryResponse wide = service.Execute(DeltaReq("E", {{1, 2, 3}}));
+  EXPECT_EQ(wide.status, RunStatus::kBadQuery);
+  EXPECT_EQ(wide.message, "arity mismatch for relation E");
   QueryRequest unknown_kind;
   unknown_kind.kind = "upsert";
   EXPECT_EQ(service.Execute(unknown_kind).status, RunStatus::kBadQuery);

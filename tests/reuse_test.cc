@@ -214,6 +214,34 @@ TEST(ExecStatsWire, RoundTripsEveryCounter) {
   EXPECT_EQ(parsed.batch_size, 17u);
   EXPECT_EQ(parsed.batch_shared_execs, 18u);
   EXPECT_EQ(parsed.batch_prefix_seeds, 19u);
+
+  // The wire token (perfbench parses its keys) and the ToString text
+  // (clftj_cli --stats prints it) are pinned byte for byte.
+  EXPECT_EQ(stats.ToWire(),
+            "ma:1,it:2,ot:3,ch:4,cm:5,ci:6,cr:7,ce:8,cep:9,cbp:10,pch:11,"
+            "pcm:12,sb:13,sr:14,prn:15,sbn:16,bsz:17,bse:18,bps:19");
+  EXPECT_EQ(stats.ToString(),
+            "mem_accesses=1 intermediates=2 outputs=3 cache_hits=4 "
+            "cache_misses=5 cache_inserts=6 cache_rejects=7 "
+            "cache_evictions=8 cache_peak=9 cache_bytes_peak=10 "
+            "plan_cache_hits=11 plan_cache_misses=12 substrate_builds=13 "
+            "substrate_reuses=14 plan_resolve_ns=15 substrate_build_ns=16 "
+            "batch_size=17 batch_shared_execs=18 batch_prefix_seeds=19");
+
+  // Merge sums every flow counter and takes the max of the two peaks: one
+  // peak is lower in `more`, the other higher.
+  ExecStats more;
+  ASSERT_TRUE(ExecStats::FromWire(
+      "ma:100,it:100,ot:100,ch:100,cm:100,ci:100,cr:100,ce:100,cep:3,"
+      "cbp:110,pch:100,pcm:100,sb:100,sr:100,prn:100,sbn:100,bsz:100,"
+      "bse:100,bps:100",
+      &more));
+  ExecStats merged = stats;
+  merged.Merge(more);
+  EXPECT_EQ(merged.ToWire(),
+            "ma:101,it:102,ot:103,ch:104,cm:105,ci:106,cr:107,ce:108,cep:9,"
+            "cbp:110,pch:111,pcm:112,sb:113,sr:114,prn:115,sbn:116,bsz:117,"
+            "bse:118,bps:119");
 }
 
 TEST(ExecStatsWire, UnknownKeysIgnoredMalformedRejected) {

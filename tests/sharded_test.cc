@@ -179,7 +179,8 @@ TEST(Sharded, EmptyShardRangeYieldsNothing) {
   ExecStats stats;
   auto count_range = [&](const FirstVarRange& range) {
     TrieJoinContext ctx(substrate, &stats);
-    CountRun run(plan, CacheOptions{}, &ctx, &stats, RunLimits{}, range);
+    CountRun<CountingSemiring> run(plan, CacheOptions{}, &ctx, &stats,
+                                   RunLimits{}, range);
     return run.Run();
   };
 

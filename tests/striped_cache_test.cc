@@ -50,14 +50,10 @@ CacheOptions Budget(std::uint64_t capacity = 0,
   return options;
 }
 
-// CacheManager keys on (node, key) and ignores the node count, so the
-// tables below take any.
-constexpr int kNodes = 8;
-
 // --- StripedCacheManager unit tests ---------------------------------------
 
 TEST(StripedCacheManager, MissThenHitCopiesPayloadOut) {
-  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/4);
+  StripedCacheManager<std::uint64_t> cache(Budget(), /*workers=*/4);
   std::uint64_t out = 0;
   EXPECT_FALSE(cache.Lookup(0, PK({5}), &out));
   cache.Insert(0, PK({5}), 42);
@@ -67,7 +63,7 @@ TEST(StripedCacheManager, MissThenHitCopiesPayloadOut) {
 }
 
 TEST(StripedCacheManager, NodesAreIsolated) {
-  StripedCacheManager<std::uint64_t> cache(2, Budget(), 4);
+  StripedCacheManager<std::uint64_t> cache(Budget(), 4);
   cache.Insert(0, PK({5}), 1);
   std::uint64_t out = 0;
   EXPECT_FALSE(cache.Lookup(1, PK({5}), &out))
@@ -78,7 +74,7 @@ TEST(StripedCacheManager, StripeBudgetsSumExactlyToGlobalCapacity) {
   // 100 entries over 8 stripes (4 workers): 100/8 = 12 each with
   // remainder 4 spread to the first four stripes — no flooring slack, the
   // slices *are* the budget.
-  StripedCacheManager<std::uint64_t> cache(2, Budget(100), /*workers=*/4);
+  StripedCacheManager<std::uint64_t> cache(Budget(100), /*workers=*/4);
   EXPECT_EQ(cache.stripe_count(), 8);
   std::uint64_t total = 0;
   for (const auto& [cap, cap_bytes] : cache.StripeBudgetsForTest()) {
@@ -91,8 +87,8 @@ TEST(StripedCacheManager, StripeBudgetsSumExactlyToGlobalCapacity) {
 }
 
 TEST(StripedCacheManager, StripeByteBudgetsSumExactlyToGlobalBytes) {
-  StripedCacheManager<std::uint64_t> cache(
-      2, Budget(0, /*capacity_bytes=*/1001), /*workers=*/4);
+  StripedCacheManager<std::uint64_t> cache(Budget(0, /*capacity_bytes=*/1001),
+                                           /*workers=*/4);
   EXPECT_EQ(cache.stripe_count(), 8);
   std::uint64_t total = 0;
   for (const auto& [cap, cap_bytes] : cache.StripeBudgetsForTest()) {
@@ -106,7 +102,7 @@ TEST(StripedCacheManager, StripeByteBudgetsSumExactlyToGlobalBytes) {
 TEST(StripedCacheManager, StripeCountClampsToTinyBudgets) {
   // capacity 3 cannot feed 16 stripes at >= 1 entry each: the count halves
   // until every stripe's slice is positive.
-  StripedCacheManager<std::uint64_t> tiny(2, Budget(3), /*workers=*/8);
+  StripedCacheManager<std::uint64_t> tiny(Budget(3), /*workers=*/8);
   EXPECT_LE(tiny.stripe_count(), 2);
   std::uint64_t total = 0;
   for (const auto& [cap, cap_bytes] : tiny.StripeBudgetsForTest()) {
@@ -131,7 +127,7 @@ TEST(StripedCacheManager, ChooseStripesPolicy) {
 
 TEST(StripedCacheManager, GlobalEntryBudgetHoldsUnderEvictionChurn) {
   const std::uint64_t capacity = 32;
-  StripedCacheManager<std::uint64_t> cache(2, Budget(capacity), /*workers=*/2);
+  StripedCacheManager<std::uint64_t> cache(Budget(capacity), /*workers=*/2);
   for (Value k = 0; k < 1000; ++k) {
     cache.Insert(0, PK({k}), static_cast<std::uint64_t>(k));
     EXPECT_LE(cache.size(), capacity);
@@ -143,7 +139,7 @@ TEST(StripedCacheManager, GlobalEntryBudgetHoldsUnderEvictionChurn) {
 }
 
 TEST(StripedCacheManager, AggregatedStatsSumStripeCounters) {
-  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/2);
+  StripedCacheManager<std::uint64_t> cache(Budget(), /*workers=*/2);
   std::uint64_t out;
   const int kKeys = 100;
   for (Value k = 0; k < kKeys; ++k) EXPECT_FALSE(cache.Lookup(0, PK({k}), &out));
@@ -205,7 +201,7 @@ TEST_P(StripedDifferentialTest, CountsMatchPrivateAndSingleThread) {
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(inst.query, inst.db, {}).count;
   for (const int threads : kThreadCounts) {
-    StripedCacheManager<std::uint64_t> table(kNodes, Budget(), threads);
+    StripedCacheManager<std::uint64_t> table(Budget(), threads);
     CachedTrieJoin striped = MakeInjected(threads, &table, nullptr);
     const RunResult got = striped.Count(inst.query, inst.db, {});
     EXPECT_EQ(got.count, anchor)
@@ -222,7 +218,7 @@ TEST_P(StripedDifferentialTest, TupleSetsMatchSingleThread) {
   CachedTrieJoin single;
   const std::vector<Tuple> anchor = CollectTuples(single, inst.query, inst.db);
   for (const int threads : kThreadCounts) {
-    StripedCacheManager<FactorizedSetPtr> table(kNodes, Budget(), threads);
+    StripedCacheManager<FactorizedSetPtr> table(Budget(), threads);
     CachedTrieJoin striped = MakeInjected(threads, nullptr, &table);
     EXPECT_EQ(CollectTuples(striped, inst.query, inst.db), anchor)
         << inst.query.ToString() << " threads=" << threads;
@@ -243,7 +239,7 @@ TEST_P(StripedDifferentialTest, FactorizedExpansionMatchesSingleThread) {
   anchor->Enumerate([&](const Tuple& t) { anchor_tuples.push_back(t); });
   std::sort(anchor_tuples.begin(), anchor_tuples.end());
   for (const int threads : kThreadCounts) {
-    StripedCacheManager<FactorizedSetPtr> table(kNodes, Budget(), threads);
+    StripedCacheManager<FactorizedSetPtr> table(Budget(), threads);
     CachedTrieJoin striped = MakeInjected(threads, nullptr, &table);
     RunResult run;
     const auto got =
@@ -265,14 +261,13 @@ TEST_P(StripedDifferentialTest, BoundedStripedCacheStaysCorrect) {
   for (const int threads : kThreadCounts) {
     // A tight global entry budget (forces eviction churn in every stripe)
     // and a tight byte budget must both preserve the result.
-    StripedCacheManager<std::uint64_t> tight_table(kNodes, Budget(16),
-                                                   threads);
+    StripedCacheManager<std::uint64_t> tight_table(Budget(16), threads);
     CachedTrieJoin tight = MakeInjected(threads, &tight_table, nullptr);
     EXPECT_EQ(tight.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
     EXPECT_LE(tight_table.size(), 16u);
     StripedCacheManager<std::uint64_t> bytes_table(
-        kNodes, Budget(0, /*capacity_bytes=*/2048), threads);
+        Budget(0, /*capacity_bytes=*/2048), threads);
     CachedTrieJoin bytes = MakeInjected(threads, &bytes_table, nullptr);
     EXPECT_EQ(bytes.Count(inst.query, inst.db, {}).count, anchor)
         << inst.query.ToString() << " threads=" << threads;
@@ -290,7 +285,7 @@ TEST(StripedSharing, BytePeakStaysWithinGlobalBudget) {
   const Query q = CycleQuery(4);
   const std::uint64_t budget = 16 * 1024;
   StripedCacheManager<FactorizedSetPtr> table(
-      kNodes, Budget(0, /*capacity_bytes=*/budget), /*workers=*/4);
+      Budget(0, /*capacity_bytes=*/budget), /*workers=*/4);
   CachedTrieJoin striped = MakeInjected(4, nullptr, &table);
   std::uint64_t emitted = 0;
   const RunResult run =
@@ -308,8 +303,7 @@ TEST(StripedSharing, EntryPeakStaysWithinGlobalBudget) {
   Database db = testing::SmallSkewedDb(23, /*nodes=*/70, /*edges_per_node=*/3);
   const Query q = CycleQuery(5);
   const std::uint64_t capacity = 64;
-  StripedCacheManager<std::uint64_t> table(kNodes, Budget(capacity),
-                                           /*workers=*/4);
+  StripedCacheManager<std::uint64_t> table(Budget(capacity), /*workers=*/4);
   CachedTrieJoin striped = MakeInjected(4, &table, nullptr);
   const RunResult got = striped.Count(q, db, {});
   EXPECT_TRUE(got.ok());
@@ -332,7 +326,7 @@ TEST(StripedSharing, SharedTableClosesTheMemoryAccessGap) {
 
   const int threads = 4;
   const RunResult priv = MakeSharded(threads).Count(q, db, {});
-  StripedCacheManager<std::uint64_t> table(kNodes, Budget(), threads);
+  StripedCacheManager<std::uint64_t> table(Budget(), threads);
   const RunResult striped =
       MakeInjected(threads, &table, nullptr).Count(q, db, {});
   EXPECT_EQ(priv.count, anchor.count);
@@ -349,7 +343,7 @@ TEST(StripedSharing, TimeoutPropagates) {
   const Query q = CycleQuery(5);
   RunLimits limits;
   limits.timeout_seconds = 1e-9;  // expires at the first stride sample
-  StripedCacheManager<std::uint64_t> table(kNodes, Budget(), /*workers=*/4);
+  StripedCacheManager<std::uint64_t> table(Budget(), /*workers=*/4);
   CachedTrieJoin striped = MakeInjected(4, &table, nullptr);
   const RunResult got = striped.Count(q, db, limits);
   EXPECT_EQ(got.status, RunStatus::kTimeout);
@@ -368,7 +362,7 @@ TEST(StripedStress, ConcurrentChurnKeepsValuesConsistent) {
     return static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ull +
            static_cast<std::uint64_t>(k) * 0xC2B2AE3D27D4EB4Full;
   };
-  StripedCacheManager<std::uint64_t> cache(4, Budget(24), /*workers=*/1);
+  StripedCacheManager<std::uint64_t> cache(Budget(24), /*workers=*/1);
   ASSERT_EQ(cache.stripe_count(), 2);
 
   constexpr int kThreads = 8;
@@ -407,7 +401,7 @@ TEST(StripedStress, ConcurrentChurnKeepsValuesConsistent) {
 // --- Lock-free hot-read path (seqlock slots) ------------------------------
 
 TEST(StripedCacheManager, HotReadsServeSameValuesAsLockedPath) {
-  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/4,
+  StripedCacheManager<std::uint64_t> cache(Budget(), /*workers=*/4,
                                            /*hot_reads=*/true);
   ASSERT_TRUE(cache.hot_reads_enabled());
   for (Value k = 0; k < 32; ++k) {
@@ -428,7 +422,7 @@ TEST(StripedCacheManager, HotReadsServeSameValuesAsLockedPath) {
 TEST(StripedCacheManager, EvictIfClearsHotSlots) {
   // Targeted invalidation must reach the hot slots: a seqlock read serving
   // an entry EvictIf removed would resurrect stale pre-delta state.
-  StripedCacheManager<std::uint64_t> cache(1, Budget(), /*workers=*/4,
+  StripedCacheManager<std::uint64_t> cache(Budget(), /*workers=*/4,
                                            /*hot_reads=*/true);
   cache.Insert(0, PK({7, 8}), 99);
   std::uint64_t out = 0;
@@ -446,7 +440,7 @@ TEST(StripedStress, HotReadsEightThreadsAgainstWriterChurn) {
   const auto value_of = [](Value k) {
     return static_cast<std::uint64_t>(k) * 0xC2B2AE3D27D4EB4Full + 5;
   };
-  StripedCacheManager<std::uint64_t> cache(2, Budget(), /*workers=*/1,
+  StripedCacheManager<std::uint64_t> cache(Budget(), /*workers=*/1,
                                            /*hot_reads=*/true);
   constexpr Value kKeyRange = 48;
   constexpr int kReaders = 8;
@@ -506,7 +500,7 @@ TEST(StripedStress, ManyThreadEngineRunsStayCorrect) {
   const Query q = CycleQuery(5);
   CachedTrieJoin single;
   const std::uint64_t anchor = single.Count(q, db, {}).count;
-  StripedCacheManager<std::uint64_t> table(kNodes, Budget(32), /*workers=*/1);
+  StripedCacheManager<std::uint64_t> table(Budget(32), /*workers=*/1);
   ASSERT_EQ(table.stripe_count(), 2);
   for (int round = 0; round < 3; ++round) {
     CachedTrieJoin striped = MakeInjected(8, &table, nullptr);
