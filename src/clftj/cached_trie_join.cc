@@ -357,8 +357,9 @@ struct ShardOutcome {
   /// Evaluate: tuples passed to its callback. (Count and Aggregate keep
   /// their shard values apart; see RunCounts.)
   std::uint64_t count = 0;
-  /// Evaluate with K > 1 shards: the buffered tuple stream.
-  std::vector<Tuple> tuples;
+  /// Evaluate with K > 1 shards: the buffered tuple stream, one flat
+  /// array of rows, each plan.order.size() values wide.
+  std::vector<Value> rows;
   /// EvaluateFactorized: the shard's root set (null after a failed run).
   std::shared_ptr<FactorizedSet> root;
   bool timed_out = false;
@@ -554,6 +555,7 @@ RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
     // shards' intermediate entries, so parallel evaluation keeps one
     // bounded footprint overall.
     const bool buffered = shards.size() > 1;
+    const std::size_t arity = plan.order.size();  // the emitted width
     std::atomic<std::uint64_t> materialized{0};  // run-wide, all shards
     std::vector<ShardOutcome> out(shards.size());
     RunShards(shards.size(), [&](std::size_t s) {
@@ -570,7 +572,7 @@ RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
           }
           return;
         }
-        o.tuples.push_back(t);
+        o.rows.insert(o.rows.end(), t.begin(), t.end());
       };
       EvalRun run(plan, setup.cache, &ctx, &o.stats, buffered ? buffer : cb,
                   shard_limits, /*expand_at_leaf=*/true, shards[s], abort,
@@ -586,12 +588,14 @@ RunResult CachedTrieJoin::Evaluate(const Query& q, const Database& db,
     // interleaving may differ from the one-shard stream; see the class
     // comment). On a failed run this is a partial prefix-per-shard result,
     // mirroring the partial emission of a failed one-shard run.
+    Tuple row(arity);
     for (ShardOutcome& o : out) {
-      for (Tuple& t : o.tuples) {
+      for (auto it = o.rows.begin(); it != o.rows.end(); it += arity) {
+        std::copy(it, it + arity, row.begin());
         ++result.count;
-        cb(t);
+        cb(row);
       }
-      o.tuples.clear();
+      std::vector<Value>().swap(o.rows);
     }
   }
   result.stats.output_tuples = result.count;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
+#include <optional>
 #include <utility>
 
 #include "query/shape.h"
+#include "util/timer.h"
 
 namespace clftj {
 
@@ -118,6 +121,135 @@ std::vector<std::vector<AtomFilter>> RulesFor(
   return rules;
 }
 
+// Each referenced relation's current visible cardinality, in first-mention
+// atom order (deterministic; duplicates skipped).
+std::vector<std::pair<std::string, std::size_t>> RelationSizes(
+    const Query& q, const Database& db) {
+  std::vector<std::pair<std::string, std::size_t>> sizes;
+  for (const Atom& atom : q.atoms()) {
+    bool seen = false;
+    for (const auto& [name, n] : sizes) {
+      if (name == atom.relation) {
+        seen = true;
+        break;
+      }
+    }
+    if (seen) continue;
+    const Relation* rel = db.Find(atom.relation);
+    sizes.emplace_back(atom.relation, rel != nullptr ? rel->size() : 0);
+  }
+  return sizes;
+}
+
+// True iff some relation's cardinality moved beyond 2x of the baseline the
+// plan was resolved against, or crossed zero — the point where cost-based
+// choices (TD selection, variable order) could plausibly flip.
+bool StatsDrifted(const std::vector<std::pair<std::string, std::size_t>>& base,
+                  const Database& db) {
+  for (const auto& [name, n0] : base) {
+    const Relation* rel = db.Find(name);
+    const std::size_t n1 = rel != nullptr ? rel->size() : 0;
+    if ((n0 == 0) != (n1 == 0)) return true;
+    if (n1 > 2 * n0 || 2 * n1 < n0) return true;
+  }
+  return false;
+}
+
+// Canonical *subjoin signatures* for cross-shape cache seeding (see
+// docs/serving.md "Batch admission"). For each cacheable node n of `plan`,
+// the signature renders the subjoin that node's cache entries summarize —
+// the atoms touching the subtree's owned depths, with adhesion variables
+// numbered by their AdhesionKey packing position (`a0`, `a1`, ...), owned
+// variables by first occurrence across the participating atoms in textual
+// order (`v0`, `v1`, ...), and constants verbatim (`=c`). Two nodes with
+// equal signatures cache, for every adhesion key, the count of the *same*
+// subjoin — so count-mode entries are interchangeable between shapes even
+// when the surrounding queries differ (a 2-path's deep node seeds a
+// 3-path's; a 4-cycle's seeds a 5-cycle's).
+//
+// Entries are "" (never matchable) for non-cacheable nodes and for nodes
+// whose participating atoms reach variables that are neither owned by the
+// subtree nor in the adhesion — such a subjoin depends on context the
+// signature cannot canonicalize. Eval-mode payloads are plan-structured
+// (factorized sets reference sibling nodes) and must never be seeded
+// across plans; this signature deliberately describes only the count
+// semantics.
+std::vector<std::string> SubtreeSignatures(const CachedPlan& plan,
+                                           const std::vector<Atom>& atoms) {
+  const int num_nodes = static_cast<int>(plan.cacheable.size());
+  std::vector<std::string> out(num_nodes);
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (!plan.cacheable[n] || !plan.HasSubtree(n)) continue;
+    const int lo = plan.first_depth[n];
+    const int hi = plan.subtree_last_depth[n];
+    const std::vector<VarId>& adhesion = plan.adhesion_vars[n];
+    const auto owned = [&](VarId x) {
+      const int r = plan.var_rank[x];
+      return r >= lo && r <= hi;
+    };
+    const auto adhesion_index = [&](VarId x) {
+      for (std::size_t i = 0; i < adhesion.size(); ++i) {
+        if (adhesion[i] == x) return static_cast<int>(i);
+      }
+      return kNone;
+    };
+    // Canonical owned-variable numbering: first occurrence scanning the
+    // participating atoms in textual order (the same scheme
+    // CanonicalShapeKey uses for whole queries).
+    std::vector<int> owned_number(plan.var_rank.size(), kNone);
+    int next_owned = 0;
+    std::string sig;
+    bool matchable = true;
+    for (const Atom& atom : atoms) {
+      bool participates = false;
+      for (const Term& t : atom.terms) {
+        if (t.is_variable && owned(t.var)) {
+          participates = true;
+          break;
+        }
+      }
+      if (!participates) continue;
+      sig += atom.relation;
+      sig += '(';
+      bool first = true;
+      for (const Term& t : atom.terms) {
+        if (!first) sig += ',';
+        first = false;
+        if (!t.is_variable) {
+          sig += '=';
+          sig += std::to_string(t.constant);
+          continue;
+        }
+        if (owned(t.var)) {
+          if (owned_number[t.var] == kNone) owned_number[t.var] = next_owned++;
+          sig += 'v';
+          sig += std::to_string(owned_number[t.var]);
+          continue;
+        }
+        const int ai = adhesion_index(t.var);
+        if (ai == kNone) {
+          // The subjoin depends on a bound variable that is not part of
+          // the adhesion key: its cached counts are conditioned on context
+          // the signature cannot name. Never matchable.
+          matchable = false;
+          break;
+        }
+        sig += 'a';
+        sig += std::to_string(ai);
+      }
+      if (!matchable) break;
+      sig += ");";
+    }
+    // Pin the adhesion arity: a bag may carry an adhesion variable that
+    // appears in no participating atom, and keys of different dims must
+    // never match positionally.
+    sig += '#';
+    sig += std::to_string(adhesion.size());
+    if (matchable) out[n] = std::move(sig);
+  }
+  return out;
+}
+
 }  // namespace
 
 CrossQueryReuse::CrossQueryReuse(const ReuseOptions& options,
@@ -126,28 +258,114 @@ CrossQueryReuse::CrossQueryReuse(const ReuseOptions& options,
     : options_(options),
       planner_(planner),
       cache_(cache),
-      stripes_hint_(std::max(stripes_hint, 0)),
-      plan_cache_(options.plan_cache_capacity),
-      registry_(SubstrateRegistry::Options{options.substrate_budget_bytes}) {}
+      stripes_hint_(std::max(stripes_hint, 0)) {}
 
 CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
                                                    const Database& db,
                                                    ExecStats* stats) {
   Prepared out;
   if (!options_.enabled) return out;
-  out.plan = plan_cache_.Resolve(q, db, planner_, cache_, stats);
-  out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
-  if (options_.persistent_cache) {
-    out.caches = AcquireShapeCaches(q, db, out.plan, stats);
+  const std::string key = CanonicalShapeKey(q);
+  std::unique_lock<std::mutex> lock(mu_);
+  SyncVersions(db);
+  auto it = index_.find(key);
+  if (it != index_.end() && !StatsDrifted(it->second->sizes, db)) {
+    if (stats != nullptr) ++stats->plan_cache_hits;
+  } else {
+    // A cold shape, or statistics drifted past the plan's baseline:
+    // resolve outside the lock, since planning can be expensive and must
+    // not serialize unrelated shapes behind one mutex.
+    lock.unlock();
+    Timer timer;
+    auto plan = std::make_shared<const CachedPlan>(
+        CachedPlan::Resolve(q, db, std::nullopt, planner_, cache_));
+    if (stats != nullptr) {
+      ++stats->plan_cache_misses;
+      stats->plan_resolve_ns +=
+          static_cast<std::uint64_t>(timer.Seconds() * 1e9);
+    }
+    std::vector<std::pair<std::string, std::size_t>> sizes =
+        RelationSizes(q, db);
+    lock.lock();
+    it = index_.find(key);
+    if (it == index_.end()) {
+      shapes_.push_front(
+          Shape{key, std::move(plan), std::move(sizes), q.atoms(), {}, {}});
+      it = index_.emplace(key, shapes_.begin()).first;
+    } else if (StatsDrifted(it->second->sizes, db)) {
+      // The resident plan is the stale one we bypassed. Its tables belong
+      // to the old plan's NodeId keyspace and must not be probed under the
+      // new one, so they go with it.
+      Shape& stale = *it->second;
+      stale.plan = std::move(plan);
+      stale.sizes = std::move(sizes);
+      stale.caches = nullptr;
+    }
+    // Otherwise a racing request installed a current plan first: adopt it,
+    // so every caller shares one instance.
   }
+  shapes_.splice(shapes_.begin(), shapes_, it->second);
+  Shape& shape = shapes_.front();
+  if (shape.caches == nullptr) {
+    shape.caches = std::make_shared<ShapeCaches>(
+        cache_, std::max(stripes_hint_, 1), options_.hot_stripe_reads);
+    if (options_.cross_shape_seed) {
+      shape.signatures = SubtreeSignatures(*shape.plan, shape.atoms);
+      SeedFromResidentShapes(shape, stats);
+    }
+  }
+  out.plan = shape.plan;
+  out.caches = shape.caches;
+  // Only the max_shape_caches most recent shapes keep tables. Moving one
+  // shape to the front pushes at most one other past that boundary.
+  if (options_.max_shape_caches > 0 &&
+      shapes_.size() > options_.max_shape_caches) {
+    std::next(shapes_.begin(), options_.max_shape_caches)->caches = nullptr;
+  }
+  while (options_.plan_cache_capacity > 0 &&
+         shapes_.size() > options_.plan_cache_capacity) {
+    index_.erase(shapes_.back().key);
+    shapes_.pop_back();
+  }
+  lock.unlock();
+  out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
   return out;
+}
+
+std::size_t CrossQueryReuse::NumShapes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return shapes_.size();
+}
+
+void CrossQueryReuse::SyncVersions(const Database& db) {
+  const std::uint64_t generation = db.generation();
+  const std::uint64_t minor = db.minor_version();
+  if (generation_ != generation) {
+    // Bulk data change: every plan and table is stale. Outstanding
+    // shared_ptrs keep in-flight requests' plans and tables alive.
+    index_.clear();
+    shapes_.clear();
+  } else if (minor_ != minor) {
+    // Delta-only change: plans revalidate against drift when next hit, and
+    // the tables lose just the entries the deltas can touch — or all of
+    // them when the delta log no longer reaches back to our sync point.
+    std::vector<const DeltaLogEntry*> deltas;
+    if (db.DeltasSince(minor_, &deltas)) {
+      InvalidateForDeltas(deltas);
+    } else {
+      for (Shape& shape : shapes_) shape.caches = nullptr;
+    }
+  }
+  generation_ = generation;
+  minor_ = minor;
 }
 
 void CrossQueryReuse::InvalidateForDeltas(
     const std::vector<const DeltaLogEntry*>& deltas) {
-  for (CacheEntry& entry : cache_lru_) {
+  for (Shape& shape : shapes_) {
+    if (shape.caches == nullptr) continue;
     const std::vector<std::vector<AtomFilter>> rules =
-        RulesFor(*entry.plan, entry.atoms, deltas);
+        RulesFor(*shape.plan, shape.atoms, deltas);
     bool any = false;
     for (const std::vector<AtomFilter>& rule : rules) {
       any = any || !rule.empty();
@@ -166,20 +384,20 @@ void CrossQueryReuse::InvalidateForDeltas(
       }
       return false;
     };
-    entry.caches->count.EvictIf(pred);
-    entry.caches->eval.EvictIf(pred);
+    shape.caches->count.EvictIf(pred);
+    shape.caches->eval.EvictIf(pred);
   }
 }
 
-void CrossQueryReuse::SeedFromResidentShapes(CacheEntry& target,
+void CrossQueryReuse::SeedFromResidentShapes(Shape& target,
                                              ExecStats* stats) {
   // For each matchable node of the cold shape, scan the resident shapes
   // MRU-first and copy count entries from the first node whose subjoin
   // signature matches. Equal signatures mean both nodes cache, per adhesion
   // key, the count of the same subjoin over the same data — the payloads
-  // are interchangeable (plan_cache.h). Only count mode: eval payloads are
-  // factorized sets structured by their own plan. Admission policies may
-  // differ between plans, but admission only gates *inserts*; a seeded
+  // are interchangeable (SubtreeSignatures). Only count mode: eval payloads
+  // are factorized sets structured by their own plan. Admission policies
+  // may differ between plans, but admission only gates *inserts*; a seeded
   // entry the target would not have admitted is still a correct value, and
   // targeted invalidation evaluates entries against the target plan's own
   // rules, so delta soundness is unaffected.
@@ -187,8 +405,8 @@ void CrossQueryReuse::SeedFromResidentShapes(CacheEntry& target,
   for (NodeId n = 0; n < static_cast<NodeId>(target.signatures.size()); ++n) {
     const std::string& sig = target.signatures[n];
     if (sig.empty()) continue;
-    for (CacheEntry& source : cache_lru_) {
-      if (&source == &target) continue;
+    for (Shape& source : shapes_) {
+      if (&source == &target || source.caches == nullptr) continue;
       bool copied = false;
       for (NodeId m = 0; m < static_cast<NodeId>(source.signatures.size());
            ++m) {
@@ -206,66 +424,6 @@ void CrossQueryReuse::SeedFromResidentShapes(CacheEntry& target,
     }
   }
   if (stats != nullptr) stats->batch_prefix_seeds += seeded;
-}
-
-std::shared_ptr<ShapeCaches> CrossQueryReuse::AcquireShapeCaches(
-    const Query& q, const Database& db,
-    const std::shared_ptr<const CachedPlan>& plan, ExecStats* stats) {
-  const std::uint64_t generation = db.generation();
-  const std::uint64_t minor = db.minor_version();
-  const std::string key = CanonicalShapeKey(q);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (caches_generation_ != generation) {
-    // Bulk data change: every persistent cache is stale. Drop them eagerly
-    // rather than waiting for LRU turnover — outstanding shared_ptrs keep
-    // in-flight requests' caches alive.
-    cache_index_.clear();
-    cache_lru_.clear();
-    caches_generation_ = generation;
-    caches_minor_ = minor;
-  } else if (caches_minor_ != minor) {
-    // Delta-only change: evict just the entries the deltas can touch. Fall
-    // back to dropping everything when the delta log no longer reaches back
-    // to our sync point.
-    std::vector<const DeltaLogEntry*> deltas;
-    if (db.DeltasSince(caches_minor_, &deltas)) {
-      InvalidateForDeltas(deltas);
-    } else {
-      cache_index_.clear();
-      cache_lru_.clear();
-    }
-    caches_minor_ = minor;
-  }
-  const auto it = cache_index_.find(key);
-  if (it != cache_index_.end()) {
-    if (it->second->plan == plan) {
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-      return it->second->caches;
-    }
-    // Same shape, re-resolved plan (statistics drifted past the plan
-    // cache's bound): the old tables belong to the old plan's NodeId
-    // keyspace and must not be probed under the new one.
-    cache_lru_.erase(it->second);
-    cache_index_.erase(it);
-  }
-  auto caches = std::make_shared<ShapeCaches>(
-      cache_, std::max(stripes_hint_, 1), options_.hot_stripe_reads);
-  std::vector<std::string> signatures =
-      options_.cross_shape_seed ? SubtreeSignatures(*plan, q.atoms())
-                                : std::vector<std::string>();
-  cache_lru_.push_front(
-      CacheEntry{key, plan, q.atoms(), caches, std::move(signatures)});
-  cache_index_[key] = cache_lru_.begin();
-  if (options_.cross_shape_seed) {
-    SeedFromResidentShapes(cache_lru_.front(), stats);
-  }
-  while (options_.max_shape_caches > 0 &&
-         cache_lru_.size() > options_.max_shape_caches) {
-    cache_index_.erase(cache_lru_.back().key);
-    cache_lru_.pop_back();
-  }
-  return caches;
 }
 
 }  // namespace clftj

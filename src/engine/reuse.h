@@ -7,12 +7,12 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "clftj/cache.h"
 #include "clftj/factorized.h"
 #include "clftj/plan.h"
-#include "clftj/plan_cache.h"
 #include "data/database.h"
 #include "engine/substrate_registry.h"
 #include "query/query.h"
@@ -24,23 +24,17 @@ namespace clftj {
 /// Knobs for the serving loop's cross-query reuse layer. `enabled` is the
 /// master switch (off = every request plans, builds and caches from
 /// scratch, exactly the pre-reuse behavior, which keeps the cold path
-/// testable). When on, the plan cache and the shared tries always run; the
-/// persistent caches can be switched off on their own.
+/// testable).
 struct ReuseOptions {
   bool enabled = true;
-  /// Capacity of the LRU of resolved CachedPlans keyed on (shape,
-  /// generation).
+  /// How many query shapes keep their resolved plan (LRU; 0 = unbounded).
   std::size_t plan_cache_capacity = 64;
-  /// Byte budget for the long-lived shared tries (SubstrateRegistry); 0 =
-  /// unbounded.
-  std::uint64_t substrate_budget_bytes = 0;
-  /// Persistent striped subtree-result caches, one per shape, that
-  /// successive requests warm for each other. NodeId keyspaces are
-  /// per-plan, which is why the caches are per-shape — sharing one table
-  /// across shapes would mix keyspaces. A generation bump (bulk Put) drops
-  /// them all; an ApplyDelta evicts only entries whose adhesion key may
-  /// touch the changed values (docs/incremental.md).
-  bool persistent_cache = true;
+  /// How many of the most recently used of those shapes also keep their
+  /// persistent subtree-result tables (0 = all of them). NodeId keyspaces
+  /// are per-plan, which is why the tables are per shape — sharing one
+  /// table across shapes would mix keyspaces. A generation bump (bulk Put)
+  /// drops them all; an ApplyDelta evicts only entries whose adhesion key
+  /// may touch the changed values (docs/incremental.md).
   std::size_t max_shape_caches = 32;
   /// Lock-free seqlock read path for hot stripes of the persistent caches
   /// (StripedCacheManager hot_reads) — batch members polling the same hot
@@ -48,10 +42,10 @@ struct ReuseOptions {
   bool hot_stripe_reads = true;
   /// Cross-shape count-cache seeding: when a shape goes cold, copy count
   /// entries from resident shapes whose cacheable nodes have identical
-  /// subjoin signatures (SubtreeSignatures — e.g. a warm 4-cycle seeds a
-  /// cold 5-cycle's shared 2-path subtree). Count mode only: eval payloads
-  /// are plan-structured and never cross plans. Charged as
-  /// batch_prefix_seeds on the request that warmed the shape.
+  /// subjoin signatures (e.g. a warm 4-cycle seeds a cold 5-cycle's shared
+  /// 2-path subtree). Count mode only: eval payloads are plan-structured
+  /// and never cross plans. Charged as batch_prefix_seeds on the request
+  /// that warmed the shape.
   bool cross_shape_seed = true;
 };
 
@@ -70,12 +64,12 @@ struct ShapeCaches {
 };
 
 /// The cross-query reuse layer under QueryService (and clftj_cli --repeat):
-/// one object that owns the plan cache, the substrate registry and the
-/// per-shape persistent caches, bound to a single (planner, cache-options)
-/// configuration. Prepare() is called once per request before engine
-/// construction; the returned handles are injected through EngineOptions.
-/// Results are bit-identical warm vs cold — reuse changes where immutable
-/// inputs come from, never what they contain.
+/// one LRU of query shapes, each holding its resolved plan and its
+/// persistent tables, plus the substrate registry, bound to a single
+/// (planner, cache-options) configuration. Prepare() is called once per
+/// request before engine construction; the returned handles are injected
+/// through EngineOptions. Results are bit-identical warm vs cold — reuse
+/// changes where immutable inputs come from, never what they contain.
 class CrossQueryReuse {
  public:
   /// `stripes_hint` sizes the persistent striped caches (number of
@@ -84,69 +78,81 @@ class CrossQueryReuse {
   CrossQueryReuse(const ReuseOptions& options, PlannerOptions planner,
                   CacheOptions cache, int stripes_hint = 0);
 
-  /// Everything Prepare resolved for one request. Null fields mean "the
-  /// engine does that part itself": all three when reuse is off, `caches`
-  /// alone when persistent_cache is off.
+  /// Everything Prepare resolved for one request. All fields are null when
+  /// reuse is off: the engine then does that part itself.
   struct Prepared {
     std::shared_ptr<const CachedPlan> plan;
     std::shared_ptr<const TrieJoinSubstrate> substrate;
     std::shared_ptr<ShapeCaches> caches;
   };
 
-  /// Resolves the reusable state for `q` at db's current generation,
-  /// charging the reuse counters to *stats (may be null). Thread-safe; may
-  /// throw if a cold trie build throws (injected faults) — already-cached
-  /// state is unaffected.
+  /// Resolves the reusable state for `q` at db's current data versions,
+  /// charging the reuse counters to *stats (may be null). A plan is a
+  /// deterministic function of the query shape and the database
+  /// statistics, so it is kept per shape and revalidated on every hit: it
+  /// is re-resolved (a miss) only when some referenced relation's
+  /// cardinality drifted beyond 2x of what it was resolved against, or
+  /// crossed zero; a re-resolved plan gets fresh tables, since the old
+  /// ones belong to the old plan's NodeId keyspace. Thread-safe, provided
+  /// `db` does not change during the call (QueryService holds its data
+  /// lock); planning and trie builds run outside the lock, and when two
+  /// threads race on the same cold shape the first installed plan wins and
+  /// both report a miss. May throw if a cold trie build throws (injected
+  /// faults) — already-cached state is unaffected.
   Prepared Prepare(const Query& q, const Database& db, ExecStats* stats);
 
-  const ReuseOptions& options() const { return options_; }
-  SubstrateRegistry& registry() { return registry_; }
-  PlanCache& plan_cache() { return plan_cache_; }
+  /// Shapes with a resident plan right now (tests).
+  std::size_t NumShapes() const;
 
  private:
-  struct CacheEntry {
+  /// Everything kept for one query shape.
+  struct Shape {
     std::string key;
-    /// The plan the tables' NodeId keyspace belongs to, plus the shape's
-    /// atoms — both needed to decide, per delta, which entries a data
-    /// change can actually touch (see docs/incremental.md).
     std::shared_ptr<const CachedPlan> plan;
+    /// Each referenced relation's visible cardinality when `plan` was
+    /// resolved: the drift baseline (deliberately not refreshed on hits,
+    /// so cumulative small deltas eventually trip the 2x bound).
+    std::vector<std::pair<std::string, std::size_t>> sizes;
+    /// The plan plus the shape's atoms decide, per delta, which table
+    /// entries a data change can actually touch (docs/incremental.md).
     std::vector<Atom> atoms;
+    /// Null unless the shape is among the max_shape_caches most recently
+    /// used.
     std::shared_ptr<ShapeCaches> caches;
-    /// Per-node subjoin signatures (SubtreeSignatures) for cross-shape
-    /// count-cache seeding; "" = never matchable.
+    /// Per-node subjoin signatures for cross-shape count-cache seeding,
+    /// computed whenever `caches` is attached and read only while it is;
+    /// "" = never matchable.
     std::vector<std::string> signatures;
   };
 
-  std::shared_ptr<ShapeCaches> AcquireShapeCaches(
-      const Query& q, const Database& db,
-      const std::shared_ptr<const CachedPlan>& plan, ExecStats* stats);
+  /// Brings the shape store to db's data versions: a generation bump drops
+  /// every shape; a minor bump runs the targeted sweep over the resident
+  /// tables, or drops every shape's tables when the delta log no longer
+  /// reaches back. Caller holds mu_.
+  void SyncVersions(const Database& db);
 
-  /// Copies count entries from resident shapes into the freshly created
-  /// `target` wherever subjoin signatures match (called under mu_, with
-  /// `target` already in cache_lru_). Charges batch_prefix_seeds to *stats
-  /// (may be null).
-  void SeedFromResidentShapes(CacheEntry& target, ExecStats* stats);
+  /// Copies count entries from resident shapes into the fresh tables of
+  /// `target` wherever subjoin signatures match. Charges batch_prefix_seeds
+  /// to *stats (may be null). Caller holds mu_.
+  void SeedFromResidentShapes(Shape& target, ExecStats* stats);
 
   /// Targeted invalidation after ApplyDelta batches: one sweep per table
   /// evicts the entries whose adhesion key agrees with some changed tuple
   /// on the adhesion variables of some participating atom (per-atom rule,
-  /// docs/incremental.md). Called under mu_, from the first Prepare after
-  /// the deltas.
+  /// docs/incremental.md). Caller holds mu_.
   void InvalidateForDeltas(const std::vector<const DeltaLogEntry*>& deltas);
 
   const ReuseOptions options_;
   const PlannerOptions planner_;
   const CacheOptions cache_;
   const int stripes_hint_;
-  PlanCache plan_cache_;
   SubstrateRegistry registry_;
 
-  std::mutex mu_;
-  std::uint64_t caches_generation_ = 0;
-  std::uint64_t caches_minor_ = 0;
-  std::list<CacheEntry> cache_lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<CacheEntry>::iterator>
-      cache_index_;
+  mutable std::mutex mu_;
+  std::uint64_t generation_ = 0;
+  std::uint64_t minor_ = 0;
+  std::list<Shape> shapes_;  // front = most recently used
+  std::unordered_map<std::string, std::list<Shape>::iterator> index_;
 };
 
 }  // namespace clftj

@@ -1,7 +1,6 @@
 #include "engine/substrate_registry.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/check.h"
@@ -83,15 +82,15 @@ std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
   }
   // Minor-version turnover: entries cut at an older version of their
   // relation can never be hit again (their key embeds the version) — drop
-  // them now instead of waiting for the byte budget.
+  // them now.
   const std::uint64_t minor = db.minor_version();
   if (minor_.load(std::memory_order_acquire) != minor) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (minor_.load(std::memory_order_relaxed) != minor) {
       for (auto it = tries_.begin(); it != tries_.end();) {
-        const Relation* rel = db.Find(it->second->relation);
-        if (rel == nullptr || rel->compactions() != it->second->version) {
-          bytes_ -= it->second->trie->MemoryBytes();
+        const Relation* rel = db.Find(it->second.relation);
+        if (rel == nullptr || rel->compactions() != it->second.version) {
+          bytes_ -= it->second.trie->MemoryBytes();
           it = tries_.erase(it);
         } else {
           ++it;
@@ -116,9 +115,7 @@ std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
       std::shared_lock<std::shared_mutex> lock(mu_);
       const auto it = tries_.find(key);
       if (it != tries_.end()) {
-        Entry& entry = *it->second;
-        entry.tick.store(ticks_.fetch_add(1, std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
+        const Entry& entry = it->second;
         AtomView view;
         view.level_vars = LevelVars(atom, var_rank);
         view.trie = entry.trie;
@@ -148,60 +145,15 @@ std::shared_ptr<const TrieJoinSubstrate> SubstrateRegistry::Acquire(
 void SubstrateRegistry::Publish(const std::string& key, const Relation& rel,
                                 AtomView* view) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  const auto it = tries_.find(key);
-  if (it != tries_.end()) {
+  const auto [it, inserted] =
+      tries_.try_emplace(key, Entry{rel.name(), rel.compactions(), view->trie});
+  if (!inserted) {
     // Lost a build race: adopt the published trie so concurrent queries
     // converge on one instance and the duplicate is freed.
-    view->trie = it->second->trie;
+    view->trie = it->second.trie;
     return;
   }
-  auto entry = std::make_unique<Entry>();
-  entry->relation = rel.name();
-  entry->version = rel.compactions();
-  entry->trie = view->trie;
-  entry->tick.store(ticks_.fetch_add(1, std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  bytes_ += entry->trie->MemoryBytes();
-  tries_.emplace(key, std::move(entry));
-
-  // LRU byte budget: drop the stalest entries (never the one just
-  // published) until within budget. Suspended while a batch holds a
-  // PinScope — pinned working sets must stay resident so a batch builds
-  // each view at most once; the last EndPin runs the deferred sweep.
-  if (pin_depth_ == 0) EvictOverBudget(key);
-}
-
-void SubstrateRegistry::EvictOverBudget(const std::string& keep) {
-  // Evicted tries stay alive through any outstanding shared_ptrs, so
-  // running queries are unaffected.
-  while (options_.capacity_bytes > 0 && bytes_ > options_.capacity_bytes &&
-         tries_.size() > 1) {
-    auto victim = tries_.end();
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (auto entry_it = tries_.begin(); entry_it != tries_.end(); ++entry_it) {
-      if (entry_it->first == keep) continue;
-      const std::uint64_t tick =
-          entry_it->second->tick.load(std::memory_order_relaxed);
-      if (tick < oldest) {
-        oldest = tick;
-        victim = entry_it;
-      }
-    }
-    if (victim == tries_.end()) break;
-    bytes_ -= victim->second->trie->MemoryBytes();
-    tries_.erase(victim);
-  }
-}
-
-void SubstrateRegistry::BeginPin() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  ++pin_depth_;
-}
-
-void SubstrateRegistry::EndPin() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  CLFTJ_CHECK(pin_depth_ > 0);
-  if (--pin_depth_ == 0) EvictOverBudget(std::string());
+  bytes_ += view->trie->MemoryBytes();
 }
 
 std::uint64_t SubstrateRegistry::CachedBytes() const {

@@ -40,21 +40,11 @@ namespace clftj {
 /// outside any lock and are published one at a time under the exclusive
 /// lock (a lost race adopts the winner's trie). A bulk data change bumps
 /// the database generation, and the next Acquire drops every stale entry.
-///
-/// Budget: capacity_bytes bounds the *retained* bytes (Trie::MemoryBytes
-/// sums). Over budget, least-recently-used entries are dropped from the
-/// registry; outstanding shared_ptrs keep evicted tries alive until their
-/// last user finishes, so eviction never invalidates a running query.
+/// Those two sweeps are the only eviction: the registry holds one trie per
+/// live view and has no byte budget of its own. Outstanding shared_ptrs
+/// keep a swept trie alive until its last running query finishes.
 class SubstrateRegistry {
  public:
-  struct Options {
-    /// Byte budget for retained tries; 0 = unbounded.
-    std::uint64_t capacity_bytes = 0;
-  };
-
-  SubstrateRegistry() : SubstrateRegistry(Options{}) {}
-  explicit SubstrateRegistry(Options options) : options_(options) {}
-
   /// Builds (or reuses) every atom view of `q` over `db` for the variable
   /// order `order` and assembles them into a fresh substrate. Charges
   /// substrate_builds / substrate_reuses / substrate_build_ns to *stats
@@ -69,57 +59,20 @@ class SubstrateRegistry {
   std::uint64_t CachedBytes() const;
   std::size_t NumTries() const;
 
-  /// RAII pin for batch admission (docs/serving.md "Batch admission"): while
-  /// any PinScope is alive, the byte-budget LRU eviction in Publish is
-  /// suspended, so every (relation, pattern, permutation) view a batch
-  /// acquires stays resident — and is therefore built at most once — for
-  /// the whole batch, even when the batch's working set transiently exceeds
-  /// capacity_bytes. The last scope to unwind runs the deferred eviction
-  /// sweep. Nestable; cheap (one counter under the exclusive lock).
-  class PinScope {
-   public:
-    explicit PinScope(SubstrateRegistry& registry) : registry_(&registry) {
-      registry_->BeginPin();
-    }
-    ~PinScope() {
-      if (registry_ != nullptr) registry_->EndPin();
-    }
-    PinScope(PinScope&& other) noexcept : registry_(other.registry_) {
-      other.registry_ = nullptr;
-    }
-    PinScope(const PinScope&) = delete;
-    PinScope& operator=(const PinScope&) = delete;
-    PinScope& operator=(PinScope&&) = delete;
-
-   private:
-    SubstrateRegistry* registry_;
-  };
-
  private:
-  void BeginPin();
-  void EndPin();
-
-  /// Byte-budget LRU sweep; caller holds the exclusive lock. `keep` names
-  /// the key that must survive (the entry just published), empty = none.
-  void EvictOverBudget(const std::string& keep);
-
   struct Entry {
     std::string relation;
     std::uint64_t version = 0;  // the relation's compactions() at the build
     std::shared_ptr<const Trie> trie;
-    std::atomic<std::uint64_t> tick{0};
   };
 
-  /// Inserts (or adopts) the entry for `key` under the exclusive lock and
-  /// applies the byte budget. On return view->trie is the retained trie.
+  /// Inserts (or adopts) the entry for `key` under the exclusive lock. On
+  /// return view->trie is the retained trie.
   void Publish(const std::string& key, const Relation& rel, AtomView* view);
 
-  const Options options_;
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> tries_;
-  int pin_depth_ = 0;  // live PinScopes; >0 suspends budget eviction
+  std::unordered_map<std::string, Entry> tries_;
   std::uint64_t bytes_ = 0;
-  std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> minor_{0};
 };

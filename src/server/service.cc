@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <new>
-#include <optional>
 #include <utility>
 
 #include "query/parser.h"
@@ -329,16 +328,11 @@ void QueryService::RunBatch(std::vector<std::shared_ptr<Pending>>& batch) {
     // Must outlive the engine runs: engines borrow the striped caches by
     // raw pointer and the plan/substrate by shared_ptr.
     CrossQueryReuse::Prepared prepared;
-    std::optional<SubstrateRegistry::PinScope> pin;
     bool prepare_ok = true;
     QueryResponse prepare_error;
     try {
       if (reuse_ != nullptr && (head.request.engine == "CLFTJ" ||
                                 head.request.engine == "CLFTJ-P")) {
-        // Pin the registry for a multi-member batch so the byte budget
-        // cannot evict a view between the shared Prepare and the last
-        // member's run; the deferred sweep runs when the pin drops.
-        if (n > 1) pin.emplace(reuse_->registry());
         prepared = reuse_->Prepare(head.query, db_, &reuse_stats);
       }
     } catch (const std::exception& e) {

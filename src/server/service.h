@@ -185,8 +185,8 @@ class QueryService {
   /// Executes a popped head plus the matches collected with it and resolves
   /// every member's promise. A lone request is a batch of one; a delta is
   /// always alone and goes on to RunDelta. One reuse Prepare (CLFTJ-family
-  /// engines only) and, for two or more members, one substrate pin; members
-  /// with identical resolved limits share one engine run.
+  /// engines only); members with identical resolved limits share one engine
+  /// run.
   void RunBatch(std::vector<std::shared_ptr<Pending>>& batch);
   /// First queue entry a non-leader worker may pop: skips entries claimed
   /// by an open batch collection (the leader will drain them), and treats

@@ -659,6 +659,63 @@ TEST(DeltaReuse, ReappliedBatchEvictsNothing) {
   EXPECT_EQ(stats.substrate_builds, 0u) << "E's version did not move";
 }
 
+TEST(DeltaReuse, DriftedStatisticsReplanOnceWithFreshTables) {
+  // A batch that more than doubles E, or empties it, moves E's cardinality
+  // past the plan's 2x drift bound: the next request re-plans exactly once
+  // and gets a new plan with new (empty) tables, since the old tables
+  // belong to the old plan's NodeId keyspace. The request after it hits.
+  const std::vector<Edge> edges = {{1, 2}, {2, 3}, {3, 4}, {4, 1}};
+  for (const bool empty_it : {false, true}) {
+    SCOPED_TRACE(empty_it ? "delete every edge" : "more than double E");
+    Database db;
+    db.Put(EdgeRelation("E", edges));
+    CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                          /*stripes_hint=*/1);
+    const Query q = CycleQuery(4);
+    const CrossQueryReuse::Prepared warm = WarmCount(reuse, q, db);
+
+    DeltaBatch batch;
+    batch.relation = "E";
+    if (empty_it) {
+      for (const auto& [a, b] : edges) batch.deletes.push_back({a, b});
+    } else {
+      // A second 4-cycle, joined to the first: 4 -> 9 edges.
+      batch.adds = {{5, 6}, {6, 7}, {7, 8}, {8, 5}, {1, 5}};
+    }
+    ASSERT_TRUE(db.ApplyDelta(batch));
+
+    const std::uint64_t searches_before = PlannerSearchCount();
+    ExecStats stats;
+    const CrossQueryReuse::Prepared drifted = reuse.Prepare(q, db, &stats);
+    EXPECT_EQ(PlannerSearchCount(), searches_before + 1);
+    EXPECT_EQ(stats.plan_cache_misses, 1u);
+    EXPECT_EQ(stats.plan_cache_hits, 0u);
+    EXPECT_NE(drifted.plan.get(), warm.plan.get());
+    ASSERT_NE(drifted.caches, nullptr);
+    EXPECT_NE(drifted.caches.get(), warm.caches.get());
+
+    std::vector<Edge> final_edges;
+    for (const Tuple& t : VisibleTuples(db.Get("E"))) {
+      final_edges.push_back({t[0], t[1]});
+    }
+    Database rebuilt;
+    rebuilt.Put(EdgeRelation("E", final_edges));
+    for (const std::string mode : {"count", "eval"}) {
+      const Answer answer = RunWith(q, db, mode, &drifted);
+      const Answer cold = RunWith(q, rebuilt, mode, nullptr);
+      EXPECT_EQ(answer.count, cold.count) << mode;
+      EXPECT_EQ(answer.stream, cold.stream) << mode;
+    }
+
+    ExecStats next;
+    const CrossQueryReuse::Prepared after = reuse.Prepare(q, db, &next);
+    EXPECT_EQ(next.plan_cache_hits, 1u);
+    EXPECT_EQ(next.plan_cache_misses, 0u);
+    EXPECT_EQ(after.plan.get(), drifted.plan.get());
+    EXPECT_EQ(after.caches.get(), drifted.caches.get());
+  }
+}
+
 TEST(DeltaReuse, FourCycleDeltaEvictsOnlyKeysAgreeingPerAtom) {
   // Each child atom of the 4-cycle binds one of the child's two adhesion
   // variables. A 1-edge delta must evict exactly the child entries whose

@@ -1,7 +1,8 @@
-// Cross-query reuse: canonical shape keys, the plan cache, the shared
-// substrate registry, persistent striped caches in the serving loop, the
-// ExecStats wire format, and warm-vs-cold result identity. The concurrent
-// tests double as the TSan workload for the shared reuse structures.
+// Cross-query reuse: canonical shape keys, the per-shape store of plans and
+// persistent striped caches, the shared substrate registry, the serving
+// loop, the ExecStats wire format, and warm-vs-cold result identity. The
+// concurrent tests double as the TSan workload for the shared reuse
+// structures.
 
 #include <algorithm>
 #include <future>
@@ -9,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "clftj/plan_cache.h"
 #include "engine/engine.h"
 #include "engine/reuse.h"
 #include "engine/substrate_registry.h"
@@ -60,12 +60,12 @@ TEST(ShapeKey, NonIdentityNumberingGetsItsOwnKey) {
             CanonicalShapeKey(testing::Q("E(y,x)")));
 }
 
+// The plan half of CrossQueryReuse's shape store.
 TEST(PlanCache, SecondResolveIsAHitWithNoPlannerSearch) {
   const Database db = testing::SmallSkewedDb(11);
-  PlanCache cache;
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{});
   ExecStats stats;
-  const auto first = cache.Resolve(testing::Q(kTriangle), db,
-                                   PlannerOptions{}, CacheOptions{}, &stats);
+  const auto first = reuse.Prepare(testing::Q(kTriangle), db, &stats).plan;
   EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(stats.plan_cache_hits, 0u);
   EXPECT_GT(stats.plan_resolve_ns, 0u);
@@ -73,31 +73,69 @@ TEST(PlanCache, SecondResolveIsAHitWithNoPlannerSearch) {
   const std::uint64_t searches_before = PlannerSearchCount();
   // Renamed variables, same shape: must hit without re-planning.
   const auto second =
-      cache.Resolve(testing::Q("E(a,b), E(b,c), E(c,a)"), db,
-                    PlannerOptions{}, CacheOptions{}, &stats);
+      reuse.Prepare(testing::Q("E(a,b), E(b,c), E(c,a)"), db, &stats).plan;
   EXPECT_EQ(PlannerSearchCount(), searches_before);
   EXPECT_EQ(stats.plan_cache_hits, 1u);
   EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(first.get(), second.get()) << "hit must share the one instance";
-  EXPECT_EQ(cache.Size(), 1u);
+  EXPECT_EQ(reuse.NumShapes(), 1u);
 }
 
 TEST(PlanCache, CapacityEvictsLeastRecentlyUsed) {
   const Database db = testing::SmallSkewedDb(11);
-  PlanCache cache(/*capacity=*/2);
+  ReuseOptions options;
+  options.plan_cache_capacity = 2;
+  CrossQueryReuse reuse(options, PlannerOptions{}, CacheOptions{});
   ExecStats stats;
-  cache.Resolve(testing::Q("E(x,y)"), db, PlannerOptions{}, CacheOptions{},
-                &stats);
-  cache.Resolve(testing::Q("E(x,y), E(y,z)"), db, PlannerOptions{},
-                CacheOptions{}, &stats);
-  cache.Resolve(testing::Q(kTriangle), db, PlannerOptions{}, CacheOptions{},
-                &stats);
-  EXPECT_EQ(cache.Size(), 2u);
+  reuse.Prepare(testing::Q("E(x,y)"), db, &stats);
+  reuse.Prepare(testing::Q("E(x,y), E(y,z)"), db, &stats);
+  reuse.Prepare(testing::Q(kTriangle), db, &stats);
+  EXPECT_EQ(reuse.NumShapes(), 2u);
   // The single-edge shape was evicted: resolving it again is a miss.
-  cache.Resolve(testing::Q("E(x,y)"), db, PlannerOptions{}, CacheOptions{},
-                &stats);
+  reuse.Prepare(testing::Q("E(x,y)"), db, &stats);
   EXPECT_EQ(stats.plan_cache_misses, 4u);
   EXPECT_EQ(stats.plan_cache_hits, 0u);
+}
+
+TEST(PlanCache, EntryPastMaxShapeCachesKeepsItsPlanButGetsFreshTables) {
+  const Database db = testing::SmallSkewedDb(11);
+  ReuseOptions options;
+  options.max_shape_caches = 1;  // only the most recent shape keeps tables
+  CrossQueryReuse reuse(options, PlannerOptions{}, CacheOptions{});
+  const Query path = testing::Q("E(x,y), E(y,z)");
+  ExecStats stats;
+  const CrossQueryReuse::Prepared first = reuse.Prepare(path, db, &stats);
+  EngineOptions engine_options;
+  engine_options.prepared_plan = first.plan;
+  engine_options.prepared_substrate = first.substrate;
+  engine_options.shared_count_cache = &first.caches->count;
+  const std::uint64_t want =
+      MakeEngine("CLFTJ", engine_options)->Count(path, db, RunLimits{}).count;
+  ASSERT_GT(first.caches->count.size(), 0u) << "the path caches subtrees";
+
+  // A second shape takes the one table slot; the path keeps its plan.
+  reuse.Prepare(testing::Q(kTriangle), db, &stats);
+  EXPECT_EQ(reuse.NumShapes(), 2u);
+
+  const std::uint64_t searches_before = PlannerSearchCount();
+  ExecStats again;
+  const CrossQueryReuse::Prepared second = reuse.Prepare(path, db, &again);
+  EXPECT_EQ(PlannerSearchCount(), searches_before);
+  EXPECT_EQ(again.plan_cache_hits, 1u);
+  EXPECT_EQ(again.plan_cache_misses, 0u);
+  EXPECT_EQ(second.plan.get(), first.plan.get());
+  ASSERT_NE(second.caches, nullptr);
+  EXPECT_NE(second.caches.get(), first.caches.get());
+  EXPECT_EQ(second.caches->count.size(), 0u) << "fresh tables start empty";
+
+  engine_options.prepared_substrate = second.substrate;
+  engine_options.shared_count_cache = &second.caches->count;
+  EXPECT_EQ(
+      MakeEngine("CLFTJ", engine_options)->Count(path, db, RunLimits{}).count,
+      want);
+  // The path is the most recent shape again, so it keeps these tables.
+  EXPECT_EQ(reuse.Prepare(path, db, &stats).caches.get(),
+            second.caches.get());
 }
 
 TEST(SubstrateRegistry, SecondAcquireBuildsNothingAndSharesTries) {
@@ -124,28 +162,6 @@ TEST(SubstrateRegistry, SecondAcquireBuildsNothingAndSharesTries) {
         << "atom " << a << " must share one trie instance";
   }
   EXPECT_GT(registry.CachedBytes(), 0u);
-}
-
-TEST(SubstrateRegistry, ByteBudgetEvictsLeastRecentlyUsed) {
-  const Database db = testing::SmallSkewedDb(11);
-  const Query q = testing::Q(kTriangle);
-  const CachedPlan plan =
-      CachedPlan::Resolve(q, db, std::nullopt, PlannerOptions{},
-                          CacheOptions{});
-  // A 1-byte budget can never hold two tries: every publish evicts the
-  // previous entry (but never the just-published one).
-  SubstrateRegistry registry(SubstrateRegistry::Options{1});
-  ExecStats cold;
-  registry.Acquire(q, db, plan.order, &cold);
-  EXPECT_GT(cold.substrate_builds, 0u);
-  EXPECT_EQ(registry.NumTries(), 1u);
-
-  // Nothing useful survives for a second pass over a shape that needs the
-  // evicted views — it rebuilds instead of failing.
-  ExecStats again;
-  const auto substrate = registry.Acquire(q, db, plan.order, &again);
-  EXPECT_GT(again.substrate_builds, 0u);
-  EXPECT_FALSE(substrate->HasEmptyAtom());
 }
 
 TEST(SubstrateRegistry, DataGenerationBumpDropsStaleTries) {
@@ -313,19 +329,21 @@ TEST(ServiceReuse, WarmAndColdAreBitIdenticalAcrossEnginesAndWorkers) {
 
 TEST(ServiceReuse, CoreCountersMatchColdWhenPersistentCacheIsOff) {
   const Database db = testing::SmallSkewedDb(13);
-  ServiceOptions warm_options;
-  warm_options.workers = 1;
-  warm_options.reuse.persistent_cache = false;  // isolate plan+substrate reuse
-  QueryService warm(db, warm_options);
+  const Query q = testing::Q(kFourCycle);
+  const RunResult c = MakeEngine("CLFTJ")->Count(q, db, RunLimits{});
 
-  ServiceOptions cold_options;
-  cold_options.workers = 1;
-  cold_options.reuse.enabled = false;
-  QueryService cold(db, cold_options);
-
-  const QueryResponse c = cold.Execute(Req(kFourCycle, "count", "CLFTJ"));
-  warm.Execute(Req(kFourCycle, "count", "CLFTJ"));  // warm the registry
-  const QueryResponse w = warm.Execute(Req(kFourCycle, "count", "CLFTJ"));
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                        /*stripes_hint=*/1);
+  reuse.Prepare(q, db, nullptr);  // warm the plan and the registry
+  ExecStats reuse_stats;
+  const CrossQueryReuse::Prepared prepared = reuse.Prepare(q, db, &reuse_stats);
+  // Only the plan and the substrate are injected: the persistent tables
+  // stay out, so the run caches in its own private table.
+  EngineOptions options;
+  options.prepared_plan = prepared.plan;
+  options.prepared_substrate = prepared.substrate;
+  RunResult w = MakeEngine("CLFTJ", options)->Count(q, db, RunLimits{});
+  w.stats.Merge(reuse_stats);
   ASSERT_EQ(c.status, RunStatus::kOk);
   ASSERT_EQ(w.status, RunStatus::kOk);
   EXPECT_EQ(w.count, c.count);
