@@ -9,12 +9,19 @@
 # inserts first decides who hits), so the diff skips them; they stay in the
 # recorded JSON as trajectory documentation.
 #
+# Each bench run gets CLFTJ_BENCH_TIMEOUT=30 seconds unless the caller set
+# another value: --quick's own 2 s is shorter than some runs in the list
+# (bench_batch's lone cold wiki-Vote 5-cycle takes about 2 s on a shared
+# 4-core Xeon), and a run that times out either aborts its bench or is
+# skipped by bench_diff, which would shrink the gate's coverage.
+#
 # Usage: scripts/bench_gate.sh <build-dir> [baseline-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:?usage: scripts/bench_gate.sh <build-dir> [baseline-dir]}"
 BASELINE_DIR="${2:-}"
+export CLFTJ_BENCH_TIMEOUT="${CLFTJ_BENCH_TIMEOUT:-30}"
 
 # Five of these gate themselves and exit nonzero on their own checks:
 #   bench_dict          string-vs-int parity: identical Value data must yield

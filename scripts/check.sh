@@ -22,9 +22,10 @@ python3 scripts/check_docs.py
 # sidecars is available (CLFTJ_BENCH_BASELINE, or as the second positional
 # argument), the gate also diffs the freshly written JSON against it and
 # fails on memory-access regressions >10% (wall clock only warns; see
-# scripts/bench_diff.py). The failure is handled explicitly — not left to
-# `set -e` — so the gate still trips if this script is ever sourced or run
-# with errexit disabled.
+# scripts/bench_diff.py). Each bench runs with the gate's 30 s
+# CLFTJ_BENCH_TIMEOUT unless the environment sets another. The failure is
+# handled explicitly — not left to `set -e` — so the gate still trips if
+# this script is ever sourced or run with errexit disabled.
 BASELINE_DIR="${CLFTJ_BENCH_BASELINE:-${2:-}}"
 if [[ -n "$BASELINE_DIR" && ! -d "$BASELINE_DIR" ]]; then
   BASELINE_DIR=""

@@ -86,9 +86,15 @@ inline std::uint64_t CacheKeyHash(NodeId node, PackedKey key) {
 /// std::uint64_t for counting, a factorized-set pointer for evaluation.
 ///
 /// Layout: one open-addressing flat table (linear probing, power-of-two
-/// capacity, load factor <= 1/2) whose slots embed the key, the payload and
-/// an intrusive doubly-linked LRU via 32-bit slot indices. Deletion is
-/// tombstone-free (backward-shift), so probe sequences never degrade under
+/// capacity, load factor <= 1/2) of dense slots that hold only the key's
+/// two words, the node, the key width and the payload: 32 bytes for a
+/// count, 40 for a FactorizedSetPtr. No hash is stored. A probe compares
+/// the key words directly; backward shift and rehash recompute an entry's
+/// home slot with CacheKeyHash. A budgeted table (capacity or
+/// capacity_bytes set) keeps its doubly-linked LRU (32-bit slot indices)
+/// and its payload charges in a side array parallel to the slots; an
+/// unbounded table has no side array and keeps no recency. Deletion is
+/// tombstone-free (backward shift), so probe sequences never degrade under
 /// eviction churn. Per Lookup the hot path performs zero heap allocations;
 /// an Insert allocates at most when the table grows (doubling rehash).
 /// Node ids are mixed into the key hash, so there are no per-node tables.
@@ -99,11 +105,12 @@ class CacheManager {
       : options_(options),
         bounded_(options.capacity > 0),
         byte_bounded_(options.capacity_bytes > 0),
+        ranked_(bounded_ || byte_bounded_),
         stats_(stats) {}
 
   /// Returns the payload cached for (node, key), or nullptr. Counts a hit
-  /// or miss; under a bounded capacity also refreshes LRU recency. The
-  /// returned pointer is invalidated by the next Insert. `hash` must be
+  /// or miss; under a budget also refreshes LRU recency. The returned
+  /// pointer is invalidated by the next Insert. `hash` must be
   /// CacheKeyHash(node, key); the two-argument form computes it.
   const V* Lookup(NodeId node, PackedKey key) {
     return Lookup(node, key, CacheKeyHash(node, key));
@@ -115,7 +122,7 @@ class CacheManager {
       return nullptr;
     }
     ++stats_->cache_hits;
-    if (bounded_ || byte_bounded_) MoveToFront(i);
+    if (ranked_) MoveToFront(i);
     return &slots_[i].value;
   }
 
@@ -146,17 +153,17 @@ class CacheManager {
     if (existing != kNil) {
       if (byte_bounded_ &&
           options_.eviction == CacheOptions::Eviction::kRejectNew &&
-          bytes_ - slots_[existing].bytes + need > options_.capacity_bytes) {
+          bytes_ - lru_[existing].bytes + need > options_.capacity_bytes) {
         // A grown replacement that no longer fits: keep the old payload.
         ++stats_->cache_rejects;
         return false;
       }
       if (byte_bounded_) {
-        bytes_ += need - slots_[existing].bytes;
-        slots_[existing].bytes = need;
+        bytes_ += need - lru_[existing].bytes;
+        lru_[existing].bytes = need;
       }
       slots_[existing].value = std::move(value);
-      if (bounded_ || byte_bounded_) MoveToFront(existing);
+      if (ranked_) MoveToFront(existing);
       // A grown replacement can overshoot the byte budget: shed LRU entries
       // until it fits again. The refreshed entry is MRU by now, so it is
       // never the victim — and `existing` is not re-read below, which
@@ -238,10 +245,11 @@ class CacheManager {
 
   /// Test observability: payloads in MRU -> LRU chain order (O(size)).
   /// Lets tests pin that recency survives rehash/backward-shift moves.
+  /// Empty for an unbounded table, which keeps no recency.
   std::vector<V> LruOrderForTest() const {
     std::vector<V> out;
     out.reserve(size_);
-    for (std::uint32_t i = lru_head_; i != kNil; i = slots_[i].lru_next) {
+    for (std::uint32_t i = lru_head_; i != kNil; i = lru_[i].next) {
       out.push_back(slots_[i].value);
     }
     return out;
@@ -253,17 +261,23 @@ class CacheManager {
   static constexpr std::size_t kMinSlots = 16;
 
   struct Slot {
-    std::uint64_t hash = 0;
     std::uint64_t lo = 0;  // the key's values (PackedKey's lo/hi)
     std::uint64_t hi = 0;
-    std::uint64_t bytes = 0;  // payload charge (byte-budget mode only)
-    std::uint32_t lru_prev = kNil;
-    std::uint32_t lru_next = kNil;
     NodeId node = kNone;
     std::uint32_t dims = kEmptyDims;  // kEmptyDims marks a free slot
     V value{};
 
     bool occupied() const { return dims != kEmptyDims; }
+  };
+  static_assert(!std::is_same<V, std::uint64_t>::value || sizeof(Slot) == 32,
+                "a count slot holds only its key, node, width and payload");
+
+  /// A budgeted table's side-array record for the slot of the same index:
+  /// its LRU links and its payload charge (byte-budget mode only).
+  struct Recency {
+    std::uint64_t bytes = 0;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
   };
 
   /// The adhesion key values of occupied slot `s`, decoded from its two
@@ -274,10 +288,18 @@ class CacheManager {
     return inline_vals;
   }
 
-  static bool SlotMatches(const Slot& s, NodeId node, PackedKey key,
-                          std::uint64_t hash) {
-    return s.hash == hash && s.node == node && s.dims == key.dims &&
-           s.lo == key.lo && s.hi == key.hi;
+  static bool SlotMatches(const Slot& s, NodeId node, PackedKey key) {
+    return s.lo == key.lo && s.hi == key.hi && s.node == node &&
+           s.dims == key.dims;
+  }
+
+  /// The home slot of occupied slot `s`'s entry, from its recomputed hash.
+  std::uint32_t Home(const Slot& s) const {
+    PackedKey key;
+    key.lo = s.lo;
+    key.hi = s.hi;
+    key.dims = s.dims;
+    return static_cast<std::uint32_t>(CacheKeyHash(s.node, key) & mask_);
   }
 
   /// Linear probe for an existing entry; kNil on miss. Charges one memory
@@ -293,33 +315,33 @@ class CacheManager {
       stats_->memory_accesses += 1;
       const Slot& s = slots_[i];
       if (!s.occupied()) return kNil;
-      if (SlotMatches(s, node, key, hash)) return i;
+      if (SlotMatches(s, node, key)) return i;
       i = (i + 1) & mask_;
     }
   }
 
-  // --- intrusive LRU (front = most recently used) ---
+  // --- LRU over the side array (front = most recently used) ---
 
   void Unlink(std::uint32_t i) {
-    Slot& s = slots_[i];
-    if (s.lru_prev != kNil) {
-      slots_[s.lru_prev].lru_next = s.lru_next;
+    Recency& r = lru_[i];
+    if (r.prev != kNil) {
+      lru_[r.prev].next = r.next;
     } else {
-      lru_head_ = s.lru_next;
+      lru_head_ = r.next;
     }
-    if (s.lru_next != kNil) {
-      slots_[s.lru_next].lru_prev = s.lru_prev;
+    if (r.next != kNil) {
+      lru_[r.next].prev = r.prev;
     } else {
-      lru_tail_ = s.lru_prev;
+      lru_tail_ = r.prev;
     }
-    s.lru_prev = s.lru_next = kNil;
+    r.prev = r.next = kNil;
   }
 
   void LinkFront(std::uint32_t i) {
-    Slot& s = slots_[i];
-    s.lru_prev = kNil;
-    s.lru_next = lru_head_;
-    if (lru_head_ != kNil) slots_[lru_head_].lru_prev = i;
+    Recency& r = lru_[i];
+    r.prev = kNil;
+    r.next = lru_head_;
+    if (lru_head_ != kNil) lru_[lru_head_].prev = i;
     lru_head_ = i;
     if (lru_tail_ == kNil) lru_tail_ = i;
   }
@@ -330,17 +352,17 @@ class CacheManager {
     LinkFront(i);
   }
 
-  /// An entry physically moved from slot `from` to slot `to` (backward
-  /// shift): repoint its LRU neighbours (and head/tail) at the new index.
+  /// An entry physically moved to slot `to` (backward shift): repoint its
+  /// LRU neighbours (and head/tail) at the new index.
   void PatchLinksAfterMove(std::uint32_t to) {
-    Slot& s = slots_[to];
-    if (s.lru_prev != kNil) {
-      slots_[s.lru_prev].lru_next = to;
+    const Recency& r = lru_[to];
+    if (r.prev != kNil) {
+      lru_[r.prev].next = to;
     } else {
       lru_head_ = to;
     }
-    if (s.lru_next != kNil) {
-      slots_[s.lru_next].lru_prev = to;
+    if (r.next != kNil) {
+      lru_[r.next].prev = to;
     } else {
       lru_tail_ = to;
     }
@@ -349,27 +371,30 @@ class CacheManager {
   /// Tombstone-free deletion: unlink, clear, then backward-shift the probe
   /// chain so linear probing invariants hold without deleted markers.
   void EraseSlot(std::uint32_t i) {
-    Slot& victim = slots_[i];
-    Unlink(i);
-    victim.value = V{};
-    victim.dims = kEmptyDims;
-    bytes_ -= victim.bytes;
-    victim.bytes = 0;
+    if (ranked_) {
+      Unlink(i);
+      bytes_ -= lru_[i].bytes;
+      lru_[i].bytes = 0;
+    }
+    slots_[i].value = V{};
+    slots_[i].dims = kEmptyDims;
     --size_;
     std::uint32_t hole = i;
     std::uint32_t j = (i + 1) & mask_;
     while (slots_[j].occupied()) {
-      const std::uint32_t ideal =
-          static_cast<std::uint32_t>(slots_[j].hash & mask_);
-      // j's entry may shift back into the hole only if its ideal slot is
+      const std::uint32_t home = Home(slots_[j]);
+      // j's entry may shift back into the hole only if its home slot is
       // cyclically at or before the hole (i.e. the hole lies on its probe
       // path).
-      if (((j - ideal) & mask_) >= ((j - hole) & mask_)) {
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
         slots_[hole] = std::move(slots_[j]);
-        PatchLinksAfterMove(hole);
         slots_[j].value = V{};
         slots_[j].dims = kEmptyDims;
-        slots_[j].lru_prev = slots_[j].lru_next = kNil;
+        if (ranked_) {
+          lru_[hole] = lru_[j];
+          PatchLinksAfterMove(hole);
+          lru_[j] = Recency{};
+        }
         hole = j;
       }
       j = (j + 1) & mask_;
@@ -390,6 +415,7 @@ class CacheManager {
         while (want < budget * 2) want <<= 1;
       }
       slots_.assign(want, Slot{});
+      if (ranked_) lru_.assign(want, Recency{});
       mask_ = want - 1;
       return;
     }
@@ -411,55 +437,57 @@ class CacheManager {
                    std::uint64_t payload_bytes) {
     const std::uint32_t i = FindEmpty(hash);
     Slot& s = slots_[i];
-    s.hash = hash;
     s.node = node;
     s.dims = key.dims;
-    s.bytes = payload_bytes;
-    bytes_ += payload_bytes;
     s.lo = key.lo;
     s.hi = key.hi;
     s.value = std::move(value);
-    LinkFront(i);
+    if (ranked_) {
+      lru_[i].bytes = payload_bytes;
+      bytes_ += payload_bytes;
+      LinkFront(i);
+    }
     ++size_;
     stats_->memory_accesses += 1;
   }
 
-  /// Doubling rehash. Walks the LRU chain MRU->LRU and re-links in order,
-  /// so recency survives growth.
+  /// Doubling rehash. An unbounded table moves its entries by a linear
+  /// scan of the old slots. A budgeted one walks the LRU chain MRU->LRU and
+  /// re-links in order, so recency survives growth.
   void Rehash(std::size_t new_slot_count) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_slot_count, Slot{});
     mask_ = new_slot_count - 1;
+    if (!ranked_) {
+      for (Slot& s : old) {
+        if (s.occupied()) slots_[FindEmpty(Home(s))] = std::move(s);
+      }
+      return;
+    }
+    std::vector<Recency> old_lru = std::move(lru_);
+    lru_.assign(new_slot_count, Recency{});
     const std::uint32_t old_head = lru_head_;
     lru_head_ = lru_tail_ = kNil;
-    for (std::uint32_t i = old_head; i != kNil;) {
-      Slot& s = old[i];
-      const std::uint32_t next = s.lru_next;
-      const std::uint32_t j = FindEmpty(s.hash);
-      Slot& t = slots_[j];
-      t.hash = s.hash;
-      t.node = s.node;
-      t.dims = s.dims;
-      t.bytes = s.bytes;
-      t.lo = s.lo;
-      t.hi = s.hi;
-      t.value = std::move(s.value);
+    for (std::uint32_t i = old_head; i != kNil; i = old_lru[i].next) {
+      const std::uint32_t j = FindEmpty(Home(old[i]));
+      slots_[j] = std::move(old[i]);
+      lru_[j].bytes = old_lru[i].bytes;
       // Append at tail: the walk is MRU-first, so order is preserved.
-      t.lru_prev = lru_tail_;
-      t.lru_next = kNil;
-      if (lru_tail_ != kNil) slots_[lru_tail_].lru_next = j;
+      lru_[j].prev = lru_tail_;
+      if (lru_tail_ != kNil) lru_[lru_tail_].next = j;
       lru_tail_ = j;
       if (lru_head_ == kNil) lru_head_ = j;
-      i = next;
     }
   }
 
   CacheOptions options_;
   bool bounded_;
   bool byte_bounded_;
+  bool ranked_;  // a budget is set: lru_ holds the recency and byte charges
   ExecStats* stats_;
   std::vector<Slot> slots_;
-  std::uint64_t bytes_ = 0;       // payload bytes charged to capacity_bytes
+  std::vector<Recency> lru_;  // parallel to slots_; empty when unbounded
+  std::uint64_t bytes_ = 0;   // payload bytes charged to capacity_bytes
   std::uint64_t mask_ = 0;
   std::uint32_t lru_head_ = kNil;  // most recently used
   std::uint32_t lru_tail_ = kNil;  // least recently used
@@ -507,14 +535,14 @@ struct HotPayload<V, false> {
 /// owns a private, unlocked CacheManager (see RunCache).
 ///
 /// Layout: S lock-striped segments, each an independent CacheManager (the
-/// flat open-addressing table with intrusive LRU) behind its own mutex,
+/// flat open-addressing table of dense slots) behind its own mutex,
 /// with its own ExecStats sink and a per-stripe slice of the global
 /// entry/byte budget (slices sum exactly to the global budget). A key's
 /// stripe is chosen from the *top* bits of CacheKeyHash, whose *bottom*
 /// bits index the segment table, so striping never skews a segment's probe
-/// distribution. Eviction is LRU per stripe: recency is local to a
-/// segment, which is what keeps a cache call one mutex + one flat-table
-/// operation instead of a globally ordered structure.
+/// distribution. Under a budget, eviction is LRU per stripe: recency is
+/// local to a segment, which is what keeps a cache call one mutex + one
+/// flat-table operation instead of a globally ordered structure.
 ///
 /// Concurrency contract: Lookup copies the payload out under the stripe
 /// mutex (a pointer into a slot would dangle the moment another shard
@@ -730,7 +758,7 @@ class StripedCacheManager {
     cache_internal::HotPayload<V> value;
   };
 
-  // One segment: mutex + private stats + the PR 1 flat table over a slice
+  // One segment: mutex + private stats + the flat table over a slice
   // of the global budget. Cache-line aligned so neighbouring stripes'
   // mutexes never share a line (the unique_ptr indirection already gives
   // each stripe its own allocation; the alignment makes it explicit).

@@ -2,6 +2,9 @@
 
 #include <cctype>
 #include <sstream>
+#include <string_view>
+
+#include "util/parse.h"
 
 namespace clftj {
 
@@ -78,7 +81,9 @@ class Parser {
     return true;
   }
 
-  bool ParseInteger(Value* out) {
+  /// Consumes a signed integer literal; false (consuming nothing) if none
+  /// starts here. *in_range is false when the literal does not fit a Value.
+  bool ParseInteger(Value* out, bool* in_range) {
     SkipSpace();
     std::size_t start = pos_;
     if (Peek() == '-' || Peek() == '+') ++pos_;
@@ -90,7 +95,10 @@ class Parser {
       pos_ = start;
       return false;
     }
-    *out = static_cast<Value>(std::stoll(text_.substr(start, pos_ - start)));
+    // ParseNumber takes a leading '-' but not a '+'.
+    const std::size_t from = text_[start] == '+' ? digits_start : start;
+    *in_range =
+        ParseNumber(std::string_view(text_).substr(from, pos_ - from), out);
     return true;
   }
 
@@ -109,9 +117,14 @@ class Parser {
     while (true) {
       std::string ident;
       Value constant = 0;
+      bool in_range = true;
       if (ParseIdent(&ident)) {
         atom.terms.push_back(Term::Var(q->AddVariable(ident)));
-      } else if (ParseInteger(&constant)) {
+      } else if (ParseInteger(&constant, &in_range)) {
+        if (!in_range) {
+          Fail("integer constant out of range", error);
+          return false;
+        }
         atom.terms.push_back(Term::Const(constant));
       } else {
         Fail("expected variable or integer constant", error);

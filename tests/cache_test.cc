@@ -222,17 +222,22 @@ TEST(CacheManager, SurvivesGrowthRehash) {
 }
 
 TEST(CacheManager, LruOrderSurvivesGrowthRehash) {
-  // Recency must be preserved across genuine rehashes. Bounded caches
-  // pre-size for their budget and never grow, so drive an unbounded cache
-  // through several doublings (16 -> 1024+ slots) and assert the chain is
-  // still exact reverse insertion order afterwards — Rehash's MRU-first
-  // re-link walk is what this pins.
+  // Recency must be preserved across genuine rehashes. Entry-bounded
+  // caches pre-size for their budget and never grow, and unbounded ones
+  // keep no recency, so drive a byte-budgeted cache: a budget far above
+  // what is inserted starts it at 16 slots and takes it through several
+  // doublings (16 -> 2048 slots). The chain must still be exact reverse
+  // insertion order afterwards — Rehash's MRU-first re-link walk is what
+  // this pins.
   ExecStats stats;
-  CacheManager<std::uint64_t> cache(CacheOptions{}, &stats);
+  CacheOptions options;
+  options.capacity_bytes = 1u << 30;
+  CacheManager<std::uint64_t> cache(options, &stats);
   constexpr Value kN = 1000;
   for (Value v = 0; v < kN; ++v) {
     cache.Insert(0, PK({v}), static_cast<std::uint64_t>(v));
   }
+  EXPECT_EQ(stats.cache_evictions, 0u);
   const std::vector<std::uint64_t> order = cache.LruOrderForTest();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kN));
   for (Value v = 0; v < kN; ++v) {
@@ -261,13 +266,15 @@ TEST(CacheManager, LruOrderSurvivesEvictionBackwardShift) {
 // --- In-place targeted eviction ------------------------------------------
 
 TEST(CacheManager, EvictIfInPlaceKeepsSurvivorsAndRecency) {
-  // A bounded cache of capacity 8 is pre-sized to 16 slots and never grows
-  // here. Its keys are drawn mostly from those whose ideal slot is one of
+  // Two tables of 16 slots that never grow here: a bounded cache of
+  // capacity 8 (pre-sized for its budget) and an unbounded one, which
+  // starts at 16 slots and holds up to 8 entries before its first
+  // doubling. Keys are drawn mostly from those whose home slot is one of
   // the last four, so their probe chains wrap past the table's end — the
   // case where backward shift moves an already-examined entry into the
   // slot EvictIf re-examines. Random partial predicates must remove
-  // exactly their matches and leave the survivors findable, in the
-  // reference model's recency order.
+  // exactly their matches and leave the survivors findable; the bounded
+  // cache must also keep them in the reference model's recency order.
   constexpr std::uint64_t kMask = 15;
   struct Key {
     NodeId node;
@@ -288,79 +295,85 @@ TEST(CacheManager, EvictIfInPlaceKeepsSurvivorsAndRecency) {
       anywhere.push_back({node, values});
     }
   }
-  std::mt19937_64 rng(2024);
-  for (int trial = 0; trial < 500; ++trial) {
-    ExecStats stats;
-    CacheOptions options;
-    options.capacity = 8;
-    CacheManager<std::uint64_t> cache(options, &stats);
-    // Pick up to 8 distinct keys, at most two from anywhere in the table.
-    std::vector<Key> keys;
-    std::vector<std::size_t> order(near_end.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    const std::size_t wanted = 3 + rng() % 6;
-    for (std::size_t i = 0; keys.size() + 2 < wanted; ++i) {
-      keys.push_back(near_end[order[i]]);
-    }
-    while (keys.size() < wanted) keys.push_back(anywhere[rng() % 16]);
-    // Distinct keys only (the two draws from `anywhere` may repeat).
-    if (keys[keys.size() - 1].values == keys[keys.size() - 2].values &&
-        keys[keys.size() - 1].node == keys[keys.size() - 2].node) {
-      keys.pop_back();
-    }
-    // Reference recency model, MRU first, of payload = key index.
-    std::list<std::uint64_t> model;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_TRUE(cache.Insert(keys[i].node, PK(keys[i].values), i));
-      model.push_front(i);
-    }
-    for (int touch = 0; touch < 4; ++touch) {
-      const std::uint64_t i = rng() % keys.size();
-      ASSERT_NE(cache.Lookup(keys[i].node, PK(keys[i].values)), nullptr);
-      model.remove(i);
-      model.push_front(i);
-    }
-    std::vector<bool> doomed(keys.size());
-    std::size_t victims = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      doomed[i] = rng() % 2 == 0;
-      victims += doomed[i] ? 1 : 0;
-    }
-    const auto index_of = [&keys](NodeId node, const Value* values,
-                                  int dims) {
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (keys[i].node == node &&
-            keys[i].values == Tuple(values, values + dims)) {
-          return i;
-        }
+  for (const std::uint64_t capacity : {std::uint64_t{8}, std::uint64_t{0}}) {
+    SCOPED_TRACE(capacity == 0 ? "unbounded" : "capacity 8");
+    std::mt19937_64 rng(2024);
+    for (int trial = 0; trial < 500; ++trial) {
+      ExecStats stats;
+      CacheOptions options;
+      options.capacity = capacity;
+      CacheManager<std::uint64_t> cache(options, &stats);
+      // Pick up to 8 distinct keys, at most two from anywhere in the table.
+      std::vector<Key> keys;
+      std::vector<std::size_t> order(near_end.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), rng);
+      const std::size_t wanted = 3 + rng() % 6;
+      for (std::size_t i = 0; keys.size() + 2 < wanted; ++i) {
+        keys.push_back(near_end[order[i]]);
       }
-      ADD_FAILURE() << "EvictIf saw a key that was never inserted";
-      return keys.size();
-    };
-    const auto pred = [&](NodeId node, const Value* values, int dims) {
-      const std::size_t i = index_of(node, values, dims);
-      return i < keys.size() && doomed[i];
-    };
-    ASSERT_EQ(cache.EvictIf(pred), victims) << "trial " << trial;
-    ASSERT_EQ(cache.size(), keys.size() - victims);
+      while (keys.size() < wanted) keys.push_back(anywhere[rng() % 16]);
+      // Distinct keys only (the two draws from `anywhere` may repeat).
+      if (keys[keys.size() - 1].values == keys[keys.size() - 2].values &&
+          keys[keys.size() - 1].node == keys[keys.size() - 2].node) {
+        keys.pop_back();
+      }
+      // Reference recency model, MRU first, of payload = key index.
+      std::list<std::uint64_t> model;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(cache.Insert(keys[i].node, PK(keys[i].values), i));
+        model.push_front(i);
+      }
+      for (int touch = 0; touch < 4; ++touch) {
+        const std::uint64_t i = rng() % keys.size();
+        ASSERT_NE(cache.Lookup(keys[i].node, PK(keys[i].values)), nullptr);
+        model.remove(i);
+        model.push_front(i);
+      }
+      std::vector<bool> doomed(keys.size());
+      std::size_t victims = 0;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        doomed[i] = rng() % 2 == 0;
+        victims += doomed[i] ? 1 : 0;
+      }
+      const auto index_of = [&keys](NodeId node, const Value* values,
+                                    int dims) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          if (keys[i].node == node &&
+              keys[i].values == Tuple(values, values + dims)) {
+            return i;
+          }
+        }
+        ADD_FAILURE() << "EvictIf saw a key that was never inserted";
+        return keys.size();
+      };
+      const auto pred = [&](NodeId node, const Value* values, int dims) {
+        const std::size_t i = index_of(node, values, dims);
+        return i < keys.size() && doomed[i];
+      };
+      ASSERT_EQ(cache.EvictIf(pred), victims) << "trial " << trial;
+      ASSERT_EQ(cache.size(), keys.size() - victims);
 
-    std::vector<std::uint64_t> want_order;
-    for (const std::uint64_t i : model) {
-      if (!doomed[i]) want_order.push_back(i);
-    }
-    EXPECT_EQ(cache.LruOrderForTest(), want_order) << "trial " << trial;
-    cache.ForEach(
-        [&](NodeId node, const Value* values, int dims, std::uint64_t) {
-          EXPECT_FALSE(pred(node, values, dims)) << "a match was left";
-        });
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const std::uint64_t* hit = cache.Lookup(keys[i].node, PK(keys[i].values));
-      if (doomed[i]) {
-        EXPECT_EQ(hit, nullptr) << "trial " << trial << " key " << i;
-      } else {
-        ASSERT_NE(hit, nullptr) << "trial " << trial << " key " << i;
-        EXPECT_EQ(*hit, i);
+      if (capacity > 0) {
+        std::vector<std::uint64_t> want_order;
+        for (const std::uint64_t i : model) {
+          if (!doomed[i]) want_order.push_back(i);
+        }
+        EXPECT_EQ(cache.LruOrderForTest(), want_order) << "trial " << trial;
+      }
+      cache.ForEach(
+          [&](NodeId node, const Value* values, int dims, std::uint64_t) {
+            EXPECT_FALSE(pred(node, values, dims)) << "a match was left";
+          });
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::uint64_t* hit =
+            cache.Lookup(keys[i].node, PK(keys[i].values));
+        if (doomed[i]) {
+          EXPECT_EQ(hit, nullptr) << "trial " << trial << " key " << i;
+        } else {
+          ASSERT_NE(hit, nullptr) << "trial " << trial << " key " << i;
+          EXPECT_EQ(*hit, i);
+        }
       }
     }
   }

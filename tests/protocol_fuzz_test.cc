@@ -1,18 +1,33 @@
-// Seeded mutation fuzzing of the wire parsers. Valid RUN/DELTA request
-// lines, response line sets and ExecStats wire tokens are mutated with byte
-// flips, truncations and dropped or duplicated separators. Every parser
-// must either accept a mutant or reject it with a diagnostic (never crash,
-// hang or fail silently), and every request that parses must survive a
-// FormatRequest/ParseRequest round trip unchanged. The seeds are fixed, so
-// every run feeds the parsers the same inputs; the sanitizer jobs run this
-// file with the rest of the suite.
+// Seeded mutation fuzzing of every parser on the input path: the wire
+// parsers (RUN/DELTA request lines, response line sets, ExecStats wire
+// tokens), the query parser and the relation file loaders. Valid inputs
+// are mutated with byte flips, truncations and dropped or duplicated
+// separators. Every parser must either accept a mutant or reject it with a
+// diagnostic (never crash, hang or fail silently), and what parses must
+// survive a round trip: a request through FormatRequest/ParseRequest
+// unchanged, a query through ToString/ParseQuery to the same shape key.
+// The seeds are fixed, so every run feeds the parsers the same inputs; the
+// sanitizer jobs run this file with the rest of the suite.
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "data/database.h"
+#include "data/dictionary.h"
+#include "data/loader.h"
+#include "data/relation.h"
+#include "engine/engine.h"
+#include "query/parser.h"
+#include "query/shape.h"
 #include "server/protocol.h"
 #include "server/service.h"
 #include "util/rng.h"
@@ -23,10 +38,14 @@ namespace {
 
 constexpr int kMutantsPerSeed = 10000;
 
+// The separators of a wire line.
+const char kWireSeparators[] = " =,;:";
+
 // One to three stacked mutations of `text`: flip one bit of a byte,
-// truncate at a random length, or drop or duplicate one separator.
-std::string Mutate(const std::string& text, Rng& rng) {
-  static const std::string kSeparators = " =,;:";
+// truncate at a random length, or drop or duplicate one of the characters
+// in `separators`.
+std::string Mutate(const std::string& text, Rng& rng,
+                   const std::string& separators = kWireSeparators) {
   std::string out = text;
   const std::uint64_t steps = 1 + rng.Uniform(3);
   for (std::uint64_t step = 0; step < steps; ++step) {
@@ -39,7 +58,7 @@ std::string Mutate(const std::string& text, Rng& rng) {
     } else {
       std::vector<std::size_t> at;
       for (std::size_t p = 0; p < out.size(); ++p) {
-        if (kSeparators.find(out[p]) != std::string::npos) at.push_back(p);
+        if (separators.find(out[p]) != std::string::npos) at.push_back(p);
       }
       if (at.empty()) continue;
       const std::size_t p = at[rng.Uniform(at.size())];
@@ -206,6 +225,139 @@ TEST(WireFuzz, MutatedStatsTokensParseOrLeaveTheTargetUntouched) {
       EXPECT_EQ(again.ToWire(), parsed.ToWire()) << "'" << token << "'";
     }
   }
+}
+
+// Query texts of every family the workloads send: paths, cycles, a
+// lollipop, and point queries with constants (up to the int64 limits).
+std::vector<std::string> ValidQueryTexts() {
+  return {
+      "E(x,y), E(y,z), E(z,w)",
+      "E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x1)",
+      "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)",
+      "E(x,y), E(y,z), E(z,x), E(x,w)",
+      "E(x, 5), E(5, y), R(y, -9223372036854775808)",
+      "R3(x, +17, y), E(y, x), R(9223372036854775807, x)",
+  };
+}
+
+// A small database the validator checks mutants against: E and R binary,
+// R3 ternary.
+Database SmallFuzzDb() {
+  Database db;
+  const std::vector<std::pair<std::string, int>> schema = {
+      {"E", 2}, {"R", 2}, {"R3", 3}};
+  for (const auto& [name, arity] : schema) {
+    Relation relation(name, arity);
+    for (Value v = 0; v < 6; ++v) {
+      Tuple row(static_cast<std::size_t>(arity));
+      for (int c = 0; c < arity; ++c) row[c] = (v + c) % 6;
+      relation.Add(row);
+    }
+    db.Put(std::move(relation));
+  }
+  return db;
+}
+
+TEST(QueryFuzz, MutatedQueriesParseOrFailWithAnErrorAndRoundTrip) {
+  const std::vector<std::string> valid = ValidQueryTexts();
+  const Database db = SmallFuzzDb();
+  std::size_t parsed_mutants = 0;
+  std::size_t valid_for_db = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(300 + seed);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string text =
+          Mutate(valid[rng.Uniform(valid.size())], rng, " ,()");
+      std::string error;
+      const std::optional<Query> query = ParseQuery(text, &error);
+      if (!query.has_value()) {
+        EXPECT_FALSE(error.empty()) << "silent rejection of '" << text << "'";
+        continue;
+      }
+      ++parsed_mutants;
+      const std::string printed = query->ToString();
+      const std::optional<Query> again = ParseQuery(printed, &error);
+      ASSERT_TRUE(again.has_value())
+          << "'" << text << "' parsed, but its rendering '" << printed
+          << "' does not: " << error;
+      EXPECT_EQ(CanonicalShapeKey(*again), CanonicalShapeKey(*query))
+          << "'" << text << "' changed shape across '" << printed << "'";
+      std::string message;
+      const RunStatus status = ValidateQueryForDatabase(*query, db, &message);
+      if (status == RunStatus::kOk) {
+        ++valid_for_db;
+      } else {
+        EXPECT_FALSE(message.empty())
+            << "silent " << RunStatusName(status) << " for '" << text << "'";
+      }
+    }
+  }
+  // A flipped digit or a duplicated space keeps a query valid, so both the
+  // round trip and the accepting side of the validator must have run.
+  EXPECT_GT(parsed_mutants, 0u);
+  EXPECT_GT(valid_for_db, 0u);
+}
+
+// Writes `content` to `path`, replacing what was there.
+void WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << content;
+}
+
+TEST(LoaderFuzz, MutatedFilesLoadOrFailWithAnError) {
+  // An edge list with the SNAP comment conventions, a typed file with
+  // quoted fields (separators, doubled quotes, a numeric-looking label) and
+  // an integer file at the int64 limits.
+  const std::vector<std::string> valid = {
+      "# Directed graph\n# FromNodeId\tToNodeId\n"
+      "1\t2\n2 3\n3,1\n% end\n\n4\t5\n",
+      "alice\t1\t\"x, y\"\nbob\t2\t\"say \"\"hi\"\"\"\n\"2017\"\t-3\tz\n",
+      "1 2 3\n4 5 6\n-9223372036854775808 8 9223372036854775807\n",
+  };
+  // Per process, so concurrent runs of the suite never share the file.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("clftj_loader_fuzz_" + std::to_string(getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "mutant.txt").string();
+  std::size_t loaded_edges = 0;
+  std::size_t loaded_auto = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(400 + seed);
+    for (int i = 0; i < kMutantsPerSeed / 10; ++i) {
+      const std::string content =
+          Mutate(valid[rng.Uniform(valid.size())], rng, " ,\t\n\"#");
+      WriteFile(path, content);
+
+      LoadError edge_error;
+      const std::optional<Relation> edges =
+          LoadEdgeList(path, "E", &edge_error);
+      if (edges.has_value()) {
+        ++loaded_edges;
+        EXPECT_EQ(edges->arity(), 2);
+      } else {
+        EXPECT_FALSE(edge_error.message.empty())
+            << "silent edge-list rejection of:\n" << content;
+      }
+
+      Dictionary dict;
+      LoadError auto_error;
+      std::vector<ColumnType> schema;
+      const std::optional<Relation> typed =
+          LoadRelationAuto(path, "R", &dict, &auto_error, &schema);
+      if (typed.has_value()) {
+        ++loaded_auto;
+        EXPECT_EQ(static_cast<int>(schema.size()), typed->arity());
+        EXPECT_EQ(typed->column_types(), schema);
+      } else {
+        EXPECT_FALSE(auto_error.message.empty())
+            << "silent auto-detected rejection of:\n" << content;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(loaded_edges, 0u);
+  EXPECT_GT(loaded_auto, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "query/parser.h"
 #include "query/patterns.h"
@@ -104,6 +106,21 @@ TEST(Parser, ErrorIncludesOffset) {
   std::string error;
   EXPECT_FALSE(ParseQuery("E(x,y), E(x,", &error).has_value());
   EXPECT_NE(error.find("offset"), std::string::npos);
+}
+
+TEST(Parser, ConstantsOutsideInt64AreAnErrorNotAThrow) {
+  const auto limits = ParseQuery(
+      "R(x, -9223372036854775808), R(x, +9223372036854775807)");
+  ASSERT_TRUE(limits.has_value());
+  EXPECT_EQ(limits->atom(0).terms[1].constant, INT64_MIN);
+  EXPECT_EQ(limits->atom(1).terms[1].constant, INT64_MAX);
+  for (const char* text : {"R(x, 9223372036854775808)",
+                           "R(x, -9223372036854775809)",
+                           "R(x, 92233720368547758079)"}) {
+    std::string error;
+    EXPECT_FALSE(ParseQuery(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
 }
 
 TEST(Parser, UnderscoreIdentifiers) {
