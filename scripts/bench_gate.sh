@@ -57,15 +57,28 @@ if grep -q '^benchmark_DIR:PATH=.*NOTFOUND' "$BUILD_DIR/CMakeCache.txt"; then
 fi
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${BENCHES[@]}"
 
+# A bench that exits nonzero (a failed self-gate or a crash) does not stop
+# the gate: every bench runs and the diff runs, then the gate fails naming
+# each bench that failed. A build failure above still stops it at once.
+failed=()
 for bench in "${BENCHES[@]}"; do
   args=(--benchmark_min_warmup_time=0)
   # bench_fig10_cache_size has no quick reduction; its full matrix is six
   # bounded-cache records and runs in seconds.
   if [[ "$bench" != bench_fig10_cache_size ]]; then args+=(--quick); fi
-  (cd "$BUILD_DIR" && "./$bench" "${args[@]}")
+  if ! (cd "$BUILD_DIR" && "./$bench" "${args[@]}"); then
+    failed+=("$bench")
+  fi
 done
 
 if [[ -n "$BASELINE_DIR" ]]; then
-  python3 scripts/bench_diff.py "$BASELINE_DIR" "$BUILD_DIR" \
-    --skip-config "racing"
+  if ! python3 scripts/bench_diff.py "$BASELINE_DIR" "$BUILD_DIR" \
+      --skip-config "racing"; then
+    failed+=("bench_diff.py")
+  fi
+fi
+
+if ((${#failed[@]} > 0)); then
+  echo "bench_gate.sh: FAILED — ${failed[*]}" >&2
+  exit 1
 fi

@@ -70,29 +70,19 @@ TrieJoinContext::TrieJoinContext(const Query& q, const Database& db,
 
 void TrieJoinContext::Attach(ExecStats* stats) {
   const std::vector<AtomView>& views = substrate_->views();
-  iters_.reserve(views.size());
+  iters_.reserve(views.size());  // joins_ hold pointers into iters_
   for (const AtomView& view : views) {
-    iters_.push_back(std::make_unique<TrieIterator>(view.trie.get(), stats));
+    iters_.emplace_back(view.trie.get(), stats);
   }
   const std::size_t depths = substrate_->order().size();
-  at_depth_.resize(depths);
-  joins_.resize(depths);
+  joins_.reserve(depths);
   for (std::size_t d = 0; d < depths; ++d) {
+    std::vector<TrieIterator*> participants;
     for (const int a : substrate_->atoms_at_depth()[d]) {
-      at_depth_[d].push_back(iters_[a].get());
+      participants.push_back(&iters_[a]);
     }
-    joins_[d] = std::make_unique<LeapfrogJoin>(at_depth_[d]);
+    joins_.emplace_back(std::move(participants));
   }
-}
-
-LeapfrogJoin* TrieJoinContext::EnterDepth(int d) {
-  for (TrieIterator* it : at_depth_[d]) it->Open();
-  joins_[d]->Init();
-  return joins_[d].get();
-}
-
-void TrieJoinContext::LeaveDepth(int d) {
-  for (TrieIterator* it : at_depth_[d]) it->Up();
 }
 
 namespace {

@@ -117,19 +117,22 @@ class TrieJoinContext {
 
   /// Opens all iterators participating at depth d and initializes the
   /// leapfrog join. Returns the join (owned by the context).
-  LeapfrogJoin* EnterDepth(int d);
+  LeapfrogJoin* EnterDepth(int d) {
+    LeapfrogJoin* join = &joins_[d];
+    join->Open();
+    return join;
+  }
 
   /// Closes depth d (ascends all participating iterators).
-  void LeaveDepth(int d);
+  void LeaveDepth(int d) { joins_[d].Up(); }
 
  private:
   void Attach(ExecStats* stats);
 
-  std::unique_ptr<const TrieJoinSubstrate> owned_;     // convenience path only
+  std::unique_ptr<const TrieJoinSubstrate> owned_;  // convenience path only
   const TrieJoinSubstrate* substrate_;
-  std::vector<std::unique_ptr<TrieIterator>> iters_;   // one per atom
-  std::vector<std::vector<TrieIterator*>> at_depth_;   // participants per depth
-  std::vector<std::unique_ptr<LeapfrogJoin>> joins_;   // one per depth
+  std::vector<TrieIterator> iters_;  // one per atom; never reallocated
+  std::vector<LeapfrogJoin> joins_;  // one per depth, over iters_
 };
 
 }  // namespace clftj

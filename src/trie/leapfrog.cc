@@ -1,7 +1,5 @@
 #include "trie/leapfrog.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace clftj {
@@ -19,21 +17,26 @@ void LeapfrogJoin::Init() {
       return;
     }
   }
-  std::sort(iters_.begin(), iters_.end(),
-            [](const TrieIterator* a, const TrieIterator* b) {
-              return a->Key() < b->Key();
-            });
+  // Stable insertion sort by key: k is the number of atoms sharing one
+  // variable, and for k <= 16 this is the permutation std::sort produces
+  // (libstdc++ insertion-sorts ranges that short), so which tied iterator
+  // seeks first — and with it every charged probe — is unchanged.
+  for (std::size_t i = 1; i < iters_.size(); ++i) {
+    TrieIterator* it = iters_[i];
+    const Value key = it->Key();
+    std::size_t j = i;
+    for (; j > 0 && key < iters_[j - 1]->Key(); --j) iters_[j] = iters_[j - 1];
+    iters_[j] = it;
+  }
   p_ = 0;
   Search();
 }
 
 void LeapfrogJoin::Search() {
-  const std::size_t k = iters_.size();
-  Value max_key = iters_[(p_ + k - 1) % k]->Key();
+  Value max_key = iters_[p_ == 0 ? iters_.size() - 1 : p_ - 1]->Key();
   while (true) {
     TrieIterator* it = iters_[p_];
-    const Value key = it->Key();
-    if (key == max_key) {
+    if (it->Key() == max_key) {
       key_ = max_key;
       return;  // all k iterators agree
     }
@@ -43,7 +46,7 @@ void LeapfrogJoin::Search() {
       return;
     }
     max_key = it->Key();
-    p_ = (p_ + 1) % k;
+    p_ = Following(p_);
   }
 }
 
@@ -55,7 +58,7 @@ void LeapfrogJoin::Next() {
     at_end_ = true;
     return;
   }
-  p_ = (p_ + 1) % iters_.size();
+  p_ = Following(p_);
   Search();
 }
 
@@ -68,7 +71,7 @@ void LeapfrogJoin::Seek(Value bound) {
     at_end_ = true;
     return;
   }
-  p_ = (p_ + 1) % iters_.size();
+  p_ = Following(p_);
   Search();
 }
 

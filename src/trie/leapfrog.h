@@ -31,6 +31,9 @@ namespace clftj {
 /// are therefore bit-identical to the scalar implementation's, which is
 /// what keeps the recorded bench baselines comparable across PRs (pinned
 /// by TrieIterator.SeekCountsMatchScalarReference in tests/trie_test.cc).
+/// A short seek (ShortSeekLowerBound below) is found by a scan instead and
+/// charged GallopCharge of its landing offset: the same probes, computed
+/// rather than executed.
 inline std::size_t GallopingLowerBound(const Value* vals, std::size_t pos,
                                        std::size_t end, Value bound,
                                        std::uint64_t* comparisons) {
@@ -103,11 +106,121 @@ std::size_t GallopingLowerBoundAvx2(const Value* vals, std::size_t pos,
                                     std::size_t end, Value bound,
                                     std::uint64_t* comparisons);
 
+/// Slots a short seek scans before it hands over to the gallop. Measured
+/// on the wiki-Vote profile, 93% of the triangle's and 92% of the
+/// 4-cycle's seeks land within 8 slots (docs/simd.md "Short seeks").
+inline constexpr std::size_t kShortSeekWindow = 8;
+
+namespace internal {
+
+constexpr int BitWidth(std::size_t x) {
+  return x == 0 ? 0 : 64 - __builtin_clzll(x);
+}
+
+// The rounds of the binary search's halving loop over a bracket of c slots
+// whose answer is the t-th (0 <= t <= c; t == c: none of them).
+constexpr int HalvingRounds(std::size_t c, std::size_t t) {
+  int rounds = 0;
+  std::size_t first = 0;
+  while (c > 0) {
+    ++rounds;
+    const std::size_t half = c >> 1;
+    if (first + half < t) {
+      first += half + 1;
+      c -= half + 1;
+    } else {
+      c = half;
+    }
+  }
+  return rounds;
+}
+
+// Over c < 8 slots the halving loop makes BitWidth(c | 1) rounds or one
+// fewer. Bit 8c + t of the mask is set iff it makes one fewer for answer
+// t, which covers every bracket a short seek can end in. A bracket that
+// broke the two-valued rule would make the mask 0 (c = 0 sets bit 0).
+constexpr std::uint64_t ShortBracketMask() {
+  std::uint64_t mask = 0;
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (std::size_t t = 0; t <= c; ++t) {
+      const int rounds = HalvingRounds(c, t);
+      if (rounds == BitWidth(c | 1) - 1) {
+        mask |= std::uint64_t{1} << (8 * c + t);
+      } else if (rounds != BitWidth(c | 1)) {
+        return 0;
+      }
+    }
+  }
+  return mask;
+}
+
+inline constexpr std::uint64_t kShortBracketMask = ShortBracketMask();
+static_assert(kShortBracketMask != 0, "halving rounds are not two-valued");
+
+}  // namespace internal
+
+/// The probes the sequential gallop + binary search makes for a seek that
+/// starts at a slot below the bound and whose answer lies `offset` slots
+/// ahead, in a group with `remaining` slots from the start on
+/// (1 <= offset <= min(remaining, kShortSeekWindow + 1); offset ==
+/// remaining means past the group's end). It depends on nothing else:
+/// sortedness fixes every probe's outcome (a probe at offset i is below the
+/// bound iff i < offset), so the count is computed from the two offsets,
+/// without loading a value and without a data-dependent branch.
+inline std::uint64_t GallopCharge(std::size_t offset, std::size_t remaining) {
+  // The gallop probes offsets 2^k - 1 for k = 1, 2, ...: those below
+  // `offset` succeed, the first at or past it fails (and is not made when
+  // it lies past the group), and a binary search of the bracket between
+  // the last success and the failure finds `offset`.
+  static_assert(internal::BitWidth(kShortSeekWindow + 1) <= 4,
+                "a short seek's bracket must stay below 8 slots");
+  const int k = internal::BitWidth(offset);
+  const std::size_t lo = (std::size_t{1} << (k - 1)) - 1;
+  const std::size_t fail = (std::size_t{1} << k) - 1;
+  const bool fail_probed = fail < remaining;
+  const std::size_t bracket = (fail_probed ? fail : remaining) - lo - 1;
+  const std::size_t answer = offset - lo - 1;
+  const int rounds =
+      internal::BitWidth(bracket | 1) -
+      static_cast<int>(internal::kShortBracketMask >> (8 * bracket + answer) &
+                       1);
+  return static_cast<std::uint64_t>(k - 1 + fail_probed + rounds);
+}
+
+/// Short seek over vals[pos..end) with vals[pos] < bound: when the least
+/// index in (pos, end] whose value is >= bound (end if none) lies within
+/// kShortSeekWindow slots of pos, or is end and the window reaches the
+/// group's last slot, returns it and advances *comparisons by GallopCharge
+/// of its offset — exactly what GallopingLowerBound would return and
+/// charge. Otherwise returns pos and charges nothing; the caller then
+/// gallops from pos. The window is read branch-free, with slots past the
+/// group clamped to its last slot.
+inline std::size_t ShortSeekLowerBound(const Value* vals, std::size_t pos,
+                                       std::size_t end, Value bound,
+                                       std::uint64_t* comparisons) {
+  const std::size_t last = end - 1;
+  std::size_t below = 0;
+  for (std::size_t i = 1; i <= kShortSeekWindow; ++i) {
+    const std::size_t idx = pos + i < last ? pos + i : last;
+    below += vals[idx] < bound;
+  }
+  // A clamped slot repeats the last slot, so it counts only when every
+  // slot of the group lies below the bound: the seek then ends the group.
+  std::size_t offset = below + 1;
+  if (below == kShortSeekWindow) {
+    if (pos + kShortSeekWindow < last) return pos;  // lands past the window
+    offset = end - pos;
+  }
+  *comparisons += GallopCharge(offset, end - pos);
+  return pos + offset;
+}
+
 /// Leapfrog join over k >= 1 trie iterators positioned at the same logical
 /// variable (each at its own trie level): a multi-way sort-merge
-/// intersection of their sibling groups (Veldhuizen §3.1). The caller must
-/// Open() all iterators to the variable's level before Init() and is
-/// responsible for the matching Up() calls afterwards.
+/// intersection of their sibling groups (Veldhuizen §3.1). Either the
+/// caller Open()s all iterators to the variable's level before Init() and
+/// makes the matching Up() calls afterwards, or Open() and Up() below do
+/// both for it.
 class LeapfrogJoin {
  public:
   /// Wraps the iterators; does not take ownership. Requires non-empty.
@@ -115,6 +228,17 @@ class LeapfrogJoin {
 
   /// Positions all iterators at the first common value, if any.
   void Init();
+
+  /// Opens every iterator one level down, then Init().
+  void Open() {
+    for (TrieIterator* it : iters_) it->Open();
+    Init();
+  }
+
+  /// Ascends every iterator one level (the inverse of Open()).
+  void Up() {
+    for (TrieIterator* it : iters_) it->Up();
+  }
 
   /// True when the intersection is exhausted.
   bool AtEnd() const { return at_end_; }
@@ -130,6 +254,11 @@ class LeapfrogJoin {
 
  private:
   void Search();  // leapfrog_search of the paper
+
+  // The rotation successor of iterator index i (no modulo on the hot path).
+  std::size_t Following(std::size_t i) const {
+    return i + 1 == iters_.size() ? 0 : i + 1;
+  }
 
   std::vector<TrieIterator*> iters_;
   std::size_t p_ = 0;  // index of the iterator with the smallest key

@@ -1,81 +1,64 @@
 #include "trie/trie_iterator.h"
 
-#include <algorithm>
-
 #include "trie/leapfrog.h"
-#include "util/check.h"
 #include "util/simd.h"
 
 namespace clftj {
 
 TrieIterator::TrieIterator(const Trie* trie, ExecStats* stats)
-    : trie_(trie), stats_(stats) {
+    : stats_(stats) {
   CLFTJ_CHECK(trie != nullptr);
-  const int d = trie->depth();
-  pos_.resize(d, 0);
-  group_begin_.resize(d, 0);
-  group_end_.resize(d, 0);
-}
-
-Value TrieIterator::Key() const {
-  CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
-  return trie_->values(depth_)[pos_[depth_]];
+  const int depth = trie->depth();
+  root_end_ = depth > 0 ? trie->values(0).size() : 0;
+  levels_.push_back({nullptr, nullptr, 0, 1});
+  for (int d = 0; d < depth; ++d) {
+    levels_.push_back({trie->values(d).data(),
+                       d + 1 < depth ? trie->starts(d).data() : nullptr, 0,
+                       0});
+  }
 }
 
 void TrieIterator::Open() {
-  CLFTJ_DCHECK(!at_end_);
-  CLFTJ_DCHECK(depth_ + 1 < trie_->depth());
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  if (depth_ < 0) {
-    end = trie_->values(0).size();
+  CLFTJ_DCHECK(!AtEnd());
+  CLFTJ_DCHECK(depth_ + 2 < static_cast<int>(levels_.size()));
+  Level& level = levels_[depth_ + 1];
+  level.pos = pos_;
+  level.end = end_;
+  if (depth_ >= 0) {
+    pos_ = level.starts[level.pos];
+    end_ = level.starts[level.pos + 1];
   } else {
-    const auto& starts = trie_->starts(depth_);
-    begin = starts[pos_[depth_]];
-    end = starts[pos_[depth_] + 1];
+    pos_ = 0;
+    end_ = root_end_;
   }
   ++depth_;
-  group_begin_[depth_] = begin;
-  group_end_[depth_] = end;
-  pos_[depth_] = begin;
-  at_end_ = begin >= end;
-  CLFTJ_DCHECK(!at_end_);  // tries have no dangling internal nodes
-  Touch();                 // loading the first child
+  vals_ = levels_[depth_ + 1].vals;
+  CLFTJ_DCHECK(!AtEnd());  // tries have no dangling internal nodes
+  Touch(1);                // loading the first child
 }
 
 void TrieIterator::Up() {
   CLFTJ_CHECK(depth_ >= 0);
   --depth_;
-  at_end_ = false;
+  const Level& level = levels_[depth_ + 1];
+  vals_ = level.vals;
+  pos_ = level.pos;
+  end_ = level.end;
 }
 
-void TrieIterator::Next() {
-  CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
-  ++pos_[depth_];
-  at_end_ = pos_[depth_] >= group_end_[depth_];
-  Touch();
-}
-
-void TrieIterator::Seek(Value bound) {
-  CLFTJ_DCHECK(depth_ >= 0 && !at_end_);
-  const std::vector<Value>& vals = trie_->values(depth_);
-  const std::size_t lo = pos_[depth_];
-  const std::size_t end = group_end_[depth_];
-  if (vals[lo] >= bound) {
-    Touch();
-    return;
+void TrieIterator::SeekAhead(Value bound) {
+  // Most seeks land a few slots ahead (docs/simd.md "Short seeks"), where a
+  // scan beats the gallop; the rest go through the dispatched galloping
+  // search, whose O(log distance) cost is the amortized bound LFTJ's
+  // worst-case optimality relies on (the scan's is constant). Both charge
+  // the sequential gallop's probes (trie/leapfrog.h).
+  std::uint64_t probes = 0;
+  std::size_t first = ShortSeekLowerBound(vals_, pos_, end_, bound, &probes);
+  if (first == pos_) {
+    first = simd::SeekLowerBound(vals_, pos_, end_, bound, &probes);
   }
-  // Galloping lower bound (4-way unrolled, branch-free; see leapfrog.h),
-  // via the runtime-dispatched kernel (scalar or AVX2 — both charge the
-  // same probe count): double the probe stride until overshooting, then
-  // binary search the bracketed range. This gives the amortized bound
-  // LFTJ's worst-case optimality relies on.
-  std::uint64_t comparisons = 0;
-  const std::size_t first =
-      simd::SeekLowerBound(vals.data(), lo, end, bound, &comparisons);
-  Touch(comparisons);
-  pos_[depth_] = first;
-  at_end_ = first >= end;
+  Touch(probes);
+  pos_ = first;
 }
 
 }  // namespace clftj

@@ -1,9 +1,12 @@
 #ifndef CLFTJ_TRIE_TRIE_ITERATOR_H_
 #define CLFTJ_TRIE_TRIE_ITERATOR_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "trie/trie.h"
+#include "util/check.h"
 #include "util/common.h"
 #include "util/stats.h"
 
@@ -19,6 +22,11 @@ namespace clftj {
 /// Every value comparison increments stats->memory_accesses (if a stats
 /// sink is attached), which is how the paper-style memory-traffic numbers
 /// are produced.
+///
+/// Layout: the current level is three members — its value array, the
+/// position and the sibling group's end — so Key/Next/AtEnd/Seek touch no
+/// per-level vector. Open() saves the cursor in its level's slot before it
+/// descends, and Up() restores it.
 class TrieIterator {
  public:
   /// Creates an iterator at the (virtual) root of the trie — depth -1.
@@ -28,11 +36,15 @@ class TrieIterator {
   /// Current depth: -1 at the root, 0..depth-1 inside the trie.
   int depth() const { return depth_; }
 
-  /// True if positioned past the last sibling at the current depth.
-  bool AtEnd() const { return at_end_; }
+  /// True if positioned past the last sibling at the current depth. The
+  /// root is one virtual node and never at its end.
+  bool AtEnd() const { return pos_ >= end_; }
 
   /// The value at the current position. Requires depth() >= 0 && !AtEnd().
-  Value Key() const;
+  Value Key() const {
+    CLFTJ_DCHECK(depth_ >= 0 && !AtEnd());
+    return vals_[pos_];
+  }
 
   /// Descends to the first child of the current value (or to the first
   /// root-level value when at the root). Requires !AtEnd(); requires the
@@ -44,27 +56,54 @@ class TrieIterator {
   void Up();
 
   /// Moves to the next sibling; may set AtEnd. Requires !AtEnd().
-  void Next();
+  void Next() {
+    CLFTJ_DCHECK(depth_ >= 0 && !AtEnd());
+    ++pos_;
+    Touch(1);
+  }
 
-  /// Moves to the least sibling whose value is >= bound (galloping +
-  /// binary search, amortized O(1 + log of distance)); may set AtEnd.
-  /// Requires !AtEnd() and bound >= Key() (seeks never go backwards).
-  void Seek(Value bound);
+  /// Moves to the least sibling whose value is >= bound; may set AtEnd.
+  /// Requires !AtEnd() and bound >= Key() (seeks never go backwards). A
+  /// landing within kShortSeekWindow slots is found by a scan, a farther
+  /// one by the dispatched galloping search; either way the charge is the
+  /// sequential gallop's (see the counting contract in trie/leapfrog.h).
+  void Seek(Value bound) {
+    CLFTJ_DCHECK(depth_ >= 0 && !AtEnd());
+    if (vals_[pos_] >= bound) {
+      Touch(1);
+      return;
+    }
+    SeekAhead(bound);
+  }
 
  private:
-  // Sibling-group bounds at each depth d: positions pos_[d] within
-  // [group_begin_[d], group_end_[d]) of trie_->values(d).
-  const Trie* trie_;
-  ExecStats* stats_;
-  int depth_ = -1;
-  bool at_end_ = false;
-  std::vector<std::size_t> pos_;
-  std::vector<std::size_t> group_begin_;
-  std::vector<std::size_t> group_end_;
+  // One trie level as the cursor sees it. Index 0 is the virtual root,
+  // whose one node's children are all of trie level 0; index d + 1 is
+  // trie level d.
+  struct Level {
+    const Value* vals;            // the level's values (null at the root)
+    const std::uint32_t* starts;  // child ranges (null at the root and
+                                  //   at the leaf level)
+    std::size_t pos;              // the level's cursor, saved by Open()
+    std::size_t end;              //   while the iterator is deeper
+  };
 
-  void Touch(std::uint64_t n = 1) const {
+  // Seek's search once vals_[pos_] < bound is known.
+  void SeekAhead(Value bound);
+
+  void Touch(std::uint64_t n) const {
     if (stats_ != nullptr) stats_->memory_accesses += n;
   }
+
+  ExecStats* stats_;
+  // The current level's values, position and group end (levels_ keeps a
+  // level's position and end only while the iterator is deeper).
+  const Value* vals_ = nullptr;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 1;
+  int depth_ = -1;
+  std::size_t root_end_ = 0;  // the size of trie level 0
+  std::vector<Level> levels_;
 };
 
 }  // namespace clftj

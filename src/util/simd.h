@@ -141,8 +141,11 @@ inline const Kernels& Active() {
   return k != nullptr ? *k : internal::ResolveActive();
 }
 
-/// Dispatched seek lower bound (TrieIterator::Seek routes every gallop
-/// through this).
+/// Dispatched seek lower bound. TrieIterator::Seek routes every seek that
+/// lands beyond its short-seek window through this; a shorter one is found
+/// by a scan and charged GallopCharge of its landing offset, the probes
+/// this kernel would have charged (trie/leapfrog.h, docs/simd.md "Short
+/// seeks").
 inline std::size_t SeekLowerBound(const Value* vals, std::size_t pos,
                                   std::size_t end, Value bound,
                                   std::uint64_t* comparisons) {

@@ -10,6 +10,7 @@
 #include "trie/trie.h"
 #include "trie/trie_iterator.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace clftj {
 namespace {
@@ -466,6 +467,208 @@ TEST(TrieIterator, SeekCountsMatchScalarReference) {
   EXPECT_EQ(stats.memory_accesses - after_open, expected);
   // Literal pin so a change to either implementation trips loudly.
   EXPECT_EQ(expected, 88u);
+}
+
+// The dispatch arms a test can install here: scalar always, AVX2 when the
+// build and the CPU have it. Restores the process-wide mode on exit.
+class EachSimdArm {
+ public:
+  EachSimdArm() : saved_(simd::CurrentMode()) {
+    arms_.push_back(simd::Mode::kScalar);
+    if (simd::Avx2Available()) arms_.push_back(simd::Mode::kAvx2);
+  }
+  ~EachSimdArm() { simd::SetMode(saved_); }
+  const std::vector<simd::Mode>& arms() const { return arms_; }
+
+ private:
+  simd::Mode saved_;
+  std::vector<simd::Mode> arms_;
+};
+
+TEST(TrieIterator, ShortSeekChargesMatchScalarGallopExhaustively) {
+  // Every sibling group of 1-64 values, every start position and every
+  // bound from below the first value to past the last: Seek's landing key,
+  // AtEnd and charge must be ScalarGallopLowerBound's, whether the landing
+  // falls in the short-seek window (scanned, charged arithmetically) or
+  // beyond it (galloped). The group under test is the middle one of three,
+  // and its neighbours hold values below every bound, so a scan that read
+  // past the group's end would land wrong.
+  EachSimdArm guard;
+  for (const simd::Mode arm : guard.arms()) {
+    ASSERT_TRUE(simd::SetMode(arm));
+    for (int n = 1; n <= 64; ++n) {
+      std::vector<Value> group;
+      for (int i = 0; i < n; ++i) group.push_back(10 + 2 * i);
+      std::vector<Tuple> rows = {{0, 0}, {0, 1}, {2, 0}, {2, 1}};
+      for (const Value v : group) rows.push_back({1, v});
+      const Trie trie = Trie::Build(2, rows);
+      ExecStats stats;
+      TrieIterator it(&trie, &stats);
+      it.Open();
+      it.Next();  // level 0 at key 1
+      ASSERT_EQ(it.Key(), 1);
+      for (int start = 0; start < n; ++start) {
+        for (Value bound = group.front() - 1; bound <= group.back() + 1;
+             ++bound) {
+          it.Open();
+          for (int i = 0; i < start; ++i) it.Next();
+          std::uint64_t want_charge = 0;
+          std::size_t want = start;
+          if (group[start] >= bound) {
+            want_charge = 1;  // already positioned
+          } else {
+            want = ScalarGallopLowerBound(group, start, group.size(), bound,
+                                          &want_charge);
+          }
+          const std::uint64_t before = stats.memory_accesses;
+          it.Seek(bound);
+          ASSERT_EQ(stats.memory_accesses - before, want_charge)
+              << simd::ModeName(arm) << " n=" << n << " start=" << start
+              << " bound=" << bound;
+          ASSERT_EQ(it.AtEnd(), want == group.size())
+              << simd::ModeName(arm) << " n=" << n << " start=" << start
+              << " bound=" << bound;
+          if (!it.AtEnd()) {
+            ASSERT_EQ(it.Key(), group[want]);
+          }
+          it.Up();
+        }
+      }
+    }
+  }
+}
+
+// A cursor over a Trie with one position and group end per level, kept in
+// vectors, charging what TrieIterator's contract says: one access per Open
+// and Next, one for an already-positioned Seek, and the sequential gallop's
+// probes for any other Seek.
+class ReferenceCursor {
+ public:
+  explicit ReferenceCursor(const Trie* trie)
+      : trie_(trie), pos_(trie->depth()), end_(trie->depth()) {}
+
+  int depth() const { return depth_; }
+  bool AtEnd() const { return at_end_; }
+  Value Key() const { return trie_->values(depth_)[pos_[depth_]]; }
+  std::uint64_t accesses() const { return accesses_; }
+
+  void Open() {
+    std::size_t begin = 0;
+    std::size_t end = trie_->values(0).size();
+    if (depth_ >= 0) {
+      begin = trie_->starts(depth_)[pos_[depth_]];
+      end = trie_->starts(depth_)[pos_[depth_] + 1];
+    }
+    ++depth_;
+    pos_[depth_] = begin;
+    end_[depth_] = end;
+    at_end_ = begin >= end;
+    ++accesses_;
+  }
+
+  void Up() {
+    --depth_;
+    at_end_ = false;
+  }
+
+  void Next() {
+    at_end_ = ++pos_[depth_] >= end_[depth_];
+    ++accesses_;
+  }
+
+  void Seek(Value bound) {
+    const std::vector<Value>& vals = trie_->values(depth_);
+    if (vals[pos_[depth_]] >= bound) {
+      ++accesses_;
+      return;
+    }
+    pos_[depth_] = ScalarGallopLowerBound(vals, pos_[depth_], end_[depth_],
+                                          bound, &accesses_);
+    at_end_ = pos_[depth_] >= end_[depth_];
+  }
+
+ private:
+  const Trie* trie_;
+  int depth_ = -1;
+  bool at_end_ = false;
+  std::vector<std::size_t> pos_;
+  std::vector<std::size_t> end_;
+  std::uint64_t accesses_ = 0;
+};
+
+TEST(TrieIterator, RandomWalksMatchReferenceCursor) {
+  // Random Open/Next/Seek/Up walks over random 2- and 3-level tries, step
+  // by step against ReferenceCursor on depth, AtEnd, Key and the charged
+  // accesses. Seek bounds mix short hops (the scanned window) with long
+  // ones (the gallop) and bounds past the group's end.
+  EachSimdArm guard;
+  Rng rng(20261019);
+  for (const simd::Mode arm : guard.arms()) {
+    ASSERT_TRUE(simd::SetMode(arm));
+    for (const int levels : {2, 3}) {
+      std::set<int> up_after_end;  // depths where Up() left an exhausted group
+      for (int round = 0; round < 40; ++round) {
+        const Value range = 4 + static_cast<Value>(rng.Uniform(120));
+        const int n = 1 + static_cast<int>(rng.Uniform(400));
+        std::vector<Tuple> rows;
+        for (int i = 0; i < n; ++i) {
+          Tuple t;
+          for (int l = 0; l < levels; ++l) {
+            t.push_back(static_cast<Value>(rng.Uniform(range)));
+          }
+          rows.push_back(std::move(t));
+        }
+        const Trie trie = Trie::Build(levels, rows);
+        ExecStats stats;
+        TrieIterator it(&trie, &stats);
+        ReferenceCursor ref(&trie);
+        for (int step = 0; step < 2000; ++step) {
+          const int d = ref.depth();
+          std::vector<char> ops;
+          if (d >= 0) ops.push_back('u');
+          if (!ref.AtEnd()) {
+            if (d + 1 < levels) ops.insert(ops.end(), {'o', 'o'});
+            if (d >= 0) ops.insert(ops.end(), {'n', 's', 's', 's'});
+          }
+          const char op = ops[rng.Uniform(ops.size())];
+          switch (op) {
+            case 'o':
+              it.Open();
+              ref.Open();
+              break;
+            case 'u':
+              if (ref.AtEnd()) up_after_end.insert(d);
+              it.Up();
+              ref.Up();
+              break;
+            case 'n':
+              it.Next();
+              ref.Next();
+              break;
+            default: {
+              const std::uint64_t hop = rng.Uniform(4) == 0
+                                            ? rng.Uniform(range + 2)
+                                            : rng.Uniform(12);
+              const Value bound = ref.Key() + static_cast<Value>(hop);
+              it.Seek(bound);
+              ref.Seek(bound);
+            }
+          }
+          ASSERT_EQ(it.depth(), ref.depth()) << "step " << step;
+          ASSERT_EQ(it.AtEnd(), ref.AtEnd()) << "step " << step;
+          if (ref.depth() >= 0 && !ref.AtEnd()) {
+            ASSERT_EQ(it.Key(), ref.Key()) << "step " << step;
+          }
+          ASSERT_EQ(stats.memory_accesses, ref.accesses())
+              << simd::ModeName(arm) << " step " << step << " op " << op;
+        }
+      }
+      for (int d = 0; d < levels; ++d) {
+        EXPECT_EQ(up_after_end.count(d), 1u)
+            << "no Up() after AtEnd at depth " << d << " of " << levels;
+      }
+    }
+  }
 }
 
 }  // namespace
