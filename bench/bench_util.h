@@ -17,6 +17,7 @@
 #include "query/query.h"
 #include "server/service.h"
 #include "util/check.h"
+#include "util/stats.h"
 
 namespace clftj::bench {
 
@@ -103,9 +104,9 @@ inline std::string JsonEscape(const std::string& s) {
 }
 
 /// Writes BENCH_<basename(argv0)>.json into the working directory: one
-/// object per recorded run with config, seconds, memory accesses and the
-/// full cache counter set. Call after RunSpecifiedBenchmarks in each bench
-/// main.
+/// object per recorded run with config, seconds, status, and every
+/// ExecStats counter under its member name (kExecStatsFields). Call after
+/// RunSpecifiedBenchmarks in each bench main.
 inline void FlushJson(const char* argv0) {
   std::string name = argv0;
   const std::size_t slash = name.find_last_of('/');
@@ -117,29 +118,21 @@ inline void FlushJson(const char* argv0) {
   const std::vector<JsonRecord>& log = JsonLog();
   for (std::size_t i = 0; i < log.size(); ++i) {
     const JsonRecord& rec = log[i];
-    const ExecStats& s = rec.result.stats;
     std::fprintf(
         f,
         "  {\"name\": \"%s\", \"config\": \"%s\", \"seconds\": %.6f, "
-        "\"results\": %llu, \"timed_out\": %s, \"out_of_memory\": %s, "
-        "\"memory_accesses\": %llu, \"intermediate_tuples\": %llu, "
-        "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-        "\"cache_inserts\": %llu, \"cache_rejects\": %llu, "
-        "\"cache_evictions\": %llu, \"cache_entries_peak\": %llu}%s\n",
+        "\"results\": %llu, \"timed_out\": %s, \"out_of_memory\": %s",
         JsonEscape(rec.name).c_str(), JsonEscape(rec.config).c_str(),
         rec.result.seconds,
         static_cast<unsigned long long>(rec.result.count),
         rec.result.status == RunStatus::kTimeout ? "true" : "false",
-        rec.result.status == RunStatus::kOutOfMemory ? "true" : "false",
-        static_cast<unsigned long long>(s.memory_accesses),
-        static_cast<unsigned long long>(s.intermediate_tuples),
-        static_cast<unsigned long long>(s.cache_hits),
-        static_cast<unsigned long long>(s.cache_misses),
-        static_cast<unsigned long long>(s.cache_inserts),
-        static_cast<unsigned long long>(s.cache_rejects),
-        static_cast<unsigned long long>(s.cache_evictions),
-        static_cast<unsigned long long>(s.cache_entries_peak),
-        i + 1 == log.size() ? "" : ",");
+        rec.result.status == RunStatus::kOutOfMemory ? "true" : "false");
+    for (const ExecStatsField& field : kExecStatsFields) {
+      std::fprintf(f, ", \"%s\": %llu", field.name,
+                   static_cast<unsigned long long>(rec.result.stats.*
+                                                   field.member));
+    }
+    std::fprintf(f, "}%s\n", i + 1 == log.size() ? "" : ",");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

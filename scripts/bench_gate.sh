@@ -12,8 +12,9 @@
 # Each bench run gets CLFTJ_BENCH_TIMEOUT=30 seconds unless the caller set
 # another value: --quick's own 2 s is shorter than some runs in the list
 # (bench_batch's lone cold wiki-Vote 5-cycle takes about 2 s on a shared
-# 4-core Xeon), and a run that times out either aborts its bench or is
-# skipped by bench_diff, which would shrink the gate's coverage.
+# 4-core Xeon, bench_fig10_cache_size's bounded wiki-Vote 5-cycles 3-5 s),
+# and a run that times out either aborts its bench or is skipped by
+# bench_diff, which would shrink the gate's coverage.
 #
 # Usage: scripts/bench_gate.sh <build-dir> [baseline-dir]
 set -euo pipefail
@@ -62,11 +63,8 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${BENCHES[@]}"
 # each bench that failed. A build failure above still stops it at once.
 failed=()
 for bench in "${BENCHES[@]}"; do
-  args=(--benchmark_min_warmup_time=0)
-  # bench_fig10_cache_size has no quick reduction; its full matrix is six
-  # bounded-cache records and runs in seconds.
-  if [[ "$bench" != bench_fig10_cache_size ]]; then args+=(--quick); fi
-  if ! (cd "$BUILD_DIR" && "./$bench" "${args[@]}"); then
+  if ! (cd "$BUILD_DIR" &&
+        "./$bench" --quick --benchmark_min_warmup_time=0); then
     failed+=("$bench")
   fi
 done

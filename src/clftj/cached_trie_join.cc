@@ -430,7 +430,7 @@ const CachedPlan* CachedTrieJoin::PlanFor(
     std::optional<CachedPlan>* local) const {
   if (options_.prepared_plan != nullptr) return options_.prepared_plan.get();
   return &local->emplace(CachedPlan::Resolve(q, db, options_.plan,
-                                             options_.planner, options_.cache));
+                                             PlannerOptions{}, options_.cache));
 }
 
 const TrieJoinSubstrate* CachedTrieJoin::SubstrateFor(
@@ -617,7 +617,7 @@ std::optional<FactorizedQueryResult> CachedTrieJoin::EvaluateFactorized(
   auto plan = options_.prepared_plan != nullptr
                   ? std::make_shared<CachedPlan>(*options_.prepared_plan)
                   : std::make_shared<CachedPlan>(CachedPlan::Resolve(
-                        q, db, options_.plan, options_.planner,
+                        q, db, options_.plan, PlannerOptions{},
                         options_.cache));
   // Intermediate sets must be collected everywhere so the root's set is the
   // complete (factorized) result. Done before shards start: the plan is

@@ -265,7 +265,6 @@ class CachedTrieJoin : public JoinEngine {
     /// Explicit plan (e.g. a hand-built TD for the Figure 11/13
     /// experiments); when absent, PlanQuery chooses one per query.
     std::optional<TdPlan> plan;
-    PlannerOptions planner;
     /// The *global* cache budget: each of K shards' private caches
     /// receives capacity/K (and capacity_bytes/K).
     CacheOptions cache;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "query/shape.h"
+#include "util/check.h"
 #include "util/timer.h"
 
 namespace clftj {
@@ -250,6 +251,41 @@ std::vector<std::string> SubtreeSignatures(const CachedPlan& plan,
   return out;
 }
 
+// The key of an atom's view in the shared trie map. A view's trie depends
+// on the relation's rows (pinned by the store's data versions, which
+// SyncVersions keeps current), which term positions carry which constants,
+// the repeated-variable equality pattern, and the level -> term-position
+// mapping — not on the query's variable *identities*. The key encodes
+// exactly that: variables as indices into the atom's distinct-variable
+// list (first-occurrence order), levels as those indices in trie-level
+// order.
+std::string ViewKey(const Atom& atom, const std::vector<VarId>& level_vars) {
+  const std::vector<VarId> distinct = atom.Vars();
+  const auto local_index = [&distinct](VarId v) {
+    const auto it = std::find(distinct.begin(), distinct.end(), v);
+    CLFTJ_CHECK(it != distinct.end());
+    return std::to_string(it - distinct.begin());
+  };
+  std::string key = atom.relation;
+  key += '|';
+  for (const Term& term : atom.terms) {
+    if (term.is_variable) {
+      key += 'v';
+      key += local_index(term.var);
+    } else {
+      key += 'c';
+      key += std::to_string(term.constant);
+    }
+    key += '.';
+  }
+  key += '|';
+  for (const VarId v : level_vars) {
+    key += local_index(v);
+    key += '.';
+  }
+  return key;
+}
+
 }  // namespace
 
 CrossQueryReuse::CrossQueryReuse(const ReuseOptions& options,
@@ -289,17 +325,19 @@ CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
     lock.lock();
     it = index_.find(key);
     if (it == index_.end()) {
-      shapes_.push_front(
-          Shape{key, std::move(plan), std::move(sizes), q.atoms(), {}, {}});
+      shapes_.push_front(Shape{key, std::move(plan), std::move(sizes),
+                               q.atoms(), {}, {}, {}});
       it = index_.emplace(key, shapes_.begin()).first;
     } else if (StatsDrifted(it->second->sizes, db)) {
       // The resident plan is the stale one we bypassed. Its tables belong
       // to the old plan's NodeId keyspace and must not be probed under the
-      // new one, so they go with it.
+      // new one, and its substrate to the old plan's order, so they go
+      // with it.
       Shape& stale = *it->second;
       stale.plan = std::move(plan);
       stale.sizes = std::move(sizes);
       stale.caches = nullptr;
+      stale.substrate = nullptr;
     }
     // Otherwise a racing request installed a current plan first: adopt it,
     // so every caller shares one instance.
@@ -316,6 +354,7 @@ CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
   }
   out.plan = shape.plan;
   out.caches = shape.caches;
+  out.substrate = shape.substrate;
   // Only the max_shape_caches most recent shapes keep tables. Moving one
   // shape to the front pushes at most one other past that boundary.
   if (options_.max_shape_caches > 0 &&
@@ -327,9 +366,63 @@ CrossQueryReuse::Prepared CrossQueryReuse::Prepare(const Query& q,
     index_.erase(shapes_.back().key);
     shapes_.pop_back();
   }
-  lock.unlock();
-  out.substrate = registry_.Acquire(q, db, out.plan->order, stats);
+  if (out.substrate != nullptr) {
+    if (stats != nullptr) stats->substrate_reuses += q.num_atoms();
+    return out;
+  }
+  out.substrate = AssembleSubstrate(q, db, out.plan->order, stats, lock);
+  // Keep it for the shape's next request, unless the shape was evicted or
+  // re-planned while the lock was released.
+  it = index_.find(key);
+  if (it != index_.end() && it->second->plan == out.plan) {
+    it->second->substrate = out.substrate;
+  }
   return out;
+}
+
+std::shared_ptr<const TrieJoinSubstrate> CrossQueryReuse::AssembleSubstrate(
+    const Query& q, const Database& db, const std::vector<VarId>& order,
+    ExecStats* stats, std::unique_lock<std::mutex>& lock) {
+  std::vector<int> var_rank(q.num_vars(), kNone);
+  for (int d = 0; d < static_cast<int>(order.size()); ++d) {
+    var_rank[order[d]] = d;
+  }
+  std::vector<AtomView> views;
+  views.reserve(q.num_atoms());
+  for (const Atom& atom : q.atoms()) {
+    AtomView view;
+    view.level_vars = LevelVarsFor(atom, var_rank);
+    const std::string key = ViewKey(atom, view.level_vars);
+    const auto it = views_.find(key);
+    if (it != views_.end()) {
+      view.trie = it->second.trie;
+      view.non_empty = view.trie->num_tuples() > 0;
+      if (stats != nullptr) ++stats->substrate_reuses;
+    } else {
+      // Cold view: build outside the lock (can be seconds of work and may
+      // throw), publish under it. Views published before a later atom's
+      // build fails stay cached — a retried request only redoes the
+      // failed build.
+      const Relation& rel = db.Get(atom.relation);
+      lock.unlock();
+      Timer timer;
+      view = BuildAtomView(rel, atom, var_rank);
+      if (stats != nullptr) {
+        ++stats->substrate_builds;
+        stats->substrate_build_ns +=
+            static_cast<std::uint64_t>(timer.Seconds() * 1e9);
+      }
+      lock.lock();
+      // A request that raced on the same view published first: adopt its
+      // trie, so concurrent queries converge on one instance and the
+      // duplicate is freed.
+      view.trie = views_.try_emplace(key, View{atom.relation,
+                                               rel.compactions(), view.trie})
+                      .first->second.trie;
+    }
+    views.push_back(std::move(view));
+  }
+  return std::make_shared<const TrieJoinSubstrate>(q, order, std::move(views));
 }
 
 std::size_t CrossQueryReuse::NumShapes() const {
@@ -341,20 +434,34 @@ void CrossQueryReuse::SyncVersions(const Database& db) {
   const std::uint64_t generation = db.generation();
   const std::uint64_t minor = db.minor_version();
   if (generation_ != generation) {
-    // Bulk data change: every plan and table is stale. Outstanding
-    // shared_ptrs keep in-flight requests' plans and tables alive.
+    // Bulk data change: every plan, trie and table is stale. Outstanding
+    // shared_ptrs keep in-flight requests' plans, tries and tables alive.
     index_.clear();
     shapes_.clear();
+    views_.clear();
   } else if (minor_ != minor) {
-    // Delta-only change: plans revalidate against drift when next hit, and
-    // the tables lose just the entries the deltas can touch — or all of
-    // them when the delta log no longer reaches back to our sync point.
-    std::vector<const DeltaLogEntry*> deltas;
-    if (db.DeltasSince(minor_, &deltas)) {
-      InvalidateForDeltas(deltas);
-    } else {
-      for (Shape& shape : shapes_) shape.caches = nullptr;
+    // Delta-only change. A view cut at an older version of its relation
+    // can never be hit again, so it goes, and every substrate is
+    // reassembled on its shape's next request: one build per changed
+    // view, shared by every shape. Plans revalidate against drift when
+    // next hit, and the tables lose just the entries the deltas can touch
+    // — or all of them when the delta log no longer reaches back to our
+    // sync point.
+    for (auto it = views_.begin(); it != views_.end();) {
+      const Relation* rel = db.Find(it->second.relation);
+      if (rel == nullptr || rel->compactions() != it->second.version) {
+        it = views_.erase(it);
+      } else {
+        ++it;
+      }
     }
+    std::vector<const DeltaLogEntry*> deltas;
+    const bool logged = db.DeltasSince(minor_, &deltas);
+    for (Shape& shape : shapes_) {
+      shape.substrate = nullptr;
+      if (!logged) shape.caches = nullptr;
+    }
+    if (logged) InvalidateForDeltas(deltas);
   }
   generation_ = generation;
   minor_ = minor;

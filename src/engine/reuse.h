@@ -14,9 +14,10 @@
 #include "clftj/factorized.h"
 #include "clftj/plan.h"
 #include "data/database.h"
-#include "engine/substrate_registry.h"
+#include "lftj/trie_join.h"
 #include "query/query.h"
 #include "td/planner.h"
+#include "trie/trie.h"
 #include "util/stats.h"
 
 namespace clftj {
@@ -64,12 +65,15 @@ struct ShapeCaches {
 };
 
 /// The cross-query reuse layer under QueryService (and clftj_cli --repeat):
-/// one LRU of query shapes, each holding its resolved plan and its
-/// persistent tables, plus the substrate registry, bound to a single
-/// (planner, cache-options) configuration. Prepare() is called once per
-/// request before engine construction; the returned handles are injected
-/// through EngineOptions. Results are bit-identical warm vs cold — reuse
-/// changes where immutable inputs come from, never what they contain.
+/// one store, under one mutex, of everything the serving loop retains
+/// between requests, bound to a single (planner, cache-options)
+/// configuration. It holds an LRU of query shapes, each with its resolved
+/// plan, its trie substrate and its persistent tables, and one map of
+/// atom-view tries that every shape's substrate draws from. Prepare() is
+/// called once per request before engine construction; the returned
+/// handles are injected through EngineOptions. Results are bit-identical
+/// warm vs cold — reuse changes where immutable inputs come from, never
+/// what they contain.
 class CrossQueryReuse {
  public:
   /// `stripes_hint` sizes the persistent striped caches (number of
@@ -93,12 +97,19 @@ class CrossQueryReuse {
   /// is re-resolved (a miss) only when some referenced relation's
   /// cardinality drifted beyond 2x of what it was resolved against, or
   /// crossed zero; a re-resolved plan gets fresh tables, since the old
-  /// ones belong to the old plan's NodeId keyspace. Thread-safe, provided
-  /// `db` does not change during the call (QueryService holds its data
-  /// lock); planning and trie builds run outside the lock, and when two
-  /// threads race on the same cold shape the first installed plan wins and
-  /// both report a miss. May throw if a cold trie build throws (injected
-  /// faults) — already-cached state is unaffected.
+  /// ones belong to the old plan's NodeId keyspace. A shape keeps the
+  /// substrate it assembled until its plan changes or any delta arrives;
+  /// a warm hit hands it back and charges one substrate_reuses per atom.
+  /// A cold assembly looks each atom's view up in the shared trie map and
+  /// builds only the missing ones (substrate_builds, substrate_build_ns),
+  /// so atoms of any shape that project a relation the same way share one
+  /// Trie. Thread-safe, provided `db` does not change during the call
+  /// (QueryService holds its data lock); planning and trie builds run
+  /// outside the lock. When two threads race on the same cold shape the
+  /// first installed plan wins and both report a miss; a thread that
+  /// loses a trie publish race adopts the winner's trie. May throw if a
+  /// cold trie build throws (injected faults) — already-published views
+  /// stay cached.
   Prepared Prepare(const Query& q, const Database& db, ExecStats* stats);
 
   /// Shapes with a resident plan right now (tests).
@@ -123,13 +134,34 @@ class CrossQueryReuse {
     /// computed whenever `caches` is attached and read only while it is;
     /// "" = never matchable.
     std::vector<std::string> signatures;
+    /// The tries of `plan`'s order, assembled from views_; null until the
+    /// first Prepare after the plan was installed or a delta arrived.
+    std::shared_ptr<const TrieJoinSubstrate> substrate;
   };
 
-  /// Brings the shape store to db's data versions: a generation bump drops
-  /// every shape; a minor bump runs the targeted sweep over the resident
-  /// tables, or drops every shape's tables when the delta log no longer
-  /// reaches back. Caller holds mu_.
+  /// One retained atom-view trie, keyed in views_ on everything its
+  /// contents depend on (ViewKey in reuse.cc).
+  struct View {
+    std::string relation;
+    std::uint64_t version = 0;  // the relation's compactions() at the build
+    std::shared_ptr<const Trie> trie;
+  };
+
+  /// Brings the store to db's data versions: a generation bump drops every
+  /// shape and every view; a minor bump drops the views whose relation
+  /// version moved and every shape's substrate, then runs the targeted
+  /// sweep over the resident tables, or drops every shape's tables when
+  /// the delta log no longer reaches back. Caller holds mu_.
   void SyncVersions(const Database& db);
+
+  /// Assembles the substrate of `q` for `order` from views_, building the
+  /// missing views outside the lock and publishing each one (a lost race
+  /// adopts the published trie). Charges the substrate counters to *stats
+  /// (may be null). Caller holds `lock` on mu_; it is held again on return,
+  /// and released if a build throws.
+  std::shared_ptr<const TrieJoinSubstrate> AssembleSubstrate(
+      const Query& q, const Database& db, const std::vector<VarId>& order,
+      ExecStats* stats, std::unique_lock<std::mutex>& lock);
 
   /// Copies count entries from resident shapes into the fresh tables of
   /// `target` wherever subjoin signatures match. Charges batch_prefix_seeds
@@ -146,13 +178,15 @@ class CrossQueryReuse {
   const PlannerOptions planner_;
   const CacheOptions cache_;
   const int stripes_hint_;
-  SubstrateRegistry registry_;
 
   mutable std::mutex mu_;
   std::uint64_t generation_ = 0;
   std::uint64_t minor_ = 0;
   std::list<Shape> shapes_;  // front = most recently used
   std::unordered_map<std::string, std::list<Shape>::iterator> index_;
+  /// One trie per live view, shared by every shape's substrate. No budget
+  /// of its own: SyncVersions is the only sweep.
+  std::unordered_map<std::string, View> views_;
 };
 
 }  // namespace clftj

@@ -56,10 +56,10 @@ class TrieJoinSubstrate {
   TrieJoinSubstrate(const Query& q, const Database& db,
                     const std::vector<VarId>& order);
 
-  /// Assembles a substrate around externally built views — the
-  /// SubstrateRegistry path, where the tries inside the views are shared
-  /// with other queries and only the cheap per-query indexing happens
-  /// here. `views` must hold one view per atom of `q`, in atom order, each
+  /// Assembles a substrate around externally built views — the reuse
+  /// store's path (CrossQueryReuse), where the tries inside the views are
+  /// shared with other queries and only the cheap per-query indexing
+  /// happens here. `views` must hold one view per atom of `q`, in atom order, each
   /// built for the ranks induced by `order`.
   TrieJoinSubstrate(const Query& q, const std::vector<VarId>& order,
                     std::vector<AtomView> views);

@@ -39,6 +39,8 @@ std::string FormatTuples(const std::vector<Tuple>& tuples) {
   return out.str();
 }
 
+}  // namespace
+
 bool ParseTuples(const std::string& text, std::vector<Tuple>* out) {
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -67,8 +69,6 @@ bool ParseTuples(const std::string& text, std::vector<Tuple>* out) {
   }
   return true;
 }
-
-}  // namespace
 
 std::string FormatRequest(const QueryRequest& request) {
   std::ostringstream out;

@@ -30,6 +30,14 @@ namespace clftj {
 /// formatting are pure functions on strings so the whole protocol is
 /// testable without a socket.
 
+/// Parses a DELTA tuple list ("1,2;3,4"), appending its tuples to *out.
+/// Every value is a plain in-range base-10 number (ParseNumber); an empty
+/// value or tuple ("1,,2", "1,2;", ";", "") is corruption and returns
+/// false, with *out holding the tuples parsed before it. clftj_cli and
+/// clftj_client parse their tuple flags with it, so a tool accepts exactly
+/// the lists the server does.
+bool ParseTuples(const std::string& text, std::vector<Tuple>* out);
+
 /// Formats a request as one line (no trailing newline).
 std::string FormatRequest(const QueryRequest& request);
 

@@ -9,8 +9,16 @@
 
 namespace clftj {
 
-double StructuralTdCost(const Query& q, const TreeDecomposition& td,
-                        const StructuralCostWeights& weights) {
+namespace {
+
+// The weights of StructuralTdCost's three terms.
+constexpr double kBagExpBase = 3.0;      // Σ base^|bag| over all bags
+constexpr double kAdhesionWeight = 1.0;  // per squared adhesion cardinality
+constexpr double kDepthWeight = 0.5;     // penalty per level of tree depth
+
+}  // namespace
+
+double StructuralTdCost(const Query& q, const TreeDecomposition& td) {
   double cost = 0.0;
   for (NodeId v = 0; v < td.num_nodes(); ++v) {
     const std::vector<VarId>& bag = td.bag(v);
@@ -35,13 +43,13 @@ double StructuralTdCost(const Query& q, const TreeDecomposition& td,
     }
     const double width = std::min(
         30.0, static_cast<double>(bag.size() + uncovered));
-    cost += std::pow(weights.bag_exp_base, width);
+    cost += std::pow(kBagExpBase, width);
     if (v != td.root()) {
       const double a = static_cast<double>(td.Adhesion(v).size());
-      cost += weights.adhesion * a * a;
+      cost += kAdhesionWeight * a * a;
     }
   }
-  cost += weights.depth * static_cast<double>(td.Depth());
+  cost += kDepthWeight * static_cast<double>(td.Depth());
   return cost;
 }
 

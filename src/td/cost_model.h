@@ -9,26 +9,19 @@
 
 namespace clftj {
 
-/// Weights of the structural TD cost (Section 4.3): wide bags are
-/// exponentially bad (a bag is solved with a WCOJ whose cost grows with bag
-/// width, and a singleton decomposition disables caching entirely), small
-/// adhesions are good (low-dimension cache keys hit more often), shallow
-/// trees are good. Splitting into more, narrower bags lowers the dominant
-/// exponential term, which is exactly the paper's "many bags are better"
-/// preference.
-struct StructuralCostWeights {
-  double bag_exp_base = 3.0;  // Σ base^|bag| over all bags
-  double adhesion = 1.0;      // per squared adhesion cardinality
-  double depth = 0.5;         // penalty per level of tree depth
-};
-
-/// Heuristic cost of a TD as a caching scheme; lower is better. `q` is
-/// used to detect "Cartesian" bags — bags containing variables that no
-/// atom inside the bag constrains; enumerating such a bag degenerates to a
-/// cross product, so each uncovered variable multiplies the bag's
-/// exponential term.
-double StructuralTdCost(const Query& q, const TreeDecomposition& td,
-                        const StructuralCostWeights& weights = {});
+/// Heuristic cost of a TD as a caching scheme (Section 4.3); lower is
+/// better. Wide bags are exponentially bad (a bag is solved with a WCOJ
+/// whose cost grows with bag width, and a singleton decomposition disables
+/// caching entirely), small adhesions are good (low-dimension cache keys
+/// hit more often), shallow trees are good: Σ 3^|bag| over all bags, plus
+/// the squared adhesion cardinality of every non-root bag, plus 0.5 per
+/// level of tree depth. Splitting into more, narrower bags lowers the
+/// dominant exponential term, which is exactly the paper's "many bags are
+/// better" preference. `q` is used to detect "Cartesian" bags — bags
+/// containing variables that no atom inside the bag constrains;
+/// enumerating such a bag degenerates to a cross product, so each
+/// uncovered variable multiplies the bag's exponential term.
+double StructuralTdCost(const Query& q, const TreeDecomposition& td);
 
 /// Cache-aware cost of a full CLFTJ plan: models that each TD node's
 /// subtree is computed once per *distinct* adhesion assignment (later

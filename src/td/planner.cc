@@ -19,12 +19,12 @@ std::uint64_t PlannerSearchCount() {
 }
 
 TdPlan MakePlanFromTd(const Query& q, const Database& db,
-                      TreeDecomposition td, const PlannerOptions& options) {
+                      TreeDecomposition td) {
   std::string why;
   CLFTJ_CHECK_MSG(td.IsValidFor(q, &why), why.c_str());
   TdPlan plan;
   plan.order = StronglyCompatibleOrder(td, q.num_vars());
-  plan.structural_cost = StructuralTdCost(q, td, options.weights);
+  plan.structural_cost = StructuralTdCost(q, td);
   plan.order_cost = ChuOrderCost(q, db, plan.order);
   plan.cached_cost = CachedPlanCost(q, db, td, plan.order);
   plan.td = std::move(td);
@@ -37,7 +37,7 @@ std::vector<TdPlan> EnumeratePlans(const Query& q, const Database& db,
   planner_searches.fetch_add(1, std::memory_order_relaxed);
   std::vector<TdPlan> plans;
   for (TreeDecomposition& td : EnumerateTds(q, options.decompose)) {
-    plans.push_back(MakePlanFromTd(q, db, std::move(td), options));
+    plans.push_back(MakePlanFromTd(q, db, std::move(td)));
   }
   // Structural cost is a heuristic: treat plans within a factor of two as
   // equivalent and let the data-aware order cost decide among them —

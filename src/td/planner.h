@@ -26,14 +26,12 @@ struct TdPlan {
 
 struct PlannerOptions {
   DecomposeOptions decompose;
-  StructuralCostWeights weights;
 };
 
 /// Builds a TdPlan from an explicit TD: derives the canonical strongly
 /// compatible order and fills in costs. Aborts if the TD is invalid for q.
 TdPlan MakePlanFromTd(const Query& q, const Database& db,
-                      TreeDecomposition td,
-                      const PlannerOptions& options = {});
+                      TreeDecomposition td);
 
 /// Enumerates candidate TDs (Section 4), scores each (structural cost
 /// first, Chu order cost as tie-break/secondary), and returns the best

@@ -26,7 +26,6 @@
 #include "query/parser.h"
 #include "td/planner.h"
 #include "tools/flags.h"
-#include "util/parse.h"
 #include "util/simd.h"
 
 namespace {
@@ -82,31 +81,6 @@ void Usage() {
       "            3 TIMEOUT (--timeout expired); 4 OUT-OF-MEMORY\n"
       "            (--max-rows budget exceeded); 5 other failure.\n"
       "Failures print a diagnostic to stderr; stdout carries results only.\n";
-}
-
-// Parses "R=1,2;3,4" into an append-only DeltaBatch (values ','-separated
-// within a tuple, tuples ';'-separated).
-bool ParseAppendSpec(const std::string& spec, clftj::DeltaBatch* batch) {
-  const std::size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-    return false;
-  }
-  batch->relation = spec.substr(0, eq);
-  std::stringstream in(spec.substr(eq + 1));
-  std::string chunk;
-  while (std::getline(in, chunk, ';')) {
-    clftj::Tuple tuple;
-    std::stringstream tin(chunk);
-    std::string field;
-    while (std::getline(tin, field, ',')) {
-      clftj::Value value = 0;
-      if (!clftj::ParseNumber(field, &value)) return false;
-      tuple.push_back(value);
-    }
-    if (tuple.empty()) return false;
-    batch->adds.push_back(std::move(tuple));
-  }
-  return !batch->adds.empty();
 }
 
 }  // namespace
@@ -198,7 +172,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--append") {
       const std::string spec = next();
       clftj::DeltaBatch batch;
-      if (!ParseAppendSpec(spec, &batch)) {
+      if (!clftj::ParseRelationTuples(spec, &batch.relation, &batch.adds)) {
         std::cerr << "--append expects R=1,2;3,4, got: " << spec << "\n";
         return 2;
       }

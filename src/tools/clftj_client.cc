@@ -23,7 +23,6 @@
 #include "engine/engine.h"
 #include "server/client.h"
 #include "tools/flags.h"
-#include "util/parse.h"
 
 namespace {
 
@@ -56,32 +55,6 @@ void Usage() {
       "Exit codes: 0 OK; 2 usage or BAD-QUERY; 3 TIMEOUT;\n"
       "            4 OUT-OF-MEMORY; 5 SHED/CANCELLED/INTERNAL after all\n"
       "            retries; 6 transport failure.\n";
-}
-
-// Parses "R=1,2;3,4" into (relation, tuples): values ','-separated within
-// a tuple, tuples ';'-separated — the wire format of DELTA's add=/del=.
-bool ParseDeltaSpec(const std::string& spec, std::string* relation,
-                    std::vector<clftj::Tuple>* tuples) {
-  const std::size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
-    return false;
-  }
-  *relation = spec.substr(0, eq);
-  std::stringstream in(spec.substr(eq + 1));
-  std::string chunk;
-  while (std::getline(in, chunk, ';')) {
-    clftj::Tuple tuple;
-    std::stringstream tin(chunk);
-    std::string field;
-    while (std::getline(tin, field, ',')) {
-      clftj::Value value = 0;
-      if (!clftj::ParseNumber(field, &value)) return false;
-      tuple.push_back(value);
-    }
-    if (tuple.empty()) return false;
-    tuples->push_back(std::move(tuple));
-  }
-  return !tuples->empty();
 }
 
 int ExitCodeFor(clftj::RunStatus status) {
@@ -132,7 +105,7 @@ int main(int argc, char** argv) {
       std::string relation;
       std::vector<clftj::Tuple>* tuples =
           arg == "--append" ? &request.delta.adds : &request.delta.deletes;
-      if (!ParseDeltaSpec(spec, &relation, tuples)) {
+      if (!clftj::ParseRelationTuples(spec, &relation, tuples)) {
         std::cerr << arg << " expects R=1,2;3,4, got: " << spec << "\n";
         return 2;
       }

@@ -102,9 +102,6 @@ std::size_t Trie::MemoryBytes() const {
   return bytes;
 }
 
-namespace {
-
-// The atom's distinct variables sorted by global rank (the trie levels).
 std::vector<VarId> LevelVarsFor(const Atom& atom,
                                 const std::vector<int>& var_rank) {
   std::vector<VarId> level_vars = atom.Vars();
@@ -114,6 +111,8 @@ std::vector<VarId> LevelVarsFor(const Atom& atom,
             });
   return level_vars;
 }
+
+namespace {
 
 // For each level variable, the first term position where it occurs.
 std::vector<int> LevelPosFor(const Atom& atom,

@@ -81,16 +81,21 @@ struct AtomView {
   /// The atom's distinct variables in trie-level order (sorted by their
   /// position in the global variable order).
   std::vector<VarId> level_vars;
-  /// Shared, immutable: a long-lived SubstrateRegistry hands the same Trie
-  /// to every query (and every concurrent worker) whose atom projects to
-  /// the same filtered, ordered view of the relation — level_vars stay
-  /// query-specific while the expensive part is built once. Never null
-  /// after BuildAtomView.
+  /// Shared, immutable: the serving loop's reuse store (CrossQueryReuse)
+  /// hands the same Trie to every query (and every concurrent worker)
+  /// whose atom projects to the same filtered, ordered view of the
+  /// relation — level_vars stay query-specific while the expensive part
+  /// is built once. Never null after BuildAtomView.
   std::shared_ptr<const Trie> trie;
   /// False iff the filtered view is empty — in particular a fully-constant
   /// atom that matched no tuple, which makes the whole query empty.
   bool non_empty = false;
 };
+
+/// The atom's distinct variables sorted by their rank in a global variable
+/// order (var_rank[v] = position of v): the trie levels of its view.
+std::vector<VarId> LevelVarsFor(const Atom& atom,
+                                const std::vector<int>& var_rank);
 
 /// Builds the AtomView of `atom` over `relation` for a global variable order
 /// given as ranks: var_rank[v] = position of variable v in the order.

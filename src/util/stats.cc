@@ -8,44 +8,8 @@
 
 namespace clftj {
 
-namespace {
-
-// The one table of counters. `key` is the wire key, short on purpose: the
-// stats token rides on every OK response. `name` is the ToString label.
-// Merge sums a flow counter and takes the max of a peak.
-struct Field {
-  const char* key;
-  const char* name;
-  std::uint64_t ExecStats::*member;
-  bool peak;
-};
-
-constexpr Field kFields[] = {
-    {"ma", "mem_accesses", &ExecStats::memory_accesses, false},
-    {"it", "intermediates", &ExecStats::intermediate_tuples, false},
-    {"ot", "outputs", &ExecStats::output_tuples, false},
-    {"ch", "cache_hits", &ExecStats::cache_hits, false},
-    {"cm", "cache_misses", &ExecStats::cache_misses, false},
-    {"ci", "cache_inserts", &ExecStats::cache_inserts, false},
-    {"cr", "cache_rejects", &ExecStats::cache_rejects, false},
-    {"ce", "cache_evictions", &ExecStats::cache_evictions, false},
-    {"cep", "cache_peak", &ExecStats::cache_entries_peak, true},
-    {"cbp", "cache_bytes_peak", &ExecStats::cache_bytes_peak, true},
-    {"pch", "plan_cache_hits", &ExecStats::plan_cache_hits, false},
-    {"pcm", "plan_cache_misses", &ExecStats::plan_cache_misses, false},
-    {"sb", "substrate_builds", &ExecStats::substrate_builds, false},
-    {"sr", "substrate_reuses", &ExecStats::substrate_reuses, false},
-    {"prn", "plan_resolve_ns", &ExecStats::plan_resolve_ns, false},
-    {"sbn", "substrate_build_ns", &ExecStats::substrate_build_ns, false},
-    {"bsz", "batch_size", &ExecStats::batch_size, false},
-    {"bse", "batch_shared_execs", &ExecStats::batch_shared_execs, false},
-    {"bps", "batch_prefix_seeds", &ExecStats::batch_prefix_seeds, false},
-};
-
-}  // namespace
-
 void ExecStats::Merge(const ExecStats& other) {
-  for (const Field& f : kFields) {
+  for (const ExecStatsField& f : kExecStatsFields) {
     this->*f.member = f.peak ? std::max(this->*f.member, other.*f.member)
                              : this->*f.member + other.*f.member;
   }
@@ -54,10 +18,10 @@ void ExecStats::Merge(const ExecStats& other) {
 std::string ExecStats::ToString() const {
   std::ostringstream os;
   bool first = true;
-  for (const Field& f : kFields) {
+  for (const ExecStatsField& f : kExecStatsFields) {
     if (!first) os << ' ';
     first = false;
-    os << f.name << '=' << this->*f.member;
+    os << f.label << '=' << this->*f.member;
   }
   return os.str();
 }
@@ -65,7 +29,7 @@ std::string ExecStats::ToString() const {
 std::string ExecStats::ToWire() const {
   std::ostringstream os;
   bool first = true;
-  for (const Field& f : kFields) {
+  for (const ExecStatsField& f : kExecStatsFields) {
     if (!first) os << ',';
     first = false;
     os << f.key << ':' << this->*f.member;
@@ -90,7 +54,7 @@ bool ExecStats::FromWire(const std::string& text, ExecStats* out) {
                      &number)) {
       return false;
     }
-    for (const Field& f : kFields) {
+    for (const ExecStatsField& f : kExecStatsFields) {
       if (key == f.key) {
         parsed.*f.member = number;
         break;

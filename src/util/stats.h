@@ -81,6 +81,59 @@ struct ExecStats {
   static bool FromWire(const std::string& text, ExecStats* out);
 };
 
+/// One counter of ExecStats in the one table of counters below. `key` is
+/// the wire key, short on purpose: the stats token rides on every OK
+/// response. `label` is the ToString label, `name` the member's own name
+/// and the key of BENCH_*.json records. Merge sums a flow counter and
+/// takes the max of a peak.
+struct ExecStatsField {
+  const char* key;
+  const char* label;
+  const char* name;
+  std::uint64_t ExecStats::*member;
+  bool peak;
+};
+
+/// Every ExecStats counter, in ToString / ToWire order. Merge, ToString,
+/// ToWire, FromWire and the benches' JSON records all loop over it, so a
+/// new counter is added here once.
+inline constexpr ExecStatsField kExecStatsFields[] = {
+    {"ma", "mem_accesses", "memory_accesses", &ExecStats::memory_accesses,
+     false},
+    {"it", "intermediates", "intermediate_tuples",
+     &ExecStats::intermediate_tuples, false},
+    {"ot", "outputs", "output_tuples", &ExecStats::output_tuples, false},
+    {"ch", "cache_hits", "cache_hits", &ExecStats::cache_hits, false},
+    {"cm", "cache_misses", "cache_misses", &ExecStats::cache_misses, false},
+    {"ci", "cache_inserts", "cache_inserts", &ExecStats::cache_inserts,
+     false},
+    {"cr", "cache_rejects", "cache_rejects", &ExecStats::cache_rejects,
+     false},
+    {"ce", "cache_evictions", "cache_evictions", &ExecStats::cache_evictions,
+     false},
+    {"cep", "cache_peak", "cache_entries_peak",
+     &ExecStats::cache_entries_peak, true},
+    {"cbp", "cache_bytes_peak", "cache_bytes_peak",
+     &ExecStats::cache_bytes_peak, true},
+    {"pch", "plan_cache_hits", "plan_cache_hits", &ExecStats::plan_cache_hits,
+     false},
+    {"pcm", "plan_cache_misses", "plan_cache_misses",
+     &ExecStats::plan_cache_misses, false},
+    {"sb", "substrate_builds", "substrate_builds",
+     &ExecStats::substrate_builds, false},
+    {"sr", "substrate_reuses", "substrate_reuses",
+     &ExecStats::substrate_reuses, false},
+    {"prn", "plan_resolve_ns", "plan_resolve_ns", &ExecStats::plan_resolve_ns,
+     false},
+    {"sbn", "substrate_build_ns", "substrate_build_ns",
+     &ExecStats::substrate_build_ns, false},
+    {"bsz", "batch_size", "batch_size", &ExecStats::batch_size, false},
+    {"bse", "batch_shared_execs", "batch_shared_execs",
+     &ExecStats::batch_shared_execs, false},
+    {"bps", "batch_prefix_seeds", "batch_prefix_seeds",
+     &ExecStats::batch_prefix_seeds, false},
+};
+
 }  // namespace clftj
 
 #endif  // CLFTJ_UTIL_STATS_H_

@@ -41,7 +41,7 @@ using KeyRowsMap = std::unordered_map<Tuple, std::vector<int>, TupleHash>;
 TreeDecomposition YannakakisTd::ResolveTd(const Query& q,
                                           const Database& db) const {
   if (options_.td.has_value()) return *options_.td;
-  return PlanQuery(q, db, options_.planner).td;
+  return PlanQuery(q, db).td;
 }
 
 RunResult YannakakisTd::Count(const Query& q, const Database& db,

@@ -21,7 +21,6 @@ class YannakakisTd : public JoinEngine {
   struct Options {
     /// Explicit TD; when absent, PlanQuery chooses one per query.
     std::optional<TreeDecomposition> td;
-    PlannerOptions planner;
   };
 
   YannakakisTd() = default;

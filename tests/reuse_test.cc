@@ -1,18 +1,18 @@
-// Cross-query reuse: canonical shape keys, the per-shape store of plans and
-// persistent striped caches, the shared substrate registry, the serving
-// loop, the ExecStats wire format, and warm-vs-cold result identity. The
-// concurrent tests double as the TSan workload for the shared reuse
-// structures.
+// Cross-query reuse: canonical shape keys, the per-shape store of plans,
+// substrates and persistent striped caches, the atom-view tries its shapes
+// share, the serving loop, the ExecStats wire format, and warm-vs-cold
+// result identity. The concurrent tests double as the TSan workload for the
+// shared reuse structures.
 
 #include <algorithm>
 #include <future>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
 #include "engine/reuse.h"
-#include "engine/substrate_registry.h"
 #include "query/shape.h"
 #include "server/service.h"
 #include "td/planner.h"
@@ -138,53 +138,166 @@ TEST(PlanCache, EntryPastMaxShapeCachesKeepsItsPlanButGetsFreshTables) {
             second.caches.get());
 }
 
-TEST(SubstrateRegistry, SecondAcquireBuildsNothingAndSharesTries) {
+// The substrate half of CrossQueryReuse's shape store, and the atom-view
+// tries that every shape's substrate draws from.
+constexpr const char* kTransitiveTriangle = "E(x,y), E(y,z), E(x,z)";
+
+// The distinct trie instances behind a prepared substrate.
+std::set<const Trie*> TriesOf(const CrossQueryReuse::Prepared& prepared) {
+  std::set<const Trie*> tries;
+  for (const AtomView& view : prepared.substrate->views()) {
+    tries.insert(view.trie.get());
+  }
+  return tries;
+}
+
+TEST(SubstrateReuse, SecondPrepareBuildsNothingAndSharesTries) {
   const Database db = testing::SmallSkewedDb(11);
   const Query q = testing::Q(kTriangle);
-  const CachedPlan plan =
-      CachedPlan::Resolve(q, db, std::nullopt, PlannerOptions{},
-                          CacheOptions{});
-  SubstrateRegistry registry;
+  const std::uint64_t atoms = static_cast<std::uint64_t>(q.num_atoms());
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{});
 
   ExecStats cold;
-  const auto first = registry.Acquire(q, db, plan.order, &cold);
+  const auto first = reuse.Prepare(q, db, &cold).substrate;
   EXPECT_GT(cold.substrate_builds, 0u);
-  EXPECT_EQ(cold.substrate_builds + cold.substrate_reuses,
-            static_cast<std::uint64_t>(q.num_atoms()));
+  EXPECT_EQ(cold.substrate_builds + cold.substrate_reuses, atoms);
   EXPECT_GT(cold.substrate_build_ns, 0u);
 
   ExecStats warm;
-  const auto second = registry.Acquire(q, db, plan.order, &warm);
+  const auto second = reuse.Prepare(q, db, &warm).substrate;
   EXPECT_EQ(warm.substrate_builds, 0u);
-  EXPECT_EQ(warm.substrate_reuses, static_cast<std::uint64_t>(q.num_atoms()));
+  EXPECT_EQ(warm.substrate_reuses, atoms);
+  EXPECT_EQ(warm.substrate_build_ns, 0u);
   for (int a = 0; a < q.num_atoms(); ++a) {
     EXPECT_EQ(first->views()[a].trie.get(), second->views()[a].trie.get())
         << "atom " << a << " must share one trie instance";
   }
-  EXPECT_GT(registry.CachedBytes(), 0u);
 }
 
-TEST(SubstrateRegistry, DataGenerationBumpDropsStaleTries) {
+TEST(SubstrateReuse, DataGenerationBumpDropsStaleTries) {
   Database db = testing::SmallSkewedDb(11);
   const Query q = testing::Q(kTriangle);
-  const CachedPlan plan =
-      CachedPlan::Resolve(q, db, std::nullopt, PlannerOptions{},
-                          CacheOptions{});
-  SubstrateRegistry registry;
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{});
   ExecStats cold;
-  registry.Acquire(q, db, plan.order, &cold);
-  const std::size_t before = registry.NumTries();
-  EXPECT_GT(before, 0u);
+  const CrossQueryReuse::Prepared before = reuse.Prepare(q, db, &cold);
+  EXPECT_GT(cold.substrate_builds, 0u);
 
   db.Put(PreferentialAttachmentGraph("E", 40, 2, 99));  // bumps generation
   ExecStats after;
-  registry.Acquire(q, db, plan.order, &after);
-  // Exactly a cold acquire again: the same builds as the first pass (any
-  // reuses are intra-acquire sharing between same-pattern atoms, never a
+  const CrossQueryReuse::Prepared bumped = reuse.Prepare(q, db, &after);
+  // Exactly a cold prepare again: the same builds as the first pass (any
+  // reuses are intra-shape sharing between same-pattern atoms, never a
   // stale pre-bump trie).
   EXPECT_EQ(after.substrate_builds, cold.substrate_builds)
       << "stale tries must not serve the new data generation";
   EXPECT_EQ(after.substrate_reuses, cold.substrate_reuses);
+  EXPECT_GT(after.substrate_build_ns, 0u);
+  EXPECT_NE(bumped.substrate.get(), before.substrate.get());
+  for (const Trie* trie : TriesOf(bumped)) {
+    EXPECT_EQ(TriesOf(before).count(trie), 0u);
+  }
+}
+
+TEST(SubstrateReuse, WarmPrepareReturnsTheSameSubstrate) {
+  const Database db = testing::SmallSkewedDb(11);
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{});
+  ExecStats stats;
+  const CrossQueryReuse::Prepared cold =
+      reuse.Prepare(testing::Q(kFourCycle), db, &stats);
+  ASSERT_NE(cold.substrate, nullptr);
+
+  // Renamed variables, same shape: the shape hands back the substrate it
+  // assembled, with every atom charged as a reuse.
+  const Query renamed = testing::Q("E(a,b), E(b,c), E(c,d), E(d,a)");
+  ExecStats warm;
+  const CrossQueryReuse::Prepared again = reuse.Prepare(renamed, db, &warm);
+  EXPECT_EQ(again.substrate.get(), cold.substrate.get());
+  EXPECT_EQ(warm.substrate_builds, 0u);
+  EXPECT_EQ(warm.substrate_reuses,
+            static_cast<std::uint64_t>(renamed.num_atoms()));
+
+  EngineOptions engine_options;
+  engine_options.prepared_plan = again.plan;
+  engine_options.prepared_substrate = again.substrate;
+  EXPECT_EQ(
+      MakeEngine("CLFTJ", engine_options)->Count(renamed, db, {}).count,
+      testing::ReferenceCount(renamed, db));
+}
+
+TEST(SubstrateReuse, SecondShapeProjectingEAlikeBuildsNothing) {
+  // Under any variable order the cyclic triangle has an edge whose first
+  // term ranks first and one whose second term does, so it builds both
+  // ways of projecting E; the transitive triangle can only need those two.
+  const Database db = testing::SmallSkewedDb(11);
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{});
+  ExecStats cyclic_stats;
+  const CrossQueryReuse::Prepared cyclic =
+      reuse.Prepare(testing::Q(kTriangle), db, &cyclic_stats);
+  EXPECT_EQ(cyclic_stats.substrate_builds, 2u);
+
+  const Query q = testing::Q(kTransitiveTriangle);
+  ExecStats stats;
+  const CrossQueryReuse::Prepared transitive = reuse.Prepare(q, db, &stats);
+  EXPECT_EQ(stats.plan_cache_misses, 1u) << "a shape of its own";
+  EXPECT_EQ(stats.substrate_builds, 0u);
+  EXPECT_EQ(stats.substrate_reuses, static_cast<std::uint64_t>(q.num_atoms()));
+  EXPECT_NE(transitive.substrate.get(), cyclic.substrate.get());
+  const std::set<const Trie*> shared = TriesOf(cyclic);
+  for (const Trie* trie : TriesOf(transitive)) {
+    EXPECT_EQ(shared.count(trie), 1u) << "must be one of the first shape's";
+  }
+}
+
+TEST(SubstrateReuse, DeltaRebuildsEachChangedViewOnceAcrossShapes) {
+  Database db = testing::SmallSkewedDb(11);
+  db.Put(PreferentialAttachmentGraph("F", 30, 2, 5));
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{});
+  const Query cyclic_q = testing::Q(kTriangle);
+  const Query transitive_q = testing::Q(kTransitiveTriangle);
+  const Query f_path = testing::Q("F(x,y), F(y,z)");
+  ExecStats stats;
+  const CrossQueryReuse::Prepared cyclic = reuse.Prepare(cyclic_q, db, &stats);
+  const CrossQueryReuse::Prepared transitive =
+      reuse.Prepare(transitive_q, db, &stats);
+  const CrossQueryReuse::Prepared path = reuse.Prepare(f_path, db, &stats);
+
+  DeltaResult result;
+  ASSERT_TRUE(db.ApplyDelta({"E", {{1, 999}}, {}}, nullptr, &result));
+  ASSERT_EQ(result.applied_adds, 1u) << "the edge must be new";
+
+  // E's version moved: the first shape after the delta rebuilds both of
+  // E's views once...
+  ExecStats cyclic_stats;
+  const CrossQueryReuse::Prepared cyclic2 =
+      reuse.Prepare(cyclic_q, db, &cyclic_stats);
+  EXPECT_EQ(cyclic_stats.plan_cache_hits, 1u);
+  EXPECT_EQ(cyclic_stats.substrate_builds, 2u);
+  EXPECT_NE(cyclic2.substrate.get(), cyclic.substrate.get());
+  for (const Trie* trie : TriesOf(cyclic2)) {
+    EXPECT_EQ(TriesOf(cyclic).count(trie), 0u) << "built from the new rows";
+  }
+  EngineOptions engine_options;
+  engine_options.prepared_plan = cyclic2.plan;
+  engine_options.prepared_substrate = cyclic2.substrate;
+  EXPECT_EQ(
+      MakeEngine("CLFTJ", engine_options)->Count(cyclic_q, db, {}).count,
+      testing::ReferenceCount(cyclic_q, db));
+
+  // ...and the other shape over E shares those builds.
+  ExecStats transitive_stats;
+  const CrossQueryReuse::Prepared transitive2 =
+      reuse.Prepare(transitive_q, db, &transitive_stats);
+  EXPECT_EQ(transitive_stats.substrate_builds, 0u);
+  EXPECT_NE(transitive2.substrate.get(), transitive.substrate.get());
+  for (const Trie* trie : TriesOf(transitive2)) {
+    EXPECT_EQ(TriesOf(cyclic2).count(trie), 1u);
+  }
+
+  // F did not change: its shape keeps its tries.
+  ExecStats path_stats;
+  const CrossQueryReuse::Prepared path2 = reuse.Prepare(f_path, db, &path_stats);
+  EXPECT_EQ(path_stats.substrate_builds, 0u);
+  EXPECT_EQ(TriesOf(path2), TriesOf(path));
 }
 
 TEST(ExecStatsWire, RoundTripsEveryCounter) {

@@ -111,6 +111,16 @@ TEST(Protocol, MalformedRequestsAreRejectedNotCrashes) {
   }
 }
 
+TEST(Protocol, TupleListsRejectEmptyValuesAndTuples) {
+  std::vector<Tuple> tuples;
+  ASSERT_TRUE(ParseTuples("1,2;3,4", &tuples));
+  EXPECT_EQ(tuples, (std::vector<Tuple>{{1, 2}, {3, 4}}));
+  for (const char* bad : {"1,2;", "1,,2", ";", ""}) {
+    std::vector<Tuple> parsed;
+    EXPECT_FALSE(ParseTuples(bad, &parsed)) << "'" << bad << "'";
+  }
+}
+
 TEST(Protocol, SuccessResponseRoundTrip) {
   QueryResponse response;
   response.status = RunStatus::kOk;
