@@ -1,6 +1,6 @@
 // Incremental maintenance in the serving loop (docs/incremental.md): what a
 // small data change costs on a warm service. Three measurements over the
-// wiki-Vote 5-cycle count:
+// wiki-Vote 2-path count:
 //
 //   appends     — DELTA batches/sec into a warm read-write service (the
 //                 sustained write path: one merge pass into the sorted
@@ -13,20 +13,31 @@
 //                 whole relation with the same tuples, then answer the now
 //                 fully-cold query.
 //
+// A fourth measures what a batch that does touch cached keys costs: the
+// wiki-Vote 4-cycle's first count after one seeded write-mix-shaped batch
+// (100 deletes + 100 adds), which refills exactly the entries the batch
+// could change. Its memory_accesses grow with every entry the sweep evicts
+// beyond those, so the recorded baseline guards the exact rule.
+//
 // The bench gates (exits nonzero) unless (a) both paths agree on the final
 // count — incremental maintenance must never change answers, (b) applying
 // the delta is >= 5x faster than the full rebuild + Put() that lands the
-// same tuples, and (c) the warm query latency right after the delta stays
+// same tuples, (c) the warm query latency right after the delta stays
 // within 3x of the pre-write warm latency — i.e. a small write must not
-// silently de-warm the service. The first post-write query of each path is
-// published too, making the cold-restart cost of the reload visible.
+// silently de-warm the service — and (d) the 4-cycle's count after its
+// batch equals a cold run's on the same data. The first post-write query
+// of each path is published too, making the cold-restart cost of the
+// reload visible.
 
 #include <cstdio>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "server/service.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace clftj::bench {
@@ -77,6 +88,52 @@ std::uint64_t& DeltaPathCount() {
 std::uint64_t& ReloadPathCount() {
   static std::uint64_t c = 0;
   return c;
+}
+std::uint64_t& FourCycleCount() {
+  static std::uint64_t c = 0;
+  return c;
+}
+std::uint64_t& FourCycleColdCount() {
+  static std::uint64_t c = 0;
+  return c;
+}
+
+constexpr const char* kFourCycle = "E(x1,x2), E(x2,x3), E(x3,x4), E(x1,x4)";
+
+// One write-mix-shaped batch, drawn as perfbench's FillDeltas draws them:
+// 100 deletes of live edges, then 100 adds of new edges whose endpoints are
+// a live edge's source and another live edge's target, which keeps the
+// degree skew.
+DeltaBatch MixedBatch(const Relation& edges, std::uint64_t seed) {
+  using Edge = std::pair<Value, Value>;
+  std::vector<Edge> live;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    live.emplace_back(edges.At(i, 0), edges.At(i, 1));
+  }
+  std::set<Edge> present(live.begin(), live.end());
+  std::set<Edge> deleted;
+  Rng rng(seed);
+  DeltaBatch batch;
+  batch.relation = "E";
+  for (int k = 0; k < 100; ++k) {
+    const std::size_t at = rng.Uniform(live.size());
+    batch.deletes.push_back({live[at].first, live[at].second});
+    deleted.insert(live[at]);
+    present.erase(live[at]);
+    live[at] = live.back();
+    live.pop_back();
+  }
+  while (batch.adds.size() < 100) {
+    const Value u = live[rng.Uniform(live.size())].first;
+    const Value v = live[rng.Uniform(live.size())].second;
+    if (u == v || present.count({u, v}) > 0 || deleted.count({u, v}) > 0) {
+      continue;
+    }
+    batch.adds.push_back({u, v});
+    present.insert({u, v});
+    live.emplace_back(u, v);
+  }
+  return batch;
 }
 
 QueryRequest CountRequest() {
@@ -211,6 +268,40 @@ void ReloadPathBody(benchmark::State& state, const std::string& name) {
   }
 }
 
+// The 4-cycle's first count after a batch that touches cached keys: the
+// refill of what the sweep evicted.
+void FourCycleDeltaBody(benchmark::State& state, const std::string& name) {
+  Database db = SnapDb("wiki-Vote");
+  ServiceOptions options;
+  options.workers = 1;
+  options.engine = "CLFTJ";
+  QueryService service(&db, options);
+  QueryRequest count = CountRequest();
+  count.query_text = kFourCycle;
+
+  for (auto _ : state) {
+    for (int i = 0; i < 2; ++i) {
+      CLFTJ_CHECK(service.Execute(count).status == RunStatus::kOk);
+    }
+    QueryRequest delta;
+    delta.kind = "delta";
+    delta.delta = MixedBatch(db.Get("E"), /*seed=*/1);
+    CLFTJ_CHECK(service.Execute(delta).status == RunStatus::kOk);
+    Timer query_timer;
+    const QueryResponse first_after = service.Execute(count);
+    CLFTJ_CHECK(first_after.status == RunStatus::kOk);
+    const double first_query_seconds = query_timer.Seconds();
+
+    FourCycleCount() = first_after.count;
+    FourCycleColdCount() =
+        MakeEngine("CLFTJ")->Count(*ParseQuery(kFourCycle), db, RunLimits{})
+            .count;
+    state.counters["first_query_ms"] = first_query_seconds * 1e3;
+    PublishResult(state, ToRunResult(first_after, first_query_seconds), name,
+                  "service delta refill");
+  }
+}
+
 void RegisterAll() {
   const struct {
     const char* name;
@@ -219,6 +310,7 @@ void RegisterAll() {
       {"Delta/wiki-Vote/2-path/appends", AppendsBody},
       {"Delta/wiki-Vote/2-path/delta-path", DeltaPathBody},
       {"Delta/wiki-Vote/2-path/reload-path", ReloadPathBody},
+      {"Delta/wiki-Vote/4-cycle/delta-path", FourCycleDeltaBody},
   };
   for (const auto& bench : benches) {
     const std::string name = bench.name;
@@ -234,6 +326,12 @@ void RegisterAll() {
 }
 
 int Gate() {
+  if (FourCycleCount() != FourCycleColdCount()) {
+    return GateFail("bench_delta: FAIL — 4-cycle count %llu after its batch "
+                    "!= cold count %llu (the sweep kept a stale entry)\n",
+                    static_cast<unsigned long long>(FourCycleCount()),
+                    static_cast<unsigned long long>(FourCycleColdCount()));
+  }
   if (ApplySeconds() <= 0.0 || ReloadSeconds() <= 0.0) {
     // A --benchmark_filter run skipped one side; nothing to compare.
     return 0;

@@ -220,6 +220,23 @@ class CacheManager {
     return removed;
   }
 
+  /// Maintenance erase for exact delta invalidation (docs/incremental.md):
+  /// removes the entry for (node, key) and returns true, or returns false
+  /// when the table holds none. Like EvictIf it charges no stats, is not a
+  /// capacity eviction, and keeps the survivors' recency order. `hash` as
+  /// for Lookup.
+  bool Erase(NodeId node, PackedKey key, std::uint64_t hash) {
+    if (slots_.empty()) return false;
+    for (std::uint32_t i = static_cast<std::uint32_t>(hash & mask_);
+         slots_[i].occupied(); i = (i + 1) & mask_) {
+      if (SlotMatches(slots_[i], node, key)) {
+        EraseSlot(i);
+        return true;
+      }
+    }
+    return false;
+  }
+
   /// Read-only iteration over every live entry: fn(node, values, dims,
   /// value) with `values` pointing at the entry's adhesion key values
   /// (decoded from the slot's two words). Used by
@@ -550,7 +567,9 @@ struct HotPayload<V, false> {
 /// frozen-before-insert is safely readable by every other thread. Stats
 /// are charged to the owning stripe (hits, misses, probe memory accesses,
 /// evictions, peaks) and aggregated deterministically in ascending stripe
-/// order by AggregatedStats, read while no run is using the table.
+/// order by AggregatedStats, read while no run is using the table. Lookup
+/// and Insert also report their outcome, so each run charges its own hits,
+/// misses and inserts to its own ExecStats (RunCache) as well.
 ///
 /// Hot-slot read path (`hot_reads` in the constructor; used by the
 /// persistent per-shape caches, see docs/serving.md "Batch admission"):
@@ -564,10 +583,12 @@ struct HotPayload<V, false> {
 /// already serialized by the stripe mutex. Hot hits skip the stripe's stat counters and LRU refresh
 /// (recency becomes approximate for hot keys — acceptable for the
 /// persistent caches, which are the only users); EvictIf clears a
-/// stripe's hot slots so targeted invalidation cannot leave a deleted
-/// entry readable. An entry evicted by *capacity* churn may linger in a
-/// hot slot: that is safe, because cached payloads are deterministic per
-/// (generation, key) — serving one is bit-identical to recomputing it.
+/// stripe's hot slots and Erase the hot slot of each erased key, so
+/// targeted invalidation cannot leave a deleted entry readable. An entry
+/// evicted by *capacity* churn may linger in a hot slot: that is safe,
+/// because cached payloads are deterministic per (data version, key) —
+/// serving one is bit-identical to recomputing it — and a delta that
+/// changes its value puts its key in the invalidation's erase set.
 template <typename V>
 class StripedCacheManager {
  public:
@@ -622,16 +643,17 @@ class StripedCacheManager {
   /// stripe's slice of the global budget. Concurrent same-key inserts
   /// serialize on the stripe mutex; the last one wins (both are correct —
   /// cached subtree results for one key are equal by construction). Only
-  /// entries the stripe *accepted* are published to the hot slots.
-  void Insert(NodeId node, PackedKey key, V value) {
+  /// entries the stripe *accepted* are published to the hot slots. Returns
+  /// whether the stripe accepted the entry.
+  bool Insert(NodeId node, PackedKey key, V value) {
     const std::uint64_t hash = CacheKeyHash(node, key);
     Stripe& s = StripeAt(hash);
     std::lock_guard<std::mutex> lock(s.mu);
     const bool publish = !s.hot.empty();
     V copy = publish ? value : V{};
-    if (s.cache.Insert(node, key, hash, std::move(value)) && publish) {
-      PublishHot(s, hash, node, key, copy);
-    }
+    const bool accepted = s.cache.Insert(node, key, hash, std::move(value));
+    if (accepted && publish) PublishHot(s, hash, node, key, copy);
+    return accepted;
   }
 
   /// Per-stripe counters summed in ascending stripe order — flow counters
@@ -664,7 +686,32 @@ class StripedCacheManager {
     for (const auto& s : stripes_) {
       std::lock_guard<std::mutex> lock(s->mu);
       total += s->cache.EvictIf(pred);
-      ClearHot(*s);
+      for (HotSlot& h : s->hot) ClearHotSlot(h);
+    }
+    return total;
+  }
+
+  /// Exact invalidation: removes the entries for `keys` at `node`, each
+  /// under its stripe's mutex (see CacheManager::Erase), and empties the
+  /// hot slot holding one of those keys whether or not the table still
+  /// held the entry — a capacity eviction can leave an entry readable in a
+  /// hot slot. Returns the number of entries removed.
+  std::size_t Erase(NodeId node, const std::vector<PackedKey>& keys) {
+    std::size_t total = 0;
+    for (const PackedKey& key : keys) {
+      const std::uint64_t hash = CacheKeyHash(node, key);
+      Stripe& s = StripeAt(hash);
+      std::lock_guard<std::mutex> lock(s.mu);
+      total += s.cache.Erase(node, key, hash) ? 1 : 0;
+      if (s.hot.empty()) continue;
+      HotSlot& h = s.hot[HotIndex(hash)];
+      // Writers hold the stripe mutex, so these loads see a stable slot.
+      if (h.dims.load(std::memory_order_relaxed) == key.dims &&
+          h.node.load(std::memory_order_relaxed) == node &&
+          h.lo.load(std::memory_order_relaxed) == key.lo &&
+          h.hi.load(std::memory_order_relaxed) == key.hi) {
+        ClearHotSlot(h);
+      }
     }
     return total;
   }
@@ -824,16 +871,14 @@ class StripedCacheManager {
     h.seq.store(s0 + 2, std::memory_order_release);
   }
 
-  /// Empties a stripe's hot slots (caller holds the stripe mutex). Drops
-  /// payload references too, so invalidated factorized sets are released.
-  void ClearHot(Stripe& s) {
-    for (HotSlot& h : s.hot) {
-      const std::uint64_t s0 = h.seq.load(std::memory_order_relaxed);
-      h.seq.store(s0 + 1, std::memory_order_release);
-      h.dims.store(kHotEmpty, std::memory_order_release);
-      h.value.store(V{});
-      h.seq.store(s0 + 2, std::memory_order_release);
-    }
+  /// Empties one hot slot (caller holds its stripe's mutex). Drops the
+  /// payload reference too, so an invalidated factorized set is released.
+  static void ClearHotSlot(HotSlot& h) {
+    const std::uint64_t s0 = h.seq.load(std::memory_order_relaxed);
+    h.seq.store(s0 + 1, std::memory_order_release);
+    h.dims.store(kHotEmpty, std::memory_order_release);
+    h.value.store(V{});
+    h.seq.store(s0 + 2, std::memory_order_release);
   }
 
   int stripe_shift_;  // log2(stripe count); 0 means a single stripe
@@ -848,16 +893,22 @@ class StripedCacheManager {
 /// persistent StripedCacheManager the serving loop injected. One
 /// predictable branch per call; both paths return the payload by value so
 /// call sites are uniform and never hold a pointer into a table another
-/// thread may mutate.
+/// thread may mutate. Either way the run's own ExecStats counts its hits
+/// (hot hits included), misses and accepted inserts; the injected table's
+/// probe memory accesses, evictions and peaks stay in its stripes.
 template <typename V>
 class RunCache {
  public:
   RunCache(const CacheOptions& options, ExecStats* stats,
            StripedCacheManager<V>* shared = nullptr)
-      : shared_(shared), private_(options, stats) {}
+      : shared_(shared), stats_(stats), private_(options, stats) {}
 
   bool Lookup(NodeId node, PackedKey key, V* out) {
-    if (shared_ != nullptr) return shared_->Lookup(node, key, out);
+    if (shared_ != nullptr) {
+      const bool hit = shared_->Lookup(node, key, out);
+      ++(hit ? stats_->cache_hits : stats_->cache_misses);
+      return hit;
+    }
     const V* hit = private_.Lookup(node, key);
     if (hit == nullptr) return false;
     *out = *hit;
@@ -866,7 +917,7 @@ class RunCache {
 
   void Insert(NodeId node, PackedKey key, V value) {
     if (shared_ != nullptr) {
-      shared_->Insert(node, key, std::move(value));
+      if (shared_->Insert(node, key, std::move(value))) ++stats_->cache_inserts;
     } else {
       private_.Insert(node, key, std::move(value));
     }
@@ -874,6 +925,7 @@ class RunCache {
 
  private:
   StripedCacheManager<V>* shared_;  // borrowed; outlives the run
+  ExecStats* stats_;                // the run's own counters
   CacheManager<V> private_;         // unused (and empty) when shared_ set
 };
 

@@ -1,9 +1,10 @@
 #include "engine/reuse.h"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "query/shape.h"
@@ -14,112 +15,17 @@ namespace clftj {
 
 namespace {
 
-// A small fixed-size Bloom filter over the changed values of one adhesion
-// dimension (4096 bits, two independent bit positions per value). Only used
-// for eviction decisions, where a false positive merely over-evicts — the
-// next query recomputes the entry — so membership may be approximate while
-// absence must be exact, which is exactly a Bloom filter's contract.
-struct ValueBloom {
-  std::array<std::uint64_t, 64> bits{};
-
-  static std::uint64_t Mix(std::uint64_t x) {
-    // splitmix64 finalizer: cheap, well-distributed for sequential ids.
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
-  void Set(std::uint64_t h) {
-    const std::uint64_t b = h & 4095;
-    bits[b >> 6] |= 1ull << (b & 63);
-  }
-
-  bool Test(std::uint64_t h) const {
-    const std::uint64_t b = h & 4095;
-    return (bits[b >> 6] >> (b & 63)) & 1;
-  }
-
-  void Insert(Value v) {
-    const std::uint64_t h1 = Mix(static_cast<std::uint64_t>(v));
-    Set(h1);
-    Set(Mix(h1));
-  }
-
-  bool MayContain(Value v) const {
-    const std::uint64_t h1 = Mix(static_cast<std::uint64_t>(v));
-    return Test(h1) && Test(Mix(h1));
-  }
-};
-
-// One participating atom's filter at one TD node: for each adhesion
-// dimension the atom binds, a Bloom filter over the changed tuples' values
-// at that variable's term position. A key passes when every dimension may
-// hold one of them; a filter with no dimensions passes every key.
-struct AtomFilter {
-  std::vector<int> dims;          // adhesion indices the atom binds
-  std::vector<ValueBloom> blooms;  // one per entry of dims
-};
-
-// Builds the eviction rule of every TD node of `plan` for the changed
-// tuples of `deltas`: rules[n] holds one AtomFilter per participating atom
-// over a changed relation, and an entry at n is evicted iff its key passes
-// some filter (no filters: keep everything). Soundness argument
-// (docs/incremental.md): the entry cached at node n under adhesion key k is
-// the join of the atoms participating in n's subtree (those with a variable
-// at depths [first_depth[n], subtree_last_depth[n]]) with the adhesion
-// variables fixed to k. It reads an atom's tuples only where they agree
-// with k on the adhesion variables that atom binds, so a changed tuple can
-// move the entry only if it agrees with k there — which is what the atom's
-// filter tests. An atom that binds no adhesion variable reads its tuples
-// under every key, so its filter has no dimensions and evicts all of n.
-// Filters for the same atom across several deltas share their Blooms: a
-// union of over-approximations still over-approximates.
-std::vector<std::vector<AtomFilter>> RulesFor(
-    const CachedPlan& plan, const std::vector<Atom>& atoms,
-    const std::vector<const DeltaLogEntry*>& deltas) {
-  const int num_nodes = static_cast<int>(plan.cacheable.size());
-  std::vector<std::vector<AtomFilter>> rules(num_nodes);
-  for (const Atom& atom : atoms) {
-    std::vector<const Tuple*> changed;
-    for (const DeltaLogEntry* delta : deltas) {
-      if (delta->relation != atom.relation) continue;
-      for (const Tuple& t : delta->changed) changed.push_back(&t);
-    }
-    if (changed.empty()) continue;
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      if (!plan.cacheable[n]) continue;  // no entries exist at n
-      const int lo = plan.first_depth[n];
-      const int hi = plan.subtree_last_depth[n];
-      bool participates = false;
-      for (const Term& term : atom.terms) {
-        if (!term.is_variable) continue;
-        const int rank = plan.var_rank[term.var];
-        participates = participates || (rank >= lo && rank <= hi);
-      }
-      if (!participates) continue;
-      AtomFilter filter;
-      std::vector<int> pos;  // the bound variable's term position per dim
-      const std::vector<VarId>& avars = plan.adhesion_vars[n];
-      for (std::size_t i = 0; i < avars.size(); ++i) {
-        for (std::size_t p = 0; p < atom.terms.size(); ++p) {
-          if (atom.terms[p].is_variable && atom.terms[p].var == avars[i]) {
-            filter.dims.push_back(static_cast<int>(i));
-            pos.push_back(static_cast<int>(p));
-            break;
-          }
-        }
-      }
-      filter.blooms.resize(pos.size());
-      for (const Tuple* t : changed) {
-        for (std::size_t d = 0; d < pos.size(); ++d) {
-          filter.blooms[d].Insert((*t)[pos[d]]);
-        }
-      }
-      rules[n].push_back(std::move(filter));
+// True iff `atom` has a variable at one of node n's subtree depths: the
+// atoms whose tuples the entries cached at n read.
+bool Participates(const CachedPlan& plan, NodeId n, const Atom& atom) {
+  for (const Term& term : atom.terms) {
+    if (!term.is_variable) continue;
+    const int rank = plan.var_rank[term.var];
+    if (rank >= plan.first_depth[n] && rank <= plan.subtree_last_depth[n]) {
+      return true;
     }
   }
-  return rules;
+  return false;
 }
 
 // Each referenced relation's current visible cardinality, in first-mention
@@ -202,14 +108,7 @@ std::vector<std::string> SubtreeSignatures(const CachedPlan& plan,
     std::string sig;
     bool matchable = true;
     for (const Atom& atom : atoms) {
-      bool participates = false;
-      for (const Term& t : atom.terms) {
-        if (t.is_variable && owned(t.var)) {
-          participates = true;
-          break;
-        }
-      }
-      if (!participates) continue;
+      if (!Participates(plan, n, atom)) continue;
       sig += atom.relation;
       sig += '(';
       bool first = true;
@@ -285,6 +184,230 @@ std::string ViewKey(const Atom& atom, const std::vector<VarId>& level_vars) {
   }
   return key;
 }
+
+// One participating atom's per-atom test at one TD node: for each adhesion
+// dimension the atom binds, the sorted distinct values the changed tuples
+// carry at that variable's term position. A key passes when every
+// dimension holds one of them; a filter with no dimensions passes every
+// key.
+struct AtomFilter {
+  std::vector<int> dims;                   // adhesion indices the atom binds
+  std::vector<std::vector<Value>> values;  // one sorted set per entry of dims
+};
+
+// A variable order for `join` that starts at atom `seed`'s variables and
+// then grows along shared atoms, so each later variable is reached from the
+// changed tuples instead of enumerated on its own.
+std::vector<VarId> SeedOrder(const Query& join, AtomId seed) {
+  std::vector<VarId> order = join.atom(seed).Vars();
+  std::vector<bool> placed(join.num_vars(), false);
+  for (const VarId v : order) placed[v] = true;
+  const std::vector<std::vector<VarId>> graph = join.GaifmanGraph();
+  while (static_cast<int>(order.size()) < join.num_vars()) {
+    VarId next = kNone;
+    for (VarId v = 0; v < join.num_vars() && next == kNone; ++v) {
+      if (placed[v]) continue;
+      for (const VarId u : graph[v]) {
+        if (placed[u]) next = v;
+      }
+    }
+    // A part of the join no variable placed so far reaches.
+    for (VarId v = 0; next == kNone; ++v) {
+      if (!placed[v]) next = v;
+    }
+    placed[next] = true;
+    order.push_back(next);
+  }
+  return order;
+}
+
+// Enumerates the substrate's join depth by depth, calling emit(assignment)
+// (indexed by VarId) on every full assignment; stops and returns false as
+// soon as emit does.
+template <typename Emit>
+bool Enumerate(TrieJoinContext& ctx, int d, Tuple* assignment,
+               const Emit& emit) {
+  if (d == ctx.num_vars()) return emit(*assignment);
+  LeapfrogJoin* join = ctx.EnterDepth(d);
+  bool ok = true;
+  for (; ok && !join->AtEnd(); join->Next()) {
+    (*assignment)[ctx.VarAtDepth(d)] = join->Key();
+    ok = Enumerate(ctx, d + 1, assignment, emit);
+  }
+  ctx.LeaveDepth(d);
+  return ok;
+}
+
+// The data of one invalidation sweep (docs/incremental.md, "Targeted cache
+// invalidation"). For each relation the pending deltas changed, it keeps
+// the changed tuples — every tuple whose presence differs between the data
+// the tables were filled from and the data now is among them — and, built
+// on first use, the relation now together with them, which holds both
+// versions. The atom views the exact rule's joins read are built on first
+// use too, and shared by every shape and node of the sweep.
+class DeltaSweep {
+ public:
+  DeltaSweep(const Database& db,
+             const std::vector<const DeltaLogEntry*>& deltas)
+      : db_(db) {
+    std::unordered_map<std::string, std::vector<Tuple>> tuples;
+    for (const DeltaLogEntry* delta : deltas) {
+      std::vector<Tuple>& into = tuples[delta->relation];
+      into.insert(into.end(), delta->changed.begin(), delta->changed.end());
+    }
+    for (auto& [name, changed] : tuples) {
+      if (changed.empty()) continue;  // only no-op batches
+      Relation rel(name, static_cast<int>(changed.front().size()));
+      rel.ApplyDelta(changed, {});
+      changed_.emplace(name, std::move(rel));
+    }
+  }
+
+  bool empty() const { return changed_.empty(); }
+
+  // The per-atom test at node n: one filter per participating atom over a
+  // changed relation (none: the node keeps every entry).
+  std::vector<AtomFilter> PerAtomFilters(const CachedPlan& plan,
+                                         const std::vector<Atom>& atoms,
+                                         NodeId n) const {
+    std::vector<AtomFilter> filters;
+    const std::vector<VarId>& avars = plan.adhesion_vars[n];
+    for (const Atom& atom : atoms) {
+      const auto changed = changed_.find(atom.relation);
+      if (changed == changed_.end() || !Participates(plan, n, atom)) continue;
+      AtomFilter filter;
+      for (std::size_t i = 0; i < avars.size(); ++i) {
+        for (std::size_t p = 0; p < atom.terms.size(); ++p) {
+          if (!atom.terms[p].is_variable || atom.terms[p].var != avars[i]) {
+            continue;
+          }
+          const ColumnSpan column = changed->second.Column(static_cast<int>(p));
+          std::vector<Value> values(column.begin(), column.end());
+          std::sort(values.begin(), values.end());
+          values.erase(std::unique(values.begin(), values.end()), values.end());
+          filter.dims.push_back(static_cast<int>(i));
+          filter.values.push_back(std::move(values));
+          break;
+        }
+      }
+      filters.push_back(std::move(filter));
+    }
+    return filters;
+  }
+
+  // The exact rule at node n: appends to *keys, once per assignment, every
+  // adhesion key of n that an assignment of n's subtree join reaches while
+  // it reads a changed tuple at one participating atom and, at every
+  // other, a tuple of the data now or a changed one. Returns false when
+  // these joins produce more than `limit` assignments, or when no
+  // participating atom binds some adhesion variable (every value of it is
+  // then reached); the caller then takes the per-atom test.
+  bool ReachableKeys(const CachedPlan& plan, const std::vector<Atom>& atoms,
+                     NodeId n, std::uint64_t limit,
+                     std::vector<PackedKey>* keys) {
+    // The participating atoms, their variables renumbered 0..k-1 by first
+    // occurrence.
+    Query join;
+    std::vector<VarId> local(plan.var_rank.size(), kNone);
+    for (const Atom& atom : atoms) {
+      if (!Participates(plan, n, atom)) continue;
+      Atom renumbered = atom;
+      for (Term& term : renumbered.terms) {
+        if (!term.is_variable) continue;
+        if (local[term.var] == kNone) {
+          local[term.var] =
+              join.AddVariable("v" + std::to_string(join.num_vars()));
+        }
+        term.var = local[term.var];
+      }
+      join.AddAtom(std::move(renumbered));
+    }
+    bool touched = false;
+    for (const Atom& atom : join.atoms()) {
+      touched = touched || changed_.count(atom.relation) > 0;
+    }
+    if (!touched) return true;
+    const std::vector<VarId>& adhesion = plan.adhesion_vars[n];
+    for (const VarId x : adhesion) {
+      if (local[x] == kNone) return false;
+    }
+    const int dims = static_cast<int>(adhesion.size());
+    std::uint64_t assignments = 0;
+    for (AtomId seed = 0; seed < join.num_atoms(); ++seed) {
+      if (changed_.count(join.atom(seed).relation) == 0) continue;
+      const std::vector<VarId> order = SeedOrder(join, seed);
+      std::vector<int> var_rank(order.size());
+      for (int d = 0; d < static_cast<int>(order.size()); ++d) {
+        var_rank[order[d]] = d;
+      }
+      std::vector<AtomView> views;
+      for (AtomId a = 0; a < join.num_atoms(); ++a) {
+        views.push_back(View(join.atom(a), var_rank, a == seed));
+      }
+      const TrieJoinSubstrate substrate(join, order, std::move(views));
+      if (substrate.HasEmptyAtom()) continue;
+      ExecStats uncharged;  // maintenance, like EvictIf: no run pays for it
+      TrieJoinContext ctx(substrate, &uncharged);
+      Tuple assignment(join.num_vars(), kNullValue);
+      const bool within =
+          Enumerate(ctx, 0, &assignment, [&](const Tuple& t) {
+            if (++assignments > limit) return false;
+            Value values[PackedKey::kInlineDims] = {0, 0};
+            for (int i = 0; i < dims; ++i) values[i] = t[local[adhesion[i]]];
+            keys->push_back(PackedKey::Pack(values, dims));
+            return true;
+          });
+      if (!within) return false;
+    }
+    return true;
+  }
+
+ private:
+  // The view of `atom` for `var_rank` over the changed tuples alone, or
+  // over the data now together with them. Atoms that project a relation
+  // the same way share one trie, as in the store's views_.
+  AtomView View(const Atom& atom, const std::vector<int>& var_rank,
+                bool changed_only) {
+    AtomView view;
+    view.level_vars = LevelVarsFor(atom, var_rank);
+    std::string key = changed_only ? "changed|" : "both|";
+    key += ViewKey(atom, view.level_vars);
+    auto it = tries_.find(key);
+    if (it == tries_.end()) {
+      it = tries_.emplace(std::move(key),
+                          BuildAtomView(Source(atom.relation, changed_only),
+                                        atom, var_rank)
+                              .trie)
+               .first;
+    }
+    view.trie = it->second;
+    view.non_empty = view.trie->num_tuples() > 0;
+    return view;
+  }
+
+  const Relation& Source(const std::string& relation, bool changed_only) {
+    const auto changed = changed_.find(relation);
+    if (changed == changed_.end()) return db_.Get(relation);
+    if (changed_only) return changed->second;
+    auto it = both_.find(relation);
+    if (it == both_.end()) {
+      Relation both = db_.Get(relation);
+      std::vector<Tuple> tuples;
+      for (std::size_t i = 0; i < changed->second.size(); ++i) {
+        tuples.push_back(changed->second.TupleAt(i));
+      }
+      both.ApplyDelta(tuples, {});  // one merge pass, no sort
+      it = both_.emplace(relation, std::move(both)).first;
+    }
+    return it->second;
+  }
+
+  const Database& db_;
+  std::unordered_map<std::string, Relation> changed_;  // sorted, distinct
+  std::unordered_map<std::string, Relation> both_;
+  std::unordered_map<std::string, std::shared_ptr<const Trie>> tries_;
+};
+
 
 }  // namespace
 
@@ -461,31 +584,48 @@ void CrossQueryReuse::SyncVersions(const Database& db) {
       shape.substrate = nullptr;
       if (!logged) shape.caches = nullptr;
     }
-    if (logged) InvalidateForDeltas(deltas);
+    if (logged) InvalidateForDeltas(db, deltas);
   }
   generation_ = generation;
   minor_ = minor;
 }
 
 void CrossQueryReuse::InvalidateForDeltas(
-    const std::vector<const DeltaLogEntry*>& deltas) {
+    const Database& db, const std::vector<const DeltaLogEntry*>& deltas) {
+  DeltaSweep sweep(db, deltas);
+  if (sweep.empty()) return;
   for (Shape& shape : shapes_) {
     if (shape.caches == nullptr) continue;
-    const std::vector<std::vector<AtomFilter>> rules =
-        RulesFor(*shape.plan, shape.atoms, deltas);
-    bool any = false;
-    for (const std::vector<AtomFilter>& rule : rules) {
-      any = any || !rule.empty();
+    const CachedPlan& plan = *shape.plan;
+    // A node whose joins outgrow the tables costs the sweep no more than
+    // the per-atom test's one pass over them.
+    const std::uint64_t limit =
+        shape.caches->count.size() + shape.caches->eval.size();
+    std::vector<std::vector<AtomFilter>> fallback(plan.cacheable.size());
+    bool any_fallback = false;
+    for (NodeId n = 0; n < static_cast<NodeId>(plan.cacheable.size()); ++n) {
+      if (!plan.cacheable[n]) continue;  // no entries exist at n
+      std::vector<PackedKey> keys;
+      if (sweep.ReachableKeys(plan, shape.atoms, n, limit, &keys)) {
+        shape.caches->count.Erase(n, keys);
+        shape.caches->eval.Erase(n, keys);
+      } else {
+        fallback[n] = sweep.PerAtomFilters(plan, shape.atoms, n);
+        any_fallback = true;
+      }
     }
-    if (!any) continue;
-    // One sweep per table for all pending deltas.
-    const auto pred = [&rules](NodeId node, const Value* values, int dims) {
-      for (const AtomFilter& filter : rules[node]) {
+    if (!any_fallback) continue;
+    // One pass per table for every node that fell back.
+    const auto pred = [&fallback](NodeId node, const Value* values,
+                                  int dims) {
+      for (const AtomFilter& filter : fallback[node]) {
         bool passes = true;
         for (std::size_t d = 0; d < filter.dims.size() && passes; ++d) {
           // A key narrower than the adhesion cannot be checked: evict.
           passes = filter.dims[d] >= dims ||
-                   filter.blooms[d].MayContain(values[filter.dims[d]]);
+                   std::binary_search(filter.values[d].begin(),
+                                      filter.values[d].end(),
+                                      values[filter.dims[d]]);
         }
         if (passes) return true;
       }

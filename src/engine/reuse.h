@@ -34,8 +34,9 @@ struct ReuseOptions {
   /// persistent subtree-result tables (0 = all of them). NodeId keyspaces
   /// are per-plan, which is why the tables are per shape — sharing one
   /// table across shapes would mix keyspaces. A generation bump (bulk Put)
-  /// drops them all; an ApplyDelta evicts only entries whose adhesion key
-  /// may touch the changed values (docs/incremental.md).
+  /// drops them all; an ApplyDelta erases only the entries whose key the
+  /// changed tuples reach through the node's subtree join — every entry
+  /// whose value changed is among them (docs/incremental.md).
   std::size_t max_shape_caches = 32;
   /// Lock-free seqlock read path for hot stripes of the persistent caches
   /// (StripedCacheManager hot_reads) — batch members polling the same hot
@@ -168,11 +169,15 @@ class CrossQueryReuse {
   /// to *stats (may be null). Caller holds mu_.
   void SeedFromResidentShapes(Shape& target, ExecStats* stats);
 
-  /// Targeted invalidation after ApplyDelta batches: one sweep per table
-  /// evicts the entries whose adhesion key agrees with some changed tuple
-  /// on the adhesion variables of some participating atom (per-atom rule,
-  /// docs/incremental.md). Caller holds mu_.
-  void InvalidateForDeltas(const std::vector<const DeltaLogEntry*>& deltas);
+  /// Targeted invalidation after ApplyDelta batches (docs/incremental.md).
+  /// Per cacheable node of each resident shape, erases exactly the adhesion
+  /// keys that the node's subtree join reaches from the changed tuples
+  /// (the exact rule); a node whose join outgrows the shape's tables
+  /// instead evicts, in one pass per table, the entries whose key agrees
+  /// with a changed tuple on the adhesion variables of some participating
+  /// atom (the per-atom rule). Caller holds mu_.
+  void InvalidateForDeltas(const Database& db,
+                           const std::vector<const DeltaLogEntry*>& deltas);
 
   const ReuseOptions options_;
   const PlannerOptions planner_;

@@ -2,15 +2,17 @@
 // delta batches merged into the sorted columns, database minor versions and
 // the bounded delta log, every engine over the post-delta data, reuse
 // survival across deltas (plans revalidated, substrates rebuilt once per
-// relation version and shared, subtree caches invalidated per atom), and
-// DELTA through the service and wire protocol. The randomized
-// differentials pin delta application against rebuild-from-scratch:
-// bit-identical tuple sets for every engine and worker count, and
-// bit-identical warm-cache answers across rounds of deltas.
+// relation version and shared, subtree caches erased exactly where a
+// changed tuple reaches), and DELTA through the service and wire protocol.
+// The randomized differentials pin delta application against
+// rebuild-from-scratch: bit-identical tuple sets for every engine and
+// worker count, and bit-identical warm-cache answers across rounds of
+// deltas.
 
 #include <algorithm>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -326,13 +328,15 @@ std::uint64_t Hits(const ShapeCaches& caches) {
 // Warm caches across deltas: one CrossQueryReuse serves every shape in both
 // modes through rounds of random deltas (several batches land between some
 // Prepares, so one invalidation sweep covers several deltas; some batches
-// are partly or wholly no-ops). After every round each warm answer must
-// equal a cold run on a database rebuilt from the model — the same plan, no
-// reused trie and no cached subtree result, the same (single) thread
-// count — with an identical count and an identical tuple multiset. The
-// stream is compared sorted: a cached eval subtree is expanded at the leaf,
-// after the depths that follow it, so a warm run emits the same tuples as
-// a cold one in a different order even when no delta ever lands.
+// are partly or wholly no-ops; the last round lands one 20+20 batch, which
+// changes many entries of every shape at once). After every round each
+// warm answer must equal a cold run on a database rebuilt from the model —
+// the same plan, no reused trie and no cached subtree result, the same
+// (single) thread count — with an identical count and an identical tuple
+// multiset. The stream is compared sorted: a cached eval subtree is
+// expanded at the leaf, after the depths that follow it, so a warm run
+// emits the same tuples as a cold one in a different order even when no
+// delta ever lands.
 TEST(DeltaDifferential, WarmCachesMatchAColdRebuild) {
   std::mt19937_64 rng(29);
   std::uniform_int_distribution<Value> value(0, 29);
@@ -353,17 +357,18 @@ TEST(DeltaDifferential, WarmCachesMatchAColdRebuild) {
   CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
                         /*stripes_hint=*/1);
   std::uint64_t hits = 0;
-  for (int round = 0; round < 6; ++round) {
+  for (int round = 0; round < 7; ++round) {
     if (round > 0) {
-      const int batches = 1 + round % 2;
+      const int batches = round == 6 ? 1 : 1 + round % 2;
+      const int size = round == 6 ? 20 : 3;
       for (int b = 0; b < batches; ++b) {
         DeltaBatch batch;
         batch.relation = "E";
-        for (int i = 0; i < 3; ++i) {
+        for (int i = 0; i < size; ++i) {
           batch.adds.push_back({value(rng), value(rng)});
         }
         std::uniform_int_distribution<std::size_t> pick(0, model.size() - 1);
-        for (int i = 0; i < 3; ++i) {
+        for (int i = 0; i < size; ++i) {
           auto it = model.begin();
           std::advance(it, pick(rng));
           batch.deletes.push_back({it->first, it->second});
@@ -526,7 +531,7 @@ TEST(DeltaReuse, TargetedInvalidationSparesUntouchedEntries) {
   EXPECT_EQ(caches->count.size(), warm_entries);
 
   // A delta to E whose values miss every cached adhesion key evicts nothing
-  // (per-dimension Bloom membership), yet the data really changed.
+  // (no cached key is reachable from it), yet the data really changed.
   ASSERT_TRUE(db.ApplyDelta({"E", {{40, 41}}, {}}));
   ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(), caches.get());
   EXPECT_EQ(caches->count.size(), warm_entries);
@@ -716,101 +721,368 @@ TEST(DeltaReuse, DriftedStatisticsReplanOnceWithFreshTables) {
   }
 }
 
-TEST(DeltaReuse, FourCycleDeltaEvictsOnlyKeysAgreeingPerAtom) {
-  // Each child atom of the 4-cycle binds one of the child's two adhesion
-  // variables. A 1-edge delta must evict exactly the child entries whose
-  // key agrees with the edge on a variable some participating atom binds,
-  // at that atom's term position — and, up to Bloom false positives,
-  // nothing else.
-  Database db = testing::SmallSkewedDb(11);
+// Brute-force joins over explicit tuple sets, independent of the engine:
+// the reference for which cache entries a batch can change.
+using TupleSet = std::set<Tuple>;
+
+TupleSet Rows(const Relation& rel) {
+  const std::vector<Tuple> rows = VisibleTuples(rel);
+  return TupleSet(rows.begin(), rows.end());
+}
+
+// Calls fn() once per combination of one tuple per atom, atom i drawn from
+// *sets[i], that agrees with `binding` (indexed by VarId; kNullValue =
+// free) and with the tuples chosen before it; fn returns false to stop.
+// Returns false iff stopped.
+template <typename Fn>
+bool ForEachMatch(const std::vector<const Atom*>& atoms,
+                  const std::vector<const TupleSet*>& sets, std::size_t i,
+                  Tuple* binding, const Fn& fn) {
+  if (i == atoms.size()) return fn();
+  const Atom& atom = *atoms[i];
+  const Term& head = atom.terms[0];
+  const Value first = head.is_variable ? (*binding)[head.var] : head.constant;
+  auto it = first == kNullValue ? sets[i]->begin()
+                                : sets[i]->lower_bound(Tuple{first});
+  for (; it != sets[i]->end(); ++it) {
+    const Tuple& t = *it;
+    if (first != kNullValue && t[0] != first) break;
+    std::vector<VarId> bound;
+    bool agrees = true;
+    for (std::size_t p = 0; p < atom.terms.size() && agrees; ++p) {
+      const Term& term = atom.terms[p];
+      if (!term.is_variable) {
+        agrees = t[p] == term.constant;
+      } else if ((*binding)[term.var] == kNullValue) {
+        (*binding)[term.var] = t[p];
+        bound.push_back(term.var);
+      } else {
+        agrees = (*binding)[term.var] == t[p];
+      }
+    }
+    const bool go_on = !agrees || ForEachMatch(atoms, sets, i + 1, binding, fn);
+    for (const VarId v : bound) (*binding)[v] = kNullValue;
+    if (!go_on) return false;
+  }
+  return true;
+}
+
+// The atoms whose tuples node n's cache entries read: those with a
+// variable at one of the subtree's depths.
+std::vector<const Atom*> Participating(const CachedPlan& plan, NodeId n,
+                                       const Query& q) {
+  std::vector<const Atom*> out;
+  for (const Atom& atom : q.atoms()) {
+    for (const Term& term : atom.terms) {
+      const int rank = plan.var_rank[term.var];
+      if (rank >= plan.first_depth[n] && rank <= plan.subtree_last_depth[n]) {
+        out.push_back(&atom);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// The value a cold run caches at node n under `key`: the assignments of
+// the participating atoms over `data` that extend the key.
+std::uint64_t ColdEntry(const CachedPlan& plan, NodeId n, const Query& q,
+                        const Tuple& key, const TupleSet& data) {
+  const std::vector<const Atom*> atoms = Participating(plan, n, q);
+  Tuple binding(q.num_vars(), kNullValue);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    binding[plan.adhesion_vars[n][i]] = key[i];
+  }
+  std::uint64_t count = 0;
+  ForEachMatch(atoms, std::vector<const TupleSet*>(atoms.size(), &data), 0,
+               &binding, [&count] {
+                 ++count;
+                 return true;
+               });
+  return count;
+}
+
+// The keys of node n that an assignment reaches while it reads a `changed`
+// tuple at one participating atom and, at every other, a tuple of `both`
+// (the data after the batch together with the changed tuples). Stops past
+// `cap` assignments; *assignments receives how many it saw.
+std::set<Tuple> ReachableKeys(const CachedPlan& plan, NodeId n,
+                              const Query& q, const TupleSet& changed,
+                              const TupleSet& both, std::uint64_t cap,
+                              std::uint64_t* assignments) {
+  const std::vector<const Atom*> atoms = Participating(plan, n, q);
+  std::set<Tuple> keys;
+  *assignments = 0;
+  for (std::size_t seed = 0; seed < atoms.size(); ++seed) {
+    // The seed goes first, so every later atom is bound through it.
+    std::vector<const Atom*> ordered = {atoms[seed]};
+    std::vector<const TupleSet*> sets = {&changed};
+    for (std::size_t a = 0; a < atoms.size(); ++a) {
+      if (a == seed) continue;
+      ordered.push_back(atoms[a]);
+      sets.push_back(&both);
+    }
+    Tuple binding(q.num_vars(), kNullValue);
+    const bool within = ForEachMatch(ordered, sets, 0, &binding, [&] {
+      Tuple key;
+      for (const VarId x : plan.adhesion_vars[n]) key.push_back(binding[x]);
+      keys.insert(key);
+      return ++*assignments <= cap;
+    });
+    if (!within) break;
+  }
+  return keys;
+}
+
+// The per-atom test: some participating atom's changed tuples carry, at
+// every adhesion variable the atom binds, the key's value there.
+bool PerAtomTestEvicts(const CachedPlan& plan, NodeId n, const Query& q,
+                       const TupleSet& changed, const Tuple& key) {
+  for (const Atom* atom : Participating(plan, n, q)) {
+    bool passes = true;
+    for (std::size_t d = 0; d < key.size() && passes; ++d) {
+      for (std::size_t p = 0; p < atom->terms.size(); ++p) {
+        if (atom->terms[p].var != plan.adhesion_vars[n][d]) continue;
+        bool found = false;
+        for (const Tuple& t : changed) found = found || t[p] == key[d];
+        passes = found;
+        break;
+      }
+    }
+    if (passes) return true;
+  }
+  return false;
+}
+
+using Entry = std::pair<NodeId, Tuple>;
+
+std::map<Entry, std::uint64_t> CountEntries(ShapeCaches& caches) {
+  std::map<Entry, std::uint64_t> out;
+  caches.count.ForEach([&out](NodeId node, const Value* values, int dims,
+                              std::uint64_t value) {
+    out[{node, Tuple(values, values + dims)}] = value;
+  });
+  return out;
+}
+
+// The count `q` answers through `reuse`'s warm tables right now.
+std::uint64_t WarmCountNow(CrossQueryReuse& reuse, const Query& q,
+                           const Database& db) {
+  ExecStats stats;
+  const CrossQueryReuse::Prepared next = reuse.Prepare(q, db, &stats);
+  EngineOptions options;
+  options.prepared_plan = next.plan;
+  options.prepared_substrate = next.substrate;
+  options.shared_count_cache = &next.caches->count;
+  return MakeEngine("CLFTJ", options)->Count(q, db, RunLimits{}).count;
+}
+
+TEST(DeltaReuse, FourCycleBatchEvictsExactlyTheReachableKeys) {
+  // A write-mix-shaped batch — 100 deletes of live edges and 100 adds of
+  // new edges between existing endpoints — on a warm skewed 4-cycle. The
+  // sweep must erase exactly the cached keys that the brute-force
+  // reachability check finds: every entry whose value changed is among
+  // them, every survivor equals a cold recompute of its key, and no entry
+  // goes that the per-atom test would keep.
+  Database db = testing::SmallSkewedDb(11, /*nodes=*/300,
+                                       /*edges_per_node=*/4);
+  CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                        /*stripes_hint=*/1);
+  const Query q = CycleQuery(4);
+  const CrossQueryReuse::Prepared prepared = WarmCount(reuse, q, db);
+  const CachedPlan& plan = *prepared.plan;
+  const std::map<Entry, std::uint64_t> warm = CountEntries(*prepared.caches);
+  ASSERT_GT(warm.size(), 1000u);
+
+  const TupleSet before = Rows(db.Get("E"));
+  std::vector<Tuple> live(before.begin(), before.end());
+  std::mt19937_64 rng(5);
+  std::shuffle(live.begin(), live.end(), rng);
+  DeltaBatch batch;
+  batch.relation = "E";
+  batch.deletes.assign(live.begin(), live.begin() + 100);
+  TupleSet added;
+  while (added.size() < 100) {
+    const Value u = live[rng() % live.size()][0];
+    const Value v = live[rng() % live.size()][1];
+    if (u != v && before.count({u, v}) == 0) added.insert({u, v});
+  }
+  batch.adds.assign(added.begin(), added.end());
+  ASSERT_TRUE(db.ApplyDelta(batch));
+  ExecStats stats;
+  ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(), prepared.caches.get())
+      << "the batch keeps E's size, so the plan and its tables stay";
+  const std::map<Entry, std::uint64_t> kept = CountEntries(*prepared.caches);
+
+  TupleSet changed(batch.deletes.begin(), batch.deletes.end());
+  changed.insert(batch.adds.begin(), batch.adds.end());
+  const TupleSet now = Rows(db.Get("E"));
+  TupleSet both = now;
+  both.insert(changed.begin(), changed.end());
+  std::map<NodeId, std::set<Tuple>> reachable;
+  for (NodeId n = 0; n < static_cast<NodeId>(plan.cacheable.size()); ++n) {
+    if (!plan.cacheable[n]) continue;
+    std::uint64_t assignments = 0;
+    reachable[n] = ReachableKeys(plan, n, q, changed, both, warm.size(),
+                                 &assignments);
+    ASSERT_LE(assignments, warm.size()) << "within the exact rule's limit";
+  }
+
+  std::size_t evicted = 0;
+  std::size_t value_changed = 0;
+  std::size_t per_atom = 0;
+  for (const auto& [entry, value] : warm) {
+    const auto& [node, key] = entry;
+    const bool gone = kept.count(entry) == 0;
+    EXPECT_EQ(gone, reachable[node].count(key) > 0)
+        << "node " << node << " key " << key[0] << "," << key[1];
+    evicted += gone ? 1 : 0;
+    if (ColdEntry(plan, node, q, key, now) != value) {
+      ++value_changed;
+      EXPECT_TRUE(gone) << "an entry whose value changed survived";
+    }
+    if (!gone) {
+      EXPECT_EQ(kept.at(entry), ColdEntry(plan, node, q, key, now));
+    }
+    const bool predicted = PerAtomTestEvicts(plan, node, q, changed, key);
+    per_atom += predicted ? 1 : 0;
+    EXPECT_TRUE(!gone || predicted) << "the per-atom test keeps this entry";
+  }
+  EXPECT_GT(value_changed, 0u) << "the batch must change some entry";
+  EXPECT_GE(evicted, value_changed);
+  EXPECT_LT(evicted, per_atom) << "the exact rule must be the narrower one";
+  EXPECT_EQ(WarmCountNow(reuse, q, db),
+            MakeEngine("LFTJ")->Count(q, db, RunLimits{}).count);
+}
+
+TEST(DeltaReuse, DeletingTwoJoiningTuplesEvictsTheEntryTheyJoined) {
+  // The 4-cycle (1,2,3,4) gives its child node one entry, under the
+  // cycle's adhesion values, counting the single path through the two
+  // tuples the child's atoms read. One batch deletes both: the entry's
+  // value drops to 0, yet neither deleted tuple joins with a tuple of the
+  // data after the batch. Only a join that reads the deleted tuples at the
+  // other atoms reaches the entry.
+  std::vector<Edge> edges = {{1, 2}, {2, 3}, {3, 4}, {1, 4}};
+  for (Value v = 10; v < 26; ++v) edges.push_back({v, v + 1});
+  Database db;
+  db.Put(EdgeRelation("E", edges));
   CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
                         /*stripes_hint=*/1);
   const Query q = CycleQuery(4);
   const CrossQueryReuse::Prepared prepared = WarmCount(reuse, q, db);
   const CachedPlan& plan = *prepared.plan;
 
-  // Per cacheable node: (adhesion index, term position) of every
-  // participating atom's bound adhesion variables.
-  using Binding = std::vector<std::pair<int, int>>;
-  std::vector<std::vector<Binding>> atoms_at(plan.cacheable.size());
+  NodeId child = kNone;
   for (NodeId n = 0; n < static_cast<NodeId>(plan.cacheable.size()); ++n) {
-    if (!plan.cacheable[n]) continue;
-    for (const Atom& atom : q.atoms()) {
-      bool participates = false;
-      for (const Term& term : atom.terms) {
-        const int rank = plan.var_rank[term.var];
-        participates = participates || (rank >= plan.first_depth[n] &&
-                                         rank <= plan.subtree_last_depth[n]);
-      }
-      if (!participates) continue;
-      Binding binding;
-      const std::vector<VarId>& avars = plan.adhesion_vars[n];
-      for (int i = 0; i < static_cast<int>(avars.size()); ++i) {
-        for (int p = 0; p < static_cast<int>(atom.terms.size()); ++p) {
-          if (atom.terms[p].var == avars[i]) {
-            binding.push_back({i, p});
-            break;
-          }
-        }
-      }
-      EXPECT_FALSE(binding.empty()) << "every 4-cycle atom binds one";
-      EXPECT_LT(binding.size(), avars.size())
-          << "no atom binds the whole adhesion: the per-atom case";
-      atoms_at[n].push_back(binding);
-    }
+    if (plan.cacheable[n]) child = n;
   }
-  using Entry = std::pair<NodeId, Tuple>;
-  const auto entries = [&prepared] {
-    std::set<Entry> out;
-    prepared.caches->count.ForEach(
-        [&out](NodeId node, const Value* values, int dims, std::uint64_t) {
-          out.insert({node, Tuple(values, values + dims)});
-        });
-    return out;
-  };
-  const std::set<Entry> warm = entries();
-  ASSERT_GT(warm.size(), 100u);
+  ASSERT_NE(child, kNone);
+  const Tuple cycle = {1, 2, 3, 4};  // x1..x4
+  Tuple key;
+  for (const VarId x : plan.adhesion_vars[child]) key.push_back(cycle[x]);
+  ASSERT_EQ(CountEntries(*prepared.caches).count({child, key}), 1u);
 
-  // Delete one edge from the middle of E's sorted rows.
-  const Tuple edge = db.Get("E").TupleAt(db.Get("E").size() / 2);
-  ASSERT_TRUE(db.ApplyDelta({"E", {}, {edge}}));
+  DeltaBatch batch;
+  batch.relation = "E";
+  for (const Atom* atom : Participating(plan, child, q)) {
+    batch.deletes.push_back(
+        {cycle[atom->terms[0].var], cycle[atom->terms[1].var]});
+  }
+  ASSERT_EQ(batch.deletes.size(), 2u);
+  ASSERT_TRUE(db.ApplyDelta(batch));
   ExecStats stats;
   ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(), prepared.caches.get());
-  const std::set<Entry> kept = entries();
+  EXPECT_EQ(CountEntries(*prepared.caches).count({child, key}), 0u)
+      << "the entry both deleted tuples reach must go";
+  EXPECT_EQ(WarmCountNow(reuse, q, db), 0u);
+}
 
-  std::size_t must_go = 0;
-  std::size_t may_stay = 0;
-  std::size_t over_evicted = 0;
-  for (const Entry& e : warm) {
-    bool agrees = false;
-    for (const Binding& binding : atoms_at[e.first]) {
-      bool all = true;
-      for (const auto& [dim, pos] : binding) {
-        all = all && e.second[dim] == edge[pos];
+TEST(DeltaReuse, HubDeltaThatOutgrowsTheTableTakesThePerAtomTest) {
+  // A skewed graph plus fresh in-neighbours of the hub vertex 500 and fresh
+  // out-neighbours of 501, joined by the edge (500, 501). Deleting edges at
+  // the hub reaches keys through its fan-outs, so some node's join produces
+  // more assignments than the shape's table holds entries. That node takes
+  // the per-atom test and evicts exactly what that test evicts — more than
+  // the exact rule would — while every other node still takes the exact
+  // rule. In the 5-cycle it is the middle node, which has a participating
+  // atom that binds no adhesion variable, so the test evicts the whole
+  // node. In the 4-cycle it is the child, whose atoms each bind one
+  // adhesion variable, so the test compares values and keeps the keys that
+  // hold no endpoint of a deleted edge. (The 4-cycle's batch deletes an
+  // edge into 500 too: which one outgrows the table depends on the TD the
+  // planner picks.)
+  const struct {
+    int length;
+    Value in_fan;
+    Value out_fan;
+    std::vector<Tuple> deletes;
+  } cases[] = {
+      {5, 60, 60, {{500, 501}}},
+      {4, 1000, 0, {{1000, 500}, {500, 501}}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.length == 5 ? "5-cycle" : "4-cycle");
+    Relation edges = PreferentialAttachmentGraph("E", 40, 2, /*seed=*/3);
+    edges.AddPair(500, 501);
+    for (Value i = 0; i < c.in_fan; ++i) edges.AddPair(1000 + i, 500);
+    for (Value i = 0; i < c.out_fan; ++i) edges.AddPair(501, 2000 + i);
+    edges.Normalize();
+    Database db;
+    db.Put(std::move(edges));
+    CrossQueryReuse reuse(ReuseOptions{}, PlannerOptions{}, CacheOptions{},
+                          /*stripes_hint=*/1);
+    const Query q = CycleQuery(c.length);
+    const CrossQueryReuse::Prepared prepared = WarmCount(reuse, q, db);
+    const CachedPlan& plan = *prepared.plan;
+    const std::map<Entry, std::uint64_t> warm =
+        CountEntries(*prepared.caches);
+    const std::uint64_t limit =
+        prepared.caches->count.size() + prepared.caches->eval.size();
+
+    const TupleSet changed(c.deletes.begin(), c.deletes.end());
+    const TupleSet both = Rows(db.Get("E"));  // the batch only deletes
+    NodeId fallback = kNone;
+    std::map<NodeId, std::set<Tuple>> reachable;
+    for (NodeId n = 0; n < static_cast<NodeId>(plan.cacheable.size()); ++n) {
+      if (!plan.cacheable[n]) continue;
+      std::uint64_t assignments = 0;
+      reachable[n] =
+          ReachableKeys(plan, n, q, changed, both, limit, &assignments);
+      if (assignments > limit) fallback = n;
+    }
+    ASSERT_NE(fallback, kNone) << "the hub's join must outgrow the table ("
+                               << limit << " entries)";
+
+    ASSERT_TRUE(db.ApplyDelta({"E", {}, c.deletes}));
+    ExecStats stats;
+    ASSERT_EQ(reuse.Prepare(q, db, &stats).caches.get(),
+              prepared.caches.get());
+    const std::map<Entry, std::uint64_t> kept =
+        CountEntries(*prepared.caches);
+    std::size_t evicted = 0;
+    std::size_t survived = 0;
+    std::size_t exact_would = 0;
+    for (const auto& [entry, value] : warm) {
+      const auto& [node, key] = entry;
+      const bool gone = kept.count(entry) == 0;
+      if (node == fallback) {
+        EXPECT_EQ(gone, PerAtomTestEvicts(plan, node, q, changed, key));
+        evicted += gone ? 1 : 0;
+        survived += gone ? 0 : 1;
+        exact_would += reachable[node].count(key);
+      } else {
+        EXPECT_EQ(gone, reachable[node].count(key) > 0);
       }
-      agrees = agrees || all;
     }
-    if (agrees) {
-      ++must_go;
-      EXPECT_EQ(kept.count(e), 0u) << "an agreeing entry survived";
+    EXPECT_GT(evicted, exact_would) << "the node took the per-atom test";
+    if (c.length == 4) {
+      EXPECT_GT(survived, 0u) << "keys holding no endpoint stay";
     } else {
-      ++may_stay;
-      if (kept.count(e) == 0) ++over_evicted;
+      EXPECT_EQ(survived, 0u) << "an atom binding no adhesion variable";
     }
+    EXPECT_EQ(WarmCountNow(reuse, q, db),
+              MakeEngine("LFTJ")->Count(q, db, RunLimits{}).count);
   }
-  EXPECT_GT(must_go, 0u) << "the edge must touch some cached key";
-  EXPECT_GT(may_stay, 0u);
-  EXPECT_LE(over_evicted * 100, may_stay) << "more than Bloom noise evicted";
-  EXPECT_EQ(kept.size(), warm.size() - must_go - over_evicted);
-
-  // The next answer through the surviving entries is right.
-  const CrossQueryReuse::Prepared next = reuse.Prepare(q, db, &stats);
-  EngineOptions options;
-  options.prepared_plan = next.plan;
-  options.prepared_substrate = next.substrate;
-  options.shared_count_cache = &next.caches->count;
-  EXPECT_EQ(MakeEngine("CLFTJ", options)->Count(q, db, RunLimits{}).count,
-            MakeEngine("LFTJ")->Count(q, db, RunLimits{}).count);
 }
 
 // ---------------------------------------------------------------------------
@@ -865,27 +1137,40 @@ TEST(ServiceDelta, ConcurrentWritersAndReadersStayConsistent) {
   options.workers = 4;
   options.queue_capacity = 256;
   QueryService service(&db, options);
+  constexpr const char* kFourCycle = "E(x,y), E(y,z), E(z,w), E(w,x)";
 
-  // Interleave counting readers with appending writers; every request must
-  // complete kOk (readers see some consistent prefix of the writes), and
-  // once all writes land the count equals the reference on the final data.
+  // Interleave counting readers — triangles, which cache nothing, and
+  // 4-cycles, whose warm tables every delta sweeps — with writers that
+  // delete real edges and add isolated ones. Every request must complete
+  // kOk (readers see some consistent prefix of the writes), and once all
+  // writes land both counts equal the reference on the final data. Each
+  // batch deletes its own edges, so the final data does not depend on the
+  // order the writes land in.
+  const std::vector<Tuple> rows = VisibleTuples(db.Get("E"));
   std::vector<std::future<QueryResponse>> futures;
   for (int i = 0; i < 40; ++i) {
     if (i % 4 == 0) {
       const Value base = 1000 + 2 * i;
+      const std::size_t at = static_cast<std::size_t>(i) * 3;
       futures.push_back(service.Submit(
-          DeltaReq("E", {{base, base + 1}, {base + 1, base}})));
+          DeltaReq("E", {{base, base + 1}, {base + 1, base}},
+                   {rows[at], rows[at + 1]})));
     } else {
-      futures.push_back(service.Submit(Req(kTriangle)));
+      futures.push_back(service.Submit(Req(i % 2 == 0 ? kFourCycle
+                                                      : kTriangle)));
     }
   }
   for (auto& f : futures) {
     ASSERT_EQ(f.get().status, RunStatus::kOk);
   }
-  const QueryResponse final_count = service.Execute(Req(kTriangle));
-  ASSERT_EQ(final_count.status, RunStatus::kOk);
-  EXPECT_EQ(final_count.count,
-            testing::ReferenceCount(testing::Q(kTriangle), db));
+  ASSERT_EQ(db.Get("E").size(), rows.size())
+      << "every batch deletes two live edges and adds two new ones";
+  for (const char* text : {kTriangle, kFourCycle}) {
+    const QueryResponse final_count = service.Execute(Req(text));
+    ASSERT_EQ(final_count.status, RunStatus::kOk);
+    EXPECT_EQ(final_count.count, testing::ReferenceCount(testing::Q(text), db))
+        << text;
+  }
 }
 
 TEST(DeltaProtocol, RequestRoundTrips) {

@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "engine/reuse.h"
 #include "query/shape.h"
+#include "server/protocol.h"
 #include "server/service.h"
 #include "td/planner.h"
 #include "test_util.h"
@@ -507,18 +508,65 @@ TEST(ServiceReuse, PersistentCacheWarmsAcrossRequests) {
   // The 4-cycle decomposes with a nontrivial adhesion, so CLFTJ caches
   // subtree counts. The first request fills the shape's persistent striped
   // table; the second probes the very same keys, hits immediately, and
-  // skips whole subtree scans. Cache hit/miss counters are charged to the
-  // persistent table's stripes (not visible in per-request stats while the
-  // table stays live), so the observable evidence is the traversal itself:
-  // strictly fewer data touches on the warm run, same count. workers=1
-  // keeps both traversals deterministic.
+  // skips whole subtree scans: strictly fewer data touches on the warm run,
+  // same count, and each response reports its own run's cache traffic.
+  // workers=1 keeps both traversals deterministic.
   const QueryResponse first = service.Execute(Req(kFourCycle, "count"));
   ASSERT_EQ(first.status, RunStatus::kOk);
+  EXPECT_GT(first.stats.cache_inserts, 0u);
   const QueryResponse second = service.Execute(Req(kFourCycle, "count"));
   ASSERT_EQ(second.status, RunStatus::kOk);
   EXPECT_EQ(second.count, first.count);
   EXPECT_LT(second.stats.memory_accesses, first.stats.memory_accesses)
       << "the warmed cache must cut the warm run's subtree scans";
+  EXPECT_GT(second.stats.cache_hits, 0u);
+  EXPECT_EQ(second.stats.cache_inserts, 0u);
+}
+
+TEST(ServiceReuse, WireCacheCountersSumToTheInjectedTables) {
+  // Each run charges the hits (lock-free hot hits included), misses and
+  // accepted inserts of an injected table to its own ExecStats, so the
+  // ch/cm/ci fields of the responses, sent one at a time to one worker,
+  // add up to the tables' own totals. Reuse is off so that the test's
+  // tables are the ones injected; one shape per table keeps one plan's
+  // NodeId keyspace in each.
+  const Database db = testing::SmallSkewedDb(13);
+  StripedCacheManager<std::uint64_t> count_table(CacheOptions{}, 1,
+                                                 /*hot_reads=*/true);
+  StripedCacheManager<FactorizedSetPtr> eval_table(CacheOptions{}, 1,
+                                                   /*hot_reads=*/true);
+  ServiceOptions options;
+  options.workers = 1;
+  options.reuse.enabled = false;
+  options.engine_options.shared_count_cache = &count_table;
+  options.engine_options.shared_eval_cache = &eval_table;
+  QueryService service(db, options);
+
+  ExecStats wire;
+  for (int round = 0; round < 3; ++round) {
+    for (const char* mode : {"count", "eval"}) {
+      const QueryResponse response = service.Execute(Req(kFourCycle, mode));
+      ASSERT_EQ(response.status, RunStatus::kOk) << mode;
+      QueryResponse parsed;
+      std::string error;
+      ASSERT_TRUE(ParseResponse(FormatResponse(response), &parsed, &error))
+          << error;
+      wire.cache_hits += parsed.stats.cache_hits;
+      wire.cache_misses += parsed.stats.cache_misses;
+      wire.cache_inserts += parsed.stats.cache_inserts;
+    }
+  }
+  const ExecStats count_stats = count_table.AggregatedStats();
+  const ExecStats eval_stats = eval_table.AggregatedStats();
+  const std::uint64_t hot = count_table.HotHits() + eval_table.HotHits();
+  EXPECT_GT(hot, 0u) << "the warm rounds must take the hot path too";
+  EXPECT_EQ(wire.cache_hits, count_stats.cache_hits + eval_stats.cache_hits +
+                                 hot);
+  EXPECT_EQ(wire.cache_misses,
+            count_stats.cache_misses + eval_stats.cache_misses);
+  EXPECT_EQ(wire.cache_inserts,
+            count_stats.cache_inserts + eval_stats.cache_inserts);
+  EXPECT_GT(wire.cache_inserts, 0u);
 }
 
 TEST(ServiceReuse, DataChangeInvalidatesEveryReuseLayer) {

@@ -431,6 +431,36 @@ TEST(StripedCacheManager, EvictIfClearsHotSlots) {
   EXPECT_FALSE(cache.Lookup(0, PK({7, 8}), &out));
 }
 
+TEST(StripedCacheManager, EraseRemovesTheKeysAndTheirHotSlots) {
+  // Exact delta invalidation erases a key set: each key leaves the table
+  // and its hot slot, other entries stay, and a key the table no longer
+  // holds still loses its hot slot — a capacity eviction can leave an
+  // entry readable there.
+  StripedCacheManager<std::uint64_t> cache(Budget(), /*workers=*/4,
+                                           /*hot_reads=*/true);
+  cache.Insert(0, PK({7, 8}), 99);
+  cache.Insert(0, PK({1, 2}), 5);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(cache.Lookup(0, PK({7, 8}), &out));  // hot after this
+  EXPECT_EQ(cache.Erase(0, {PK({7, 8}), PK({9, 9})}), 1u);
+  EXPECT_FALSE(cache.Lookup(0, PK({7, 8}), &out));
+  ASSERT_TRUE(cache.Lookup(0, PK({1, 2}), &out));
+  EXPECT_EQ(out, 5u);
+  EXPECT_EQ(cache.Erase(1, {PK({1, 2})}), 0u) << "another node's key";
+
+  CacheOptions one;
+  one.capacity = 1;
+  StripedCacheManager<std::uint64_t> tiny(one, /*workers=*/1,
+                                          /*hot_reads=*/true);
+  tiny.Insert(0, PK({7, 8}), 99);
+  tiny.Insert(0, PK({1, 2}), 5);  // evicts (7,8) from the table
+  ASSERT_EQ(tiny.size(), 1u);
+  ASSERT_TRUE(tiny.Lookup(0, PK({7, 8}), &out)) << "lingers in its hot slot";
+  EXPECT_EQ(tiny.Erase(0, {PK({7, 8})}), 0u);
+  EXPECT_FALSE(tiny.Lookup(0, PK({7, 8}), &out));
+  EXPECT_TRUE(tiny.Lookup(0, PK({1, 2}), &out));
+}
+
 TEST(StripedStress, HotReadsEightThreadsAgainstWriterChurn) {
   // 8 readers hammer a hot key set through the seqlock path while a writer
   // keeps inserting (publishing) and bulk-evicting (clearing hot slots).
