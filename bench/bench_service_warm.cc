@@ -3,12 +3,14 @@
 // tries, and starts with an empty cache) versus a warm one (plan cache +
 // substrate registry + persistent striped caches, all warmed by one prior
 // identical request). The workload is the repeated-shape steady state the
-// reuse layer targets: a dashboard refiring the wiki-Vote 5-cycle count.
+// reuse layer targets: a dashboard refiring the wiki-Vote 4-cycle and
+// 5-cycle counts. A warm run of either is all cache hits, probed in groups
+// (docs/cache.md "Grouped probes").
 //
 // Beyond publishing both latencies, this bench *gates*: it exits nonzero
-// unless the warm service answers at least 2x faster than the cold one, so
-// a regression that silently disables any reuse layer fails scripts/check.sh
-// and the CI bench job outright.
+// unless, for each shape, the warm service answers at least 2x faster than
+// the cold one with the same count, so a regression that silently disables
+// any reuse layer fails scripts/check.sh and the CI bench job outright.
 
 #include <cstdio>
 #include <string>
@@ -20,26 +22,26 @@
 namespace clftj::bench {
 namespace {
 
-constexpr const char* kFiveCycle =
-    "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)";
+struct Shape {
+  const char* name;
+  const char* query;
+};
+constexpr Shape kShapes[] = {
+    {"4-cycle", "E(a,b), E(b,c), E(c,d), E(d,a)"},
+    {"5-cycle", "E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)"},
+};
+constexpr int kNumShapes = sizeof(kShapes) / sizeof(kShapes[0]);
 
-// Measured per-request seconds, filled by the benchmark bodies and compared
-// by the gate in main after RunSpecifiedBenchmarks.
-double& ColdSeconds() {
-  static double s = 0.0;
-  return s;
-}
-double& WarmSeconds() {
-  static double s = 0.0;
-  return s;
-}
-std::uint64_t& ColdCount() {
-  static std::uint64_t c = 0;
-  return c;
-}
-std::uint64_t& WarmCount() {
-  static std::uint64_t c = 0;
-  return c;
+// One side (cold or warm) of one shape: the measured per-request seconds
+// and count, filled by the benchmark bodies and compared by the gate in
+// main after RunSpecifiedBenchmarks.
+struct Side {
+  double seconds = 0.0;
+  std::uint64_t count = 0;
+};
+Side& Measured(int shape, bool warm) {
+  static Side sides[kNumShapes][2];
+  return sides[shape][warm ? 1 : 0];
 }
 
 // Runs `reps` identical requests through one service and reports the mean
@@ -48,7 +50,8 @@ std::uint64_t& WarmCount() {
 // planning/builds and warm cache lookups are both inside the measured
 // region. workers=1 keeps execution sequential, which keeps the published
 // memory_accesses deterministic for the bench_diff baseline gate.
-void ServiceBody(benchmark::State& state, bool warm, const std::string& name) {
+void ServiceBody(benchmark::State& state, int shape, bool warm,
+                 const std::string& name) {
   ServiceOptions options;
   options.workers = 1;
   options.engine = "CLFTJ";
@@ -56,7 +59,7 @@ void ServiceBody(benchmark::State& state, bool warm, const std::string& name) {
   QueryService service(SnapDb("wiki-Vote"), options);
 
   QueryRequest request;
-  request.query_text = kFiveCycle;
+  request.query_text = kShapes[shape].query;
   request.mode = "count";
   request.timeout_ms = static_cast<std::uint64_t>(Timeout() * 1000.0);
 
@@ -74,49 +77,57 @@ void ServiceBody(benchmark::State& state, bool warm, const std::string& name) {
     for (int i = 0; i < reps; ++i) last = service.Execute(request);
     const double seconds = timer.Seconds() / reps;
     CLFTJ_CHECK(last.status == RunStatus::kOk);
-    (warm ? WarmSeconds() : ColdSeconds()) = seconds;
-    (warm ? WarmCount() : ColdCount()) = last.count;
+    Measured(shape, warm) = {seconds, last.count};
     PublishResult(state, ToRunResult(last, seconds), name,
                   warm ? "service reuse=on" : "service reuse=off");
   }
 }
 
 void RegisterAll() {
-  for (const bool warm : {false, true}) {
-    const std::string name = std::string("ServiceWarm/wiki-Vote/5-cycle/") +
-                             (warm ? "warm" : "cold");
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [warm, name](benchmark::State& state) {
-                                   ServiceBody(state, warm, name);
-                                 })
-        ->Iterations(1)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond);
+  for (int shape = 0; shape < kNumShapes; ++shape) {
+    for (const bool warm : {false, true}) {
+      const std::string name = std::string("ServiceWarm/wiki-Vote/") +
+                               kShapes[shape].name + (warm ? "/warm" : "/cold");
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [shape, warm, name](benchmark::State& state) {
+            ServiceBody(state, shape, warm, name);
+          })
+          ->Iterations(1)
+          ->UseManualTime()
+          ->Unit(benchmark::kMillisecond);
+    }
   }
 }
 
-// Exit nonzero unless warm beat cold by >= 2x (the PR's acceptance bar) and
-// both sides agreed on the count (reuse must never change answers).
+// Exit nonzero unless, for every shape, warm beat cold by >= 2x (the PR's
+// acceptance bar) and both sides agreed on the count (reuse must never
+// change answers).
 int Gate() {
-  if (ColdSeconds() <= 0.0 || WarmSeconds() <= 0.0) {
-    // A --benchmark_filter run skipped one side; nothing to compare.
-    return 0;
+  for (int shape = 0; shape < kNumShapes; ++shape) {
+    const Side& cold = Measured(shape, false);
+    const Side& warm = Measured(shape, true);
+    const char* name = kShapes[shape].name;
+    if (cold.seconds <= 0.0 || warm.seconds <= 0.0) {
+      // A --benchmark_filter run skipped one side; nothing to compare.
+      continue;
+    }
+    if (cold.count != warm.count) {
+      return GateFail("bench_service_warm: FAIL — %s warm count %llu != cold "
+                      "count %llu (reuse changed the answer)\n",
+                      name, static_cast<unsigned long long>(warm.count),
+                      static_cast<unsigned long long>(cold.count));
+    }
+    const double speedup = cold.seconds / warm.seconds;
+    if (speedup < 2.0) {
+      return GateFail("bench_service_warm: FAIL — %s warm %.3f ms vs cold "
+                      "%.3f ms is only %.2fx (need >= 2x)\n",
+                      name, warm.seconds * 1e3, cold.seconds * 1e3, speedup);
+    }
+    std::printf("bench_service_warm: %s warm-over-cold speedup %.1fx "
+                "(cold %.3f ms, warm %.3f ms)\n",
+                name, speedup, cold.seconds * 1e3, warm.seconds * 1e3);
   }
-  if (ColdCount() != WarmCount()) {
-    return GateFail("bench_service_warm: FAIL — warm count %llu != cold count "
-                    "%llu (reuse changed the answer)\n",
-                    static_cast<unsigned long long>(WarmCount()),
-                    static_cast<unsigned long long>(ColdCount()));
-  }
-  const double speedup = ColdSeconds() / WarmSeconds();
-  if (speedup < 2.0) {
-    return GateFail("bench_service_warm: FAIL — warm %.3f ms vs cold %.3f ms "
-                    "is only %.2fx (need >= 2x)\n",
-                    WarmSeconds() * 1e3, ColdSeconds() * 1e3, speedup);
-  }
-  std::printf("bench_service_warm: warm-over-cold speedup %.1fx "
-              "(cold %.3f ms, warm %.3f ms)\n",
-              speedup, ColdSeconds() * 1e3, WarmSeconds() * 1e3);
   return 0;
 }
 

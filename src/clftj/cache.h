@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/check.h"
 #include "util/common.h"
 #include "util/fault.h"
 #include "util/hash.h"
@@ -81,6 +82,15 @@ inline std::uint64_t CacheKeyHash(NodeId node, PackedKey key) {
       HashCombine(0x2545f4914f6cdd1dull, static_cast<std::uint64_t>(node)));
 }
 
+/// The most keys one LookupMany call takes: its answer is a 64-bit mask,
+/// bit i set when key i hit (docs/cache.md "Grouped probes").
+inline constexpr int kMaxLookupGroup = 64;
+
+/// Bit i of a LookupMany hit mask.
+inline constexpr std::uint64_t LookupBit(int i) {
+  return std::uint64_t{1} << i;
+}
+
 /// The shared cache of CLFTJ: (TD node, adhesion assignment) -> payload,
 /// with a global entry budget and a global LRU chain. V is the payload:
 /// std::uint64_t for counting, a factorized-set pointer for evaluation.
@@ -124,6 +134,37 @@ class CacheManager {
     ++stats_->cache_hits;
     if (ranked_) MoveToFront(i);
     return &slots_[i].value;
+  }
+
+  /// Looks up n <= kMaxLookupGroup keys of one node: prefetches every
+  /// key's home slot, then probes the keys in order, so their table loads
+  /// are in flight together instead of one after another. Copies key i's
+  /// payload to out[i] and sets LookupBit(i) of the returned mask on a hit.
+  /// Answers, counters, memory accesses and recency are exactly those of n
+  /// Lookup calls in order.
+  std::uint64_t LookupMany(NodeId node, const PackedKey* keys, int n, V* out) {
+    CLFTJ_DCHECK(n <= kMaxLookupGroup);
+    std::uint64_t hashes[kMaxLookupGroup] = {};
+    for (int i = 0; i < n; ++i) {
+      hashes[i] = CacheKeyHash(node, keys[i]);
+      Prefetch(hashes[i]);
+    }
+    std::uint64_t hits = 0;
+    for (int i = 0; i < n; ++i) {
+      const V* hit = Lookup(node, keys[i], hashes[i]);
+      if (hit == nullptr) continue;
+      out[i] = *hit;
+      hits |= LookupBit(i);
+    }
+    return hits;
+  }
+
+  /// Starts loading the home slot of `hash` ahead of its Lookup. Charges
+  /// nothing and changes nothing; a caller sharing the table across
+  /// threads must hold the lock that guards it, since the slot array may
+  /// be reallocated by a concurrent Insert.
+  void Prefetch(std::uint64_t hash) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[hash & mask_]);
   }
 
   /// Inserts (node, key) -> value subject to the capacity policies (entry
@@ -564,7 +605,10 @@ struct HotPayload<V, false> {
 /// Concurrency contract: Lookup copies the payload out under the stripe
 /// mutex (a pointer into a slot would dangle the moment another shard
 /// inserts), and Insert publishes under the same mutex, so a payload
-/// frozen-before-insert is safely readable by every other thread. Stats
+/// frozen-before-insert is safely readable by every other thread.
+/// LookupMany does the same for a group of keys, one mutex acquisition per
+/// stripe the group touches, and reads a slot array (for its prefetches
+/// too) only under that stripe's mutex. Stats
 /// are charged to the owning stripe (hits, misses, probe memory accesses,
 /// evictions, peaks) and aggregated deterministically in ascending stripe
 /// order by AggregatedStats, read while no run is using the table. Lookup
@@ -637,6 +681,57 @@ class StripedCacheManager {
     *out = *hit;
     if (!s.hot.empty()) PublishHot(s, hash, node, key, *out);
     return true;
+  }
+
+  /// Looks up n <= kMaxLookupGroup keys of one node at once (docs/cache.md
+  /// "Grouped probes"). Keys whose hot slot matches are answered first,
+  /// without a lock. The rest are probed stripe by stripe: each stripe's
+  /// mutex is taken once, and under it the home slots of all that stripe's
+  /// keys are prefetched before any is probed, so their table loads are in
+  /// flight together. Copies key i's payload to out[i] and sets
+  /// LookupBit(i) of the returned mask on a hit. The answers, and the
+  /// stripes' hits and misses with HotHits, are those of n Lookup calls,
+  /// except that a hot slot may serve a hit the locked path would have
+  /// served (and counted in its stripe) had an earlier key of the group
+  /// overwritten that slot first.
+  std::uint64_t LookupMany(NodeId node, const PackedKey* keys, int n, V* out) {
+    CLFTJ_DCHECK(n <= kMaxLookupGroup);
+    std::uint64_t hashes[kMaxLookupGroup] = {};
+    // Keys left for the locked path, as one mask per stripe; `pending` has
+    // bit s set when stripe s has any.
+    std::uint64_t by_stripe[kMaxStripes] = {};
+    std::uint64_t pending = 0;
+    std::uint64_t hits = 0;
+    for (int i = 0; i < n; ++i) {
+      hashes[i] = CacheKeyHash(node, keys[i]);
+      const int si = StripeIndex(hashes[i]);
+      Stripe& s = *stripes_[si];
+      if (!s.hot.empty() && HotProbe(s, hashes[i], node, keys[i], &out[i])) {
+        s.hot_hits.fetch_add(1, std::memory_order_relaxed);
+        hits |= LookupBit(i);
+        continue;
+      }
+      pending |= LookupBit(si);
+      by_stripe[si] |= LookupBit(i);
+    }
+    for (; pending != 0; pending &= pending - 1) {
+      const int si = __builtin_ctzll(pending);
+      const std::uint64_t mine = by_stripe[si];
+      Stripe& s = *stripes_[si];
+      std::lock_guard<std::mutex> lock(s.mu);
+      for (std::uint64_t m = mine; m != 0; m &= m - 1) {
+        s.cache.Prefetch(hashes[__builtin_ctzll(m)]);
+      }
+      for (std::uint64_t m = mine; m != 0; m &= m - 1) {
+        const int i = __builtin_ctzll(m);
+        const V* hit = s.cache.Lookup(node, keys[i], hashes[i]);
+        if (hit == nullptr) continue;
+        out[i] = *hit;
+        hits |= LookupBit(i);
+        if (!s.hot.empty()) PublishHot(s, hashes[i], node, keys[i], out[i]);
+      }
+    }
+    return hits;
   }
 
   /// Inserts (node, key) -> value into the owning stripe, subject to that
@@ -766,15 +861,18 @@ class StripedCacheManager {
     return out;
   }
 
+  /// At most this many stripes, so LookupMany keeps one bit per stripe.
+  static constexpr int kMaxStripes = 64;
+
   /// Stripe-count policy: the smallest power of two >= 2x the worker count
-  /// (clamped to [1, 64]) keeps the expected contention on any one mutex
-  /// low without scattering a bounded budget too thin; a bounded budget
+  /// (clamped to [1, kMaxStripes]) keeps the expected contention on any one
+  /// mutex low without scattering a bounded budget too thin; a bounded budget
   /// additionally clamps the count so every stripe's slice is >= 1 entry
   /// (and >= 1 byte in byte mode).
   static int ChooseStripes(const CacheOptions& options, int workers) {
     const int w = workers < 1 ? 1 : workers;
     int want = 1;
-    while (want < 2 * w && want < 64) want <<= 1;
+    while (want < 2 * w && want < kMaxStripes) want <<= 1;
     while (want > 1 &&
            ((options.capacity > 0 &&
              static_cast<std::uint64_t>(want) > options.capacity) ||
@@ -820,9 +918,11 @@ class StripedCacheManager {
     std::atomic<std::uint64_t> hot_hits{0};
   };
 
-  Stripe& StripeAt(std::uint64_t hash) {
-    if (stripe_shift_ == 0) return *stripes_[0];  // >> 64 would be UB
-    return *stripes_[hash >> (64 - stripe_shift_)];
+  Stripe& StripeAt(std::uint64_t hash) { return *stripes_[StripeIndex(hash)]; }
+
+  int StripeIndex(std::uint64_t hash) const {
+    if (stripe_shift_ == 0) return 0;  // >> 64 would be UB
+    return static_cast<int>(hash >> (64 - stripe_shift_));
   }
 
   static std::size_t HotIndex(std::uint64_t hash) {
@@ -913,6 +1013,18 @@ class RunCache {
     if (hit == nullptr) return false;
     *out = *hit;
     return true;
+  }
+
+  /// n <= kMaxLookupGroup Lookups of one node's keys as one probe group
+  /// (CacheManager::LookupMany or StripedCacheManager::LookupMany), charged
+  /// to the run like n Lookup calls. Returns the hit mask.
+  std::uint64_t LookupMany(NodeId node, const PackedKey* keys, int n, V* out) {
+    if (shared_ == nullptr) return private_.LookupMany(node, keys, n, out);
+    const std::uint64_t hits = shared_->LookupMany(node, keys, n, out);
+    const int found = __builtin_popcountll(hits);
+    stats_->cache_hits += found;
+    stats_->cache_misses += n - found;
+    return hits;
   }
 
   void Insert(NodeId node, PackedKey key, V value) {

@@ -46,29 +46,51 @@ typename S::Value CountRun<S>::WeightsAt(int d) const {
 }
 
 template <typename S>
+void CountRun<S>::PlanProbeGroups() {
+  for (int d = 0; d + 1 < static_cast<int>(plan_.order.size()); ++d) {
+    const NodeId c = plan_.owner_of_depth[d + 1];
+    if (c == plan_.owner_of_depth[d] || !plan_.cacheable[c]) continue;
+    // The adhesion's other variables sit above depth d and stay bound
+    // through d's loop, so order[d] in it makes the child's keys distinct.
+    const std::vector<VarId>& adhesion = plan_.adhesion_vars[c];
+    if (std::find(adhesion.begin(), adhesion.end(), plan_.order[d]) ==
+        adhesion.end()) {
+      continue;
+    }
+    groups_[d] = std::make_unique<ProbeGroup>();
+    groups_[d]->child = c;
+  }
+}
+
+template <typename S>
 template <bool kWeighted>
-void CountRun<S>::RCachedJoin(int d, Weight f) {
+void CountRun<S>::RCachedJoin(int d, Weight f, const PackedKey* key,
+                              const Weight* hit) {
   if (d == static_cast<int>(plan_.order.size())) {
     total_ = S::Plus(total_, f);
     return;
   }
   const NodeId v = plan_.owner_of_depth[d];
   const bool entering = d > 0 && plan_.owner_of_depth[d - 1] != v;
-  PackedKey& key = node_key_[v];
+  PackedKey own_key;
   bool try_cache = false;
   if (entering) {
     intrmd_[v] = S::Zero();
     if (plan_.cacheable[v]) {
       try_cache = true;
-      key = plan_.AdhesionKey(v, assignment_);
-      Weight hit;
-      if (cache_.Lookup(v, key, &hit)) {
-        intrmd_[v] = hit;
+      Weight found = S::Zero();
+      if (key == nullptr) {
+        own_key = plan_.AdhesionKey(v, assignment_);
+        key = &own_key;
+        if (cache_.Lookup(v, own_key, &found)) hit = &found;
+      }
+      if (hit != nullptr) {
+        intrmd_[v] = *hit;
         // Zero annihilates ⊗: skipping the dead branch is sound.
-        if (!(hit == S::Zero())) {
+        if (!(*hit == S::Zero())) {
           // Skip the whole subtree of v; its contribution is the factor.
           RCachedJoin<kWeighted>(plan_.subtree_last_depth[v] + 1,
-                                 S::Times(f, hit));
+                                 S::Times(f, *hit));
         }
         return;
       }
@@ -76,46 +98,96 @@ void CountRun<S>::RCachedJoin(int d, Weight f) {
   }
 
   LeapfrogJoin* join = ctx_->EnterDepth(d);
-  const bool is_last_owned = d == plan_.last_depth[v];
   if (d == 0 && !join->AtEnd() && join->Key() < range_.lo) {
     join->Seek(range_.lo);
   }
-  while (!join->AtEnd()) {
-    if (d == 0 && range_.has_hi && join->Key() >= range_.hi) break;
-    if (deadline_.Expired()) {
-      aborted_ = true;
-      break;
+  if (groups_[d] != nullptr) {
+    GroupedLoop<kWeighted>(d, f, join, *groups_[d]);
+  } else {
+    while (TakesNext(d, *join)) {
+      Visit<kWeighted>(d, f, join->Key(), nullptr, nullptr);
+      if (aborted_) break;
+      join->Next();
     }
-    assignment_[plan_.order[d]] = join->Key();
-    if constexpr (kWeighted) {
-      depth_weight_[d] = WeightsAt(d);
-      RCachedJoin<true>(d + 1, S::Times(f, depth_weight_[d]));
-    } else {
-      RCachedJoin<false>(d + 1, f);
-    }
-    if (aborted_) break;
-    if (is_last_owned) {
-      // intrmd(v) += (weights of the atoms completing at v's own depths) ⊗
-      // the children's intermediates.
-      Weight local = S::One();
-      if constexpr (kWeighted) {
-        for (int dd = plan_.first_depth[v]; dd <= plan_.last_depth[v]; ++dd) {
-          local = S::Times(local, depth_weight_[dd]);
-        }
-      }
-      for (const NodeId c : plan_.children[v]) {
-        local = S::Times(local, intrmd_[c]);
-      }
-      intrmd_[v] = S::Plus(intrmd_[v], local);
-    }
-    join->Next();
   }
   assignment_[plan_.order[d]] = kNullValue;
   ctx_->LeaveDepth(d);
 
-  if (try_cache && !aborted_ && plan_.AdmitsKey(v, key)) {
-    cache_.Insert(v, key, intrmd_[v]);
+  if (try_cache && !aborted_ && plan_.AdmitsKey(v, *key)) {
+    cache_.Insert(v, *key, intrmd_[v]);
   }
+}
+
+template <typename S>
+template <bool kWeighted>
+void CountRun<S>::GroupedLoop(int d, Weight f, LeapfrogJoin* join,
+                              ProbeGroup& g) {
+  const std::size_t width = join->width();
+  g.positions.resize((kMaxLookupGroup + 1) * width);
+  const VarId x = plan_.order[d];
+  int n = kMaxLookupGroup;
+  while (n == kMaxLookupGroup) {
+    // Run the join ahead, saving its cursor at each value it stops at;
+    // the Next()s are the ones the one-at-a-time loop makes.
+    n = 0;
+    while (n < kMaxLookupGroup && TakesNext(d, *join)) {
+      g.values[n] = join->Key();
+      assignment_[x] = g.values[n];
+      g.keys[n] = plan_.AdhesionKey(g.child, assignment_);
+      g.marks[n] = join->Save(&g.positions[n * width]);
+      join->Next();
+      ++n;
+    }
+    if (aborted_) return;
+    g.marks[n] = join->Save(&g.positions[n * width]);
+    const std::uint64_t hits = cache_.LookupMany(g.child, g.keys, n, g.hits);
+    for (int i = 0; i < n; ++i) {
+      // The descent opens iterators from depth d's positions, on a hit too
+      // (a sibling of the child may follow): put the cursor back first.
+      join->Restore(g.marks[i], &g.positions[i * width]);
+      Visit<kWeighted>(d, f, g.values[i], &g.keys[i],
+                       (hits & LookupBit(i)) != 0 ? &g.hits[i] : nullptr);
+      if (aborted_) return;
+    }
+    join->Restore(g.marks[n], &g.positions[n * width]);
+  }
+}
+
+template <typename S>
+inline bool CountRun<S>::TakesNext(int d, const LeapfrogJoin& join) {
+  if (join.AtEnd()) return false;
+  if (d == 0 && range_.has_hi && join.Key() >= range_.hi) return false;
+  if (deadline_.Expired()) {
+    aborted_ = true;
+    return false;
+  }
+  return true;
+}
+
+template <typename S>
+template <bool kWeighted>
+inline void CountRun<S>::Visit(int d, Weight f, Value x,
+                               const PackedKey* key, const Weight* hit) {
+  assignment_[plan_.order[d]] = x;
+  if constexpr (kWeighted) {
+    depth_weight_[d] = WeightsAt(d);
+    f = S::Times(f, depth_weight_[d]);
+  }
+  RCachedJoin<kWeighted>(d + 1, f, key, hit);
+  const NodeId v = plan_.owner_of_depth[d];
+  if (aborted_ || d != plan_.last_depth[v]) return;
+  // intrmd(v) += (weights of the atoms completing at v's own depths) ⊗ the
+  // children's intermediates.
+  Weight local = S::One();
+  if constexpr (kWeighted) {
+    for (int dd = plan_.first_depth[v]; dd <= plan_.last_depth[v]; ++dd) {
+      local = S::Times(local, depth_weight_[dd]);
+    }
+  }
+  for (const NodeId c : plan_.children[v]) {
+    local = S::Times(local, intrmd_[c]);
+  }
+  intrmd_[v] = S::Plus(intrmd_[v], local);
 }
 
 void EvalRun::Emit() {
@@ -369,9 +441,11 @@ struct ShardOutcome {
 // Merges the shards' stats into *into and returns the run's typed status.
 // Counters sum (ExecStats::Merge), but cache peaks are re-accumulated as
 // sums because the K private caches coexist — the run's true peak
-// footprint is the sum of shard peaks, not their max. An injected
-// persistent cache keeps its traffic in its own per-stripe stats, which
-// stay out of the run's: that table is live across runs.
+// footprint is the sum of shard peaks, not their max. Over an injected
+// persistent cache each shard has counted its own hits, misses and inserts
+// (RunCache), so they sum here like any counter; the table's probe memory
+// accesses, evictions and peaks stay in its per-stripe stats, out of the
+// run's: that table is live across runs.
 RunStatus MergeShards(const std::vector<ShardOutcome>& out,
                       const AbortFlag* abort, ExecStats* into) {
   std::uint64_t entries_peak = into->cache_entries_peak;

@@ -94,11 +94,12 @@ class CountRun {
         weights_(weights),
         cache_(cache_options, stats, shared_cache),
         intrmd_(plan.cacheable.size(), S::Zero()),
-        node_key_(plan.cacheable.size()),
+        groups_(plan.order.size()),
         assignment_(plan.order.size(), kNullValue),
         range_(range),
         deadline_(limits.timeout_seconds, abort) {
     if (weights_ != nullptr) depth_weight_.assign(plan.order.size(), S::One());
+    PlanProbeGroups();
   }
 
   /// The ⊕-sum of this run's range.
@@ -107,10 +108,58 @@ class CountRun {
   bool timed_out() const { return aborted_; }
 
  private:
-  /// kWeighted is fixed per run, so the unweighted loop carries no weight
-  /// test at all.
+  /// The state of a depth d whose loop probes its child's keys in groups
+  /// (docs/cache.md "Grouped probes"): depth d + 1 enters the cacheable
+  /// node `child`, and order[d] is in child's adhesion, so every value of
+  /// d gives a distinct key. Per gathered value i: the value, the child's
+  /// key, the probe's payload on a hit, and the join's saved cursor (its
+  /// mark and the participants' positions, row i of `positions`). After n
+  /// values, mark n and row n hold the cursor past them.
+  struct ProbeGroup {
+    NodeId child = kNone;
+    Value values[kMaxLookupGroup] = {};
+    PackedKey keys[kMaxLookupGroup] = {};
+    Weight hits[kMaxLookupGroup] = {};
+    LeapfrogJoin::Mark marks[kMaxLookupGroup + 1] = {};
+    std::vector<std::size_t> positions;
+  };
+
+  /// Fills groups_ from the plan: a ProbeGroup for every depth whose child
+  /// keys are distinct, none elsewhere.
+  void PlanProbeGroups();
+
+  /// Figure 2's RCachedJoin from depth d with ⊗-factor f. kWeighted is
+  /// fixed per run, so the unweighted loop carries no weight test at all.
+  /// When depth d enters a cacheable node whose probe a grouping depth has
+  /// already made, `key` is the node's adhesion key and `hit` the cached
+  /// value, or null on a miss; otherwise `key` is null and the entry probes
+  /// for itself.
   template <bool kWeighted>
-  void RCachedJoin(int d, Weight f);
+  void RCachedJoin(int d, Weight f, const PackedKey* key = nullptr,
+                   const Weight* hit = nullptr);
+
+  /// The grouped loop of depth d (see ProbeGroup): gathers up to
+  /// kMaxLookupGroup values, probes their child keys with one LookupMany,
+  /// then restores the join's cursor at each value and visits it with its
+  /// probe's answer.
+  template <bool kWeighted>
+  void GroupedLoop(int d, Weight f, LeapfrogJoin* join, ProbeGroup& g);
+
+  /// True when depth d's loop may take the join's current value: the join
+  /// is not exhausted, the value lies below the shard's upper bound, and
+  /// the deadline has not expired (which aborts the run).
+  [[gnu::always_inline]] inline bool TakesNext(int d,
+                                               const LeapfrogJoin& join);
+
+  /// The loop body of depth d for its value x, written once for both loop
+  /// shapes (and inlined into each): binds x, descends to depth d + 1 —
+  /// handing over the grouped child's answered probe when `key` is set —
+  /// and at the owner's last depth folds the children's intermediates into
+  /// the owner's.
+  template <bool kWeighted>
+  [[gnu::always_inline]] inline void Visit(int d, Weight f, Value x,
+                                           const PackedKey* key,
+                                           const Weight* hit);
 
   /// ⊗ of the weights of the atoms whose last variable sits at depth d.
   Weight WeightsAt(int d) const;
@@ -120,7 +169,7 @@ class CountRun {
   const AtomWeights<S>* weights_;
   RunCache<Weight> cache_;
   std::vector<Weight> intrmd_;
-  std::vector<PackedKey> node_key_;
+  std::vector<std::unique_ptr<ProbeGroup>> groups_;  // per depth, or null
   std::vector<Weight> depth_weight_;  // weighted runs only: per depth
   Tuple assignment_;
   FirstVarRange range_;
@@ -251,9 +300,11 @@ class EvalRun {
 /// entries earlier runs left behind are hits the cold run did not have.
 /// Stats are fully deterministic too: each shard's traversal is
 /// fixed, and the merged stats report the shard sum, with cache peaks
-/// summed because the private caches coexist. An injected cache charges
-/// its traffic to its own stripes, and whether shard B hits a subtree
-/// shard A computes then depends on which run inserted first.
+/// summed because the private caches coexist. Over an injected cache each
+/// run still counts its own hits, misses and inserts (RunCache), while the
+/// table's probe memory accesses, evictions and peaks stay in its stripes;
+/// whether shard B hits a subtree shard A computes then depends on which
+/// run inserted first.
 class CachedTrieJoin : public JoinEngine {
  public:
   struct Options {

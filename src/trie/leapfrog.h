@@ -33,7 +33,13 @@ namespace clftj {
 /// by TrieIterator.SeekCountsMatchScalarReference in tests/trie_test.cc).
 /// A short seek (ShortSeekLowerBound below) is found by a scan instead and
 /// charged GallopCharge of its landing offset: the same probes, computed
-/// rather than executed.
+/// rather than executed. Saving and restoring a cursor
+/// (TrieIterator::Position/Restore, LeapfrogJoin::Save/Restore) charges
+/// nothing. A pass that runs a join ahead over k values and then restores
+/// each value's cursor before descending from it (CountRun's grouped
+/// probes, docs/cache.md "Grouped probes") therefore charges exactly what
+/// the straight pass charges: every Next, Seek and Open runs once, from
+/// the same position, only in another order.
 inline std::size_t GallopingLowerBound(const Value* vals, std::size_t pos,
                                        std::size_t end, Value bound,
                                        std::uint64_t* comparisons) {
@@ -251,6 +257,39 @@ class LeapfrogJoin {
 
   /// Advances to the least common value >= bound.
   void Seek(Value bound);
+
+  /// The join's own part of a saved cursor (see Save).
+  struct Mark {
+    std::size_t lead = 0;
+    Value key = 0;
+    bool at_end = false;
+  };
+
+  /// The number of participating iterators: the length of the position
+  /// array Save writes and Restore reads.
+  std::size_t width() const { return iters_.size(); }
+
+  /// Saves the cursor: returns the join's own state and writes each
+  /// participant's position to positions[0..width()). Restore(mark,
+  /// positions) puts the join and every participant back exactly there,
+  /// so a caller can run ahead with Next() and come back. Neither charges
+  /// a memory access (see the counting contract above). Between the two,
+  /// a participant Open()ed deeper must have been Up()ed again: a restore
+  /// moves within a sibling group, never across one.
+  Mark Save(std::size_t* positions) const {
+    for (std::size_t i = 0; i < iters_.size(); ++i) {
+      positions[i] = iters_[i]->Position();
+    }
+    return {p_, key_, at_end_};
+  }
+  void Restore(const Mark& mark, const std::size_t* positions) {
+    for (std::size_t i = 0; i < iters_.size(); ++i) {
+      iters_[i]->Restore(positions[i]);
+    }
+    p_ = mark.lead;
+    key_ = mark.key;
+    at_end_ = mark.at_end;
+  }
 
  private:
   void Search();  // leapfrog_search of the paper

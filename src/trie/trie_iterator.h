@@ -76,6 +76,18 @@ class TrieIterator {
     SeekAhead(bound);
   }
 
+  /// The cursor's position within its current sibling group, for Restore.
+  std::size_t Position() const { return pos_; }
+
+  /// Moves back (or ahead) to a position Position() returned at this depth
+  /// in this sibling group. Charges no memory access: it reads no value,
+  /// and the position was paid for when the cursor first reached it (see
+  /// the counting contract in trie/leapfrog.h).
+  void Restore(std::size_t pos) {
+    CLFTJ_DCHECK(depth_ >= 0 && pos <= end_);
+    pos_ = pos;
+  }
+
  private:
   // One trie level as the cursor sees it. Index 0 is the virtual root,
   // whose one node's children are all of trie level 0; index d + 1 is

@@ -265,6 +265,57 @@ TEST(CacheManager, LruOrderSurvivesEvictionBackwardShift) {
 
 // --- In-place targeted eviction ------------------------------------------
 
+TEST(CacheManager, LookupManyMatchesLookupsInOrder) {
+  // Two tables fed the same inserts answer random groups of keys (present
+  // and absent, some repeated), one by LookupMany and one by Lookup calls
+  // in order: same hit masks and payloads, same counters and memory
+  // accesses, and for the budgeted table the same recency order, which
+  // the inserts between groups turn into the same evictions.
+  for (const std::uint64_t capacity : {std::uint64_t{0}, std::uint64_t{40}}) {
+    SCOPED_TRACE(capacity == 0 ? "unbounded" : "capacity 40");
+    CacheOptions options;
+    options.capacity = capacity;
+    ExecStats many_stats;
+    ExecStats one_stats;
+    CacheManager<std::uint64_t> many(options, &many_stats);
+    CacheManager<std::uint64_t> one(options, &one_stats);
+    std::mt19937_64 rng(77);
+    for (int round = 0; round < 200; ++round) {
+      for (int i = 0; i < 5; ++i) {
+        const Value v = static_cast<Value>(rng() % 120);
+        many.Insert(1, PK({v, v + 1}), static_cast<std::uint64_t>(v) * 7);
+        one.Insert(1, PK({v, v + 1}), static_cast<std::uint64_t>(v) * 7);
+      }
+      const int n = 1 + static_cast<int>(rng() % kMaxLookupGroup);
+      std::vector<PackedKey> keys;
+      for (int i = 0; i < n; ++i) {
+        const Value v = static_cast<Value>(rng() % 160);
+        keys.push_back(PK({v, v + 1}));
+      }
+      std::vector<std::uint64_t> out(n, 0);
+      const std::uint64_t mask = many.LookupMany(1, keys.data(), n, out.data());
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t* hit = one.Lookup(1, keys[i]);
+        ASSERT_EQ((mask & LookupBit(i)) != 0, hit != nullptr)
+            << "round " << round << " key " << i;
+        if (hit != nullptr) {
+          EXPECT_EQ(out[i], *hit);
+        }
+      }
+      if (n < kMaxLookupGroup) {
+        EXPECT_EQ(mask >> n, 0u);
+      }
+    }
+    EXPECT_EQ(many_stats.cache_hits, one_stats.cache_hits);
+    EXPECT_EQ(many_stats.cache_misses, one_stats.cache_misses);
+    EXPECT_EQ(many_stats.cache_evictions, one_stats.cache_evictions);
+    EXPECT_EQ(many_stats.memory_accesses, one_stats.memory_accesses);
+    EXPECT_EQ(many.LruOrderForTest(), one.LruOrderForTest());
+    EXPECT_GT(many_stats.cache_hits, 0u);
+    EXPECT_GT(many_stats.cache_misses, 0u);
+  }
+}
+
 TEST(CacheManager, EvictIfInPlaceKeepsSurvivorsAndRecency) {
   // Two tables of 16 slots that never grow here: a bounded cache of
   // capacity 8 (pre-sized for its budget) and an unbounded one, which

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <optional>
+#include <thread>
 #include <tuple>
+#include <vector>
 
+#include "clftj/cache.h"
 #include "clftj/cached_trie_join.h"
 #include "clftj/factorized.h"
+#include "clftj/semiring.h"
 #include "lftj/trie_join.h"
 #include "query/patterns.h"
 #include "tests/test_util.h"
@@ -343,6 +352,276 @@ TEST(Clftj, DisconnectedQueryUsesEmptyAdhesionCache) {
   CachedTrieJoin engine;
   const Query q = Q("E(a,b), E(c,d)");
   EXPECT_EQ(engine.Count(q, db, {}).count, 9u);
+}
+
+// --- Grouped cache probes (docs/cache.md "Grouped probes") ---
+
+// An atom's weight from its endpoint values, so brute force over the
+// reference tuples and the engine agree without shared state.
+double EndpointWeight(const Query& q, AtomId a, const Tuple& mu) {
+  double w = 1.0;
+  for (const Term& t : q.atom(a).terms) {
+    if (t.is_variable) w += 0.01 * static_cast<double>(mu[t.var] % 13);
+  }
+  return w;
+}
+
+template <typename S>
+typename S::Value BruteAggregate(const Query& q,
+                                 const std::vector<Tuple>& tuples) {
+  typename S::Value total = S::Zero();
+  for (const Tuple& t : tuples) {
+    typename S::Value prod = S::One();
+    for (AtomId a = 0; a < q.num_atoms(); ++a) {
+      prod = S::Times(prod, EndpointWeight(q, a, t));
+    }
+    total = S::Plus(total, prod);
+  }
+  return total;
+}
+
+// One whole-domain CountRun<S> weighted by EndpointWeight over the striped
+// table `table`: the engine injects only count tables, so this is how a
+// weighted aggregate runs cold and then warm against one persistent table.
+template <typename S>
+typename S::Value InjectedAggregate(const Query& q, const Database& db,
+                                    StripedCacheManager<typename S::Value>*
+                                        table) {
+  const CachedPlan plan = CachedPlan::Resolve(q, db, std::nullopt,
+                                              PlannerOptions{}, CacheOptions{});
+  const TrieJoinSubstrate substrate(q, db, plan.order);
+  if (substrate.HasEmptyAtom()) return S::Zero();
+  AtomWeights<S> weights;
+  weights.fn = [&q](AtomId a, const Tuple& mu) {
+    return static_cast<typename S::Value>(EndpointWeight(q, a, mu));
+  };
+  weights.ending_at.resize(plan.order.size());
+  for (AtomId a = 0; a < q.num_atoms(); ++a) {
+    int last = 0;
+    for (const VarId x : q.atom(a).Vars()) {
+      last = std::max(last, plan.var_rank[x]);
+    }
+    weights.ending_at[last].push_back(a);
+  }
+  ExecStats stats;
+  TrieJoinContext ctx(substrate, &stats);
+  CountRun<S> run(plan, CacheOptions{}, &ctx, &stats, RunLimits{}, {},
+                  nullptr, table, &weights);
+  return run.Run();
+}
+
+// The cache budgets of the grouped-probe tests: unbounded, and 16 entries
+// under each eviction policy.
+std::vector<CacheOptions> GroupedProbeBudgets() {
+  CacheOptions lru;
+  lru.capacity = 16;
+  lru.eviction = CacheOptions::Eviction::kLru;
+  CacheOptions reject = lru;
+  reject.eviction = CacheOptions::Eviction::kRejectNew;
+  return {CacheOptions{}, lru, reject};
+}
+
+TEST(GroupedProbes, CountsAndAggregatesMatchTheReference) {
+  // Every run probes its children's keys in groups wherever a depth's
+  // variable is in the child's adhesion. At 1, 2 and 4 threads, unbounded
+  // and under 16-entry LRU and reject-new budgets, counts and the four
+  // weighted aggregates must equal LFTJ's count and the brute-force
+  // aggregates over LFTJ's tuples; counts also through an injected table,
+  // cold and then warm, and the weighted aggregates cold and warm over one
+  // injected table of their own.
+  const Database db = SmallSkewedDb(61, 45, 3);
+  for (const Query& q :
+       {CycleQuery(4), CycleQuery(5), PathQuery(4), LollipopQuery(3, 2),
+        RandomPatternQuery(4, 0.6, 62), RandomPatternQuery(5, 0.5, 61),
+        RandomPatternQuery(6, 0.4, 63)}) {
+    SCOPED_TRACE(q.ToString());
+    LeapfrogTrieJoin lftj;
+    const std::uint64_t count = lftj.Count(q, db, {}).count;
+    const std::vector<Tuple> tuples = CollectTuples(lftj, q, db);
+    ASSERT_EQ(tuples.size(), count);
+    const double real = BruteAggregate<RealSemiring>(q, tuples);
+    const double heaviest = BruteAggregate<MaxPlusSemiring>(q, tuples);
+    const double lightest = BruteAggregate<MinPlusSemiring>(q, tuples);
+    const auto weight = [&q](AtomId a, const Tuple& mu) {
+      return EndpointWeight(q, a, mu);
+    };
+    const double tolerance = 1e-9 * std::max(1.0, std::fabs(real));
+    for (const int threads : {1, 2, 4}) {
+      for (const CacheOptions& budget : GroupedProbeBudgets()) {
+        SCOPED_TRACE(::testing::Message() << "threads " << threads << " "
+                                          << budget.ToString());
+        CachedTrieJoin::Options options;
+        options.threads = threads;
+        options.cache = budget;
+        CachedTrieJoin engine(options);
+        EXPECT_EQ(engine.Count(q, db, {}).count, count);
+        EXPECT_EQ(engine.Aggregate<CountingSemiring>(q, db).value, count);
+        EXPECT_NEAR(engine.Aggregate<RealSemiring>(q, db, weight).value, real,
+                    tolerance);
+        EXPECT_NEAR(engine.Aggregate<MaxPlusSemiring>(q, db, weight).value,
+                    heaviest, 1e-9);
+        EXPECT_NEAR(engine.Aggregate<MinPlusSemiring>(q, db, weight).value,
+                    lightest, 1e-9);
+        EXPECT_EQ(engine.Aggregate<BooleanSemiring>(q, db).value, count > 0);
+
+        StripedCacheManager<std::uint64_t> table(budget, threads,
+                                                 /*hot_reads=*/true);
+        options.shared_count_cache = &table;
+        CachedTrieJoin injected(options);
+        EXPECT_EQ(injected.Count(q, db, {}).count, count) << "cold";
+        EXPECT_EQ(injected.Count(q, db, {}).count, count) << "warm";
+      }
+    }
+    StripedCacheManager<double> real_table(CacheOptions{}, 1, true);
+    StripedCacheManager<double> max_table(CacheOptions{}, 1, true);
+    StripedCacheManager<double> min_table(CacheOptions{}, 1, true);
+    for (const char* pass : {"cold", "warm"}) {
+      EXPECT_NEAR(InjectedAggregate<RealSemiring>(q, db, &real_table), real,
+                  tolerance)
+          << pass;
+      EXPECT_NEAR(InjectedAggregate<MaxPlusSemiring>(q, db, &max_table),
+                  heaviest, 1e-9)
+          << pass;
+      EXPECT_NEAR(InjectedAggregate<MinPlusSemiring>(q, db, &min_table),
+                  lightest, 1e-9)
+          << pass;
+    }
+  }
+}
+
+TEST(GroupedProbes, FullGroupsResumeWhereTheyLeftOff) {
+  // A hub adjacent to every node gives the grouping depths sibling runs of
+  // hundreds of values, so a loop fills many groups of kMaxLookupGroup in
+  // a row and must resume each from the cursor saved past the last one.
+  Relation e = PreferentialAttachmentGraph("E", 300, 3, /*seed=*/79);
+  for (Value v = 1; v < 300; ++v) {
+    e.AddPair(0, v);
+    e.AddPair(v, 0);
+  }
+  Database db;
+  db.Put(std::move(e));
+  for (const Query& q : {CycleQuery(4), PathQuery(4), LollipopQuery(3, 2)}) {
+    SCOPED_TRACE(q.ToString());
+    LeapfrogTrieJoin lftj;
+    const std::uint64_t count = lftj.Count(q, db, {}).count;
+    for (const int threads : {1, 4}) {
+      for (const CacheOptions& budget : GroupedProbeBudgets()) {
+        CachedTrieJoin::Options options;
+        options.threads = threads;
+        options.cache = budget;
+        CachedTrieJoin engine(options);
+        EXPECT_EQ(engine.Count(q, db, {}).count, count)
+            << threads << " " << budget.ToString();
+        StripedCacheManager<std::uint64_t> table(budget, threads,
+                                                 /*hot_reads=*/true);
+        options.shared_count_cache = &table;
+        CachedTrieJoin injected(options);
+        EXPECT_EQ(injected.Count(q, db, {}).count, count) << "cold";
+        EXPECT_EQ(injected.Count(q, db, {}).count, count) << "warm";
+      }
+    }
+  }
+}
+
+TEST(GroupedProbes, ColdCountsProbeLikeTheOneKeyAtATimeEvalRun) {
+  // A group's keys are distinct, so probing them before any of their
+  // subtrees inserts loses no hit: over a private unbounded cache a cold
+  // count must see exactly the hits, misses and inserts of an evaluation
+  // of the same plan, which still probes one key at a time.
+  const Database db = SmallSkewedDb(73, 60, 3);
+  for (const Query& q :
+       {CycleQuery(4), CycleQuery(5), PathQuery(5), LollipopQuery(3, 2),
+        RandomPatternQuery(5, 0.5, 74), RandomPatternQuery(6, 0.4, 75)}) {
+    CachedTrieJoin engine;
+    const RunResult count = engine.Count(q, db, {});
+    const RunResult eval = engine.Evaluate(q, db, [](const Tuple&) {}, {});
+    ASSERT_EQ(count.count, eval.count) << q.ToString();
+    EXPECT_EQ(count.stats.cache_hits, eval.stats.cache_hits) << q.ToString();
+    EXPECT_EQ(count.stats.cache_misses, eval.stats.cache_misses)
+        << q.ToString();
+    EXPECT_EQ(count.stats.cache_inserts, eval.stats.cache_inserts)
+        << q.ToString();
+  }
+}
+
+TEST(GroupedProbes, WarmRunHitsEveryProbeOfTheColdRun) {
+  // The 4-cycle's plan caches one node, entered once per root-bag tuple
+  // whatever hits elsewhere, so a cold run's hits and misses together
+  // count its probes; a warm run over the same unbounded table must hit
+  // every one of them, probed in groups, at every thread count.
+  const Database db = SmallSkewedDb(67, 80, 4);
+  const Query q = CycleQuery(4);
+  const CachedPlan plan = CachedPlan::Resolve(q, db, std::nullopt,
+                                              PlannerOptions{}, CacheOptions{});
+  ASSERT_EQ(std::count(plan.cacheable.begin(), plan.cacheable.end(), true), 1);
+  for (const int threads : {1, 2, 4}) {
+    StripedCacheManager<std::uint64_t> table(CacheOptions{}, threads,
+                                             /*hot_reads=*/true);
+    CachedTrieJoin::Options options;
+    options.threads = threads;
+    options.shared_count_cache = &table;
+    CachedTrieJoin engine(options);
+    const RunResult cold = engine.Count(q, db, {});
+    const RunResult warm = engine.Count(q, db, {});
+    EXPECT_GT(cold.stats.cache_misses, 0u) << threads;
+    EXPECT_EQ(warm.stats.cache_hits,
+              cold.stats.cache_hits + cold.stats.cache_misses)
+        << threads;
+    EXPECT_EQ(warm.stats.cache_misses, 0u) << threads;
+    EXPECT_EQ(warm.stats.cache_inserts, 0u) << threads;
+    EXPECT_EQ(warm.count, cold.count) << threads;
+  }
+}
+
+TEST(GroupedProbes, TripsInsideAGroupEndWithATypedStatus) {
+  // Weights are taken as each value is visited, which at the grouping
+  // depth and below happens while a probe group is replayed. A weight
+  // function that trips the run's cancel handle, or sleeps past its
+  // deadline, on its 300th call therefore stops the run inside a group;
+  // the run must still stop early with the typed status.
+  const Database db = SmallSkewedDb(71, 300, 6);
+  const Query q = CycleQuery(4);
+  for (const int threads : {1, 4}) {
+    CachedTrieJoin::Options options;
+    options.threads = threads;
+    CachedTrieJoin engine(options);
+    const auto full = engine.Aggregate<RealSemiring>(
+        q, db, [&q](AtomId a, const Tuple& mu) {
+          return EndpointWeight(q, a, mu);
+        });
+    ASSERT_EQ(full.status, RunStatus::kOk);
+
+    AbortFlag cancel;
+    std::atomic<int> calls{0};
+    RunLimits cancelled_limits;
+    cancelled_limits.cancel = &cancel;
+    const auto cancelled = engine.Aggregate<RealSemiring>(
+        q, db,
+        [&](AtomId a, const Tuple& mu) {
+          if (calls.fetch_add(1) == 300) cancel.Trip(RunStatus::kCancelled);
+          return EndpointWeight(q, a, mu);
+        },
+        cancelled_limits);
+    EXPECT_EQ(cancelled.status, RunStatus::kCancelled) << threads;
+    EXPECT_LT(cancelled.stats.memory_accesses, full.stats.memory_accesses)
+        << threads;
+
+    calls = 0;
+    RunLimits timed_limits;
+    timed_limits.timeout_seconds = 0.2;
+    const auto timed = engine.Aggregate<RealSemiring>(
+        q, db,
+        [&](AtomId a, const Tuple& mu) {
+          if (calls.fetch_add(1) == 300) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+          }
+          return EndpointWeight(q, a, mu);
+        },
+        timed_limits);
+    EXPECT_EQ(timed.status, RunStatus::kTimeout) << threads;
+    EXPECT_LT(timed.stats.memory_accesses, full.stats.memory_accesses)
+        << threads;
+  }
 }
 
 // --- Factorized representation units ---

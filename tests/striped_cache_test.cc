@@ -152,6 +152,166 @@ TEST(StripedCacheManager, AggregatedStatsSumStripeCounters) {
   EXPECT_GT(stats.memory_accesses, 0u);
 }
 
+// --- Grouped probes (LookupMany) ------------------------------------------
+
+TEST(StripedCacheManager, LookupManyMatchesLookups) {
+  // Two tables fed the same inserts answer random groups of keys (present
+  // and absent, some repeated), one by LookupMany and one by Lookup calls,
+  // each through a RunCache charging its own run: same hit masks and
+  // payloads, the same hits and misses in each run's ExecStats, and the
+  // same hit and miss totals on the stripes (AggregatedStats + HotHits).
+  // Without hot slots the stripes' memory accesses agree too; with them a
+  // group may take from a hot slot a hit that a Lookup after an earlier
+  // key's publication takes under the lock. A budgeted table runs without
+  // hot slots, where recency — and with it every eviction — must agree.
+  struct Config {
+    int workers;
+    bool hot_reads;
+    std::uint64_t capacity;
+  };
+  for (const Config& c : {Config{1, false, 0}, Config{4, false, 0},
+                          Config{32, false, 0}, Config{1, true, 0},
+                          Config{4, true, 0}, Config{4, false, 64}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "workers " << c.workers << " hot " << c.hot_reads
+                 << " capacity " << c.capacity);
+    StripedCacheManager<std::uint64_t> many(Budget(c.capacity), c.workers,
+                                            c.hot_reads);
+    StripedCacheManager<std::uint64_t> one(Budget(c.capacity), c.workers,
+                                           c.hot_reads);
+    ExecStats many_run;
+    ExecStats one_run;
+    RunCache<std::uint64_t> many_cache(CacheOptions{}, &many_run, &many);
+    RunCache<std::uint64_t> one_cache(CacheOptions{}, &one_run, &one);
+    Rng rng(91 + c.workers);
+    for (int round = 0; round < 150; ++round) {
+      for (int i = 0; i < 4; ++i) {
+        const Value v = static_cast<Value>(rng.Uniform(200));
+        many_cache.Insert(3, PK({v, -v}), static_cast<std::uint64_t>(v) + 11);
+        one_cache.Insert(3, PK({v, -v}), static_cast<std::uint64_t>(v) + 11);
+      }
+      const int n = 1 + static_cast<int>(rng.Uniform(kMaxLookupGroup));
+      std::vector<PackedKey> keys;
+      for (int i = 0; i < n; ++i) {
+        const Value v = static_cast<Value>(rng.Uniform(260));
+        keys.push_back(PK({v, -v}));
+      }
+      std::vector<std::uint64_t> out(n, 0);
+      const std::uint64_t mask =
+          many_cache.LookupMany(3, keys.data(), n, out.data());
+      for (int i = 0; i < n; ++i) {
+        std::uint64_t want = 0;
+        const bool hit = one_cache.Lookup(3, keys[i], &want);
+        ASSERT_EQ((mask & LookupBit(i)) != 0, hit)
+            << "round " << round << " key " << i;
+        if (hit) {
+          EXPECT_EQ(out[i], want);
+        }
+      }
+      if (n < kMaxLookupGroup) {
+        EXPECT_EQ(mask >> n, 0u);
+      }
+    }
+    EXPECT_EQ(many_run.cache_hits, one_run.cache_hits);
+    EXPECT_EQ(many_run.cache_misses, one_run.cache_misses);
+    EXPECT_EQ(many_run.cache_inserts, one_run.cache_inserts);
+    EXPECT_GT(many_run.cache_hits, 0u);
+    EXPECT_GT(many_run.cache_misses, 0u);
+    const ExecStats a = many.AggregatedStats();
+    const ExecStats b = one.AggregatedStats();
+    EXPECT_EQ(a.cache_hits + many.HotHits(), b.cache_hits + one.HotHits());
+    EXPECT_EQ(a.cache_misses, b.cache_misses);
+    EXPECT_EQ(a.cache_evictions, b.cache_evictions);
+    EXPECT_EQ(many.size(), one.size());
+    if (!c.hot_reads) {
+      EXPECT_EQ(a.cache_hits, b.cache_hits);
+      EXPECT_EQ(a.memory_accesses, b.memory_accesses);
+    } else {
+      EXPECT_GT(many.HotHits(), 0u);
+    }
+  }
+}
+
+TEST(StripedStress, LookupManyAgainstWritersAndInvalidation) {
+  // Readers probe groups of keys with LookupMany while a writer inserts and
+  // an invalidator erases keys and evicts whole nodes, on one hot-slot
+  // table with a budget small enough to churn. Values are a deterministic
+  // function of the key, so a torn read, a stale hot slot after an erase,
+  // or a probe of a slot array another thread reallocated shows up as a
+  // wrong value (or as a race under TSan, which CI runs this under).
+  const auto value_of = [](NodeId node, Value k) {
+    return static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ull +
+           static_cast<std::uint64_t>(k) * 0xC2B2AE3D27D4EB4Full;
+  };
+  StripedCacheManager<std::uint64_t> cache(Budget(96), /*workers=*/2,
+                                           /*hot_reads=*/true);
+  constexpr Value kKeyRange = 160;
+  constexpr int kReaders = 3;
+  constexpr int kWriterOps = 30000;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad{0};
+  std::atomic<std::uint64_t> hits{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kReaders; ++t) {
+    pool.emplace_back([&, t] {
+      Rng rng(3000 + t);
+      PackedKey keys[kMaxLookupGroup];
+      Value ks[kMaxLookupGroup];
+      std::uint64_t out[kMaxLookupGroup];
+      while (!stop.load(std::memory_order_relaxed)) {
+        const NodeId node = static_cast<NodeId>(rng.Uniform(2));
+        const int n = 1 + static_cast<int>(rng.Uniform(kMaxLookupGroup));
+        for (int i = 0; i < n; ++i) {
+          ks[i] = static_cast<Value>(rng.Uniform(kKeyRange));
+          keys[i] = PK({ks[i], ks[i] + 1});
+        }
+        const std::uint64_t mask = cache.LookupMany(node, keys, n, out);
+        for (int i = 0; i < n; ++i) {
+          if ((mask & LookupBit(i)) == 0) continue;
+          hits.fetch_add(1, std::memory_order_relaxed);
+          if (out[i] != value_of(node, ks[i])) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    Rng rng(4000);
+    for (int i = 0; i < kWriterOps; ++i) {
+      const NodeId node = static_cast<NodeId>(rng.Uniform(2));
+      const Value k = static_cast<Value>(rng.Uniform(kKeyRange));
+      cache.Insert(node, PK({k, k + 1}), value_of(node, k));
+    }
+  });
+  std::thread invalidator([&] {
+    Rng rng(5000);
+    for (int i = 0; i < 300; ++i) {
+      if (i % 50 == 49) {
+        const NodeId victim = static_cast<NodeId>(rng.Uniform(2));
+        cache.EvictIf([victim](NodeId node, const Value*, int) {
+          return node == victim;
+        });
+        continue;
+      }
+      std::vector<PackedKey> erase;
+      for (int j = 0; j < 8; ++j) {
+        const Value k = static_cast<Value>(rng.Uniform(kKeyRange));
+        erase.push_back(PK({k, k + 1}));
+      }
+      cache.Erase(static_cast<NodeId>(rng.Uniform(2)), erase);
+    }
+  });
+  writer.join();
+  invalidator.join();
+  for (Value k = 0; k < 32; ++k) cache.Insert(0, PK({k, k + 1}), value_of(0, k));
+  for (int spin = 0; spin < 5000 && hits.load() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  for (std::thread& t : pool) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_LE(cache.size(), 96u);
+}
 
 // --- Randomized differential tests ----------------------------------------
 

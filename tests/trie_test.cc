@@ -371,6 +371,116 @@ TEST(AtomView, AllConstantAtom) {
   EXPECT_FALSE(absent.non_empty);
 }
 
+TEST(TrieIterator, RestoreChargesNothing) {
+  const Trie trie = Trie::Build(2, {{1, 3}, {1, 7}, {2, 4}, {5, 6}});
+  ExecStats stats;
+  TrieIterator it(&trie, &stats);
+  it.Open();
+  const std::size_t first = it.Position();
+  it.Next();
+  it.Next();
+  EXPECT_EQ(it.Key(), 5);
+  const std::uint64_t before = stats.memory_accesses;
+  it.Restore(first);
+  EXPECT_EQ(stats.memory_accesses, before);
+  EXPECT_EQ(it.Key(), 1);
+  it.Open();  // the children of 1, as if the cursor had never moved on
+  EXPECT_EQ(it.Key(), 3);
+  it.Next();
+  EXPECT_EQ(it.Key(), 7);
+}
+
+// Each common value of a leapfrog join over three random two-level tries
+// and, per iterator, the child group Open() reaches from it.
+struct JoinVisit {
+  Value key;
+  std::vector<std::vector<Value>> children;
+  bool operator==(const JoinVisit& o) const {
+    return key == o.key && children == o.children;
+  }
+};
+
+// Opens every iterator below the join's current value, reads its child
+// group and goes back up, as a descent into the next depth does.
+JoinVisit VisitChildren(Value key, const std::vector<TrieIterator*>& iters) {
+  JoinVisit visit{key, {}};
+  for (TrieIterator* it : iters) {
+    it->Open();
+    std::vector<Value> group;
+    for (; !it->AtEnd(); it->Next()) group.push_back(it->Key());
+    it->Up();
+    visit.children.push_back(std::move(group));
+  }
+  return visit;
+}
+
+TEST(Leapfrog, GatheredValuesRestoreToTheStraightPass) {
+  // A straight pass visits each value's children before Next(). A grouped
+  // pass runs the join ahead over k values, saving its cursor at each, then
+  // restores each value before visiting its children, and resumes from the
+  // cursor saved past the group. Both must see the same keys and child
+  // groups and charge the same memory accesses, and no Restore charges.
+  Rng rng(20261020);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Trie> tries;
+    for (int t = 0; t < 3; ++t) {
+      std::vector<Tuple> rows;
+      const int n = 50 + static_cast<int>(rng.Uniform(400));
+      for (int i = 0; i < n; ++i) {
+        rows.push_back({static_cast<Value>(rng.Uniform(60)),
+                        static_cast<Value>(rng.Uniform(30))});
+      }
+      tries.push_back(Trie::Build(2, rows));
+    }
+    const auto run = [&tries](int k, ExecStats* stats) {
+      std::vector<TrieIterator> iters;
+      iters.reserve(tries.size());
+      for (const Trie& t : tries) iters.emplace_back(&t, stats);
+      std::vector<TrieIterator*> ptrs;
+      for (TrieIterator& it : iters) ptrs.push_back(&it);
+      LeapfrogJoin join(ptrs);
+      join.Open();
+      std::vector<JoinVisit> visits;
+      if (k == 0) {  // the straight pass
+        for (; !join.AtEnd(); join.Next()) {
+          visits.push_back(VisitChildren(join.Key(), ptrs));
+        }
+        return visits;
+      }
+      std::vector<LeapfrogJoin::Mark> marks(k + 1);
+      std::vector<std::size_t> positions((k + 1) * join.width());
+      std::vector<Value> keys(k);
+      int n = k;
+      while (n == k) {
+        for (n = 0; n < k && !join.AtEnd(); ++n, join.Next()) {
+          keys[n] = join.Key();
+          marks[n] = join.Save(&positions[n * join.width()]);
+        }
+        marks[n] = join.Save(&positions[n * join.width()]);
+        for (int i = 0; i < n; ++i) {
+          const std::uint64_t before = stats->memory_accesses;
+          join.Restore(marks[i], &positions[i * join.width()]);
+          EXPECT_EQ(stats->memory_accesses, before) << "a restore charged";
+          EXPECT_EQ(join.Key(), keys[i]);
+          visits.push_back(VisitChildren(join.Key(), ptrs));
+        }
+        join.Restore(marks[n], &positions[n * join.width()]);
+      }
+      EXPECT_TRUE(join.AtEnd());
+      return visits;
+    };
+    ExecStats straight_stats;
+    const std::vector<JoinVisit> straight = run(0, &straight_stats);
+    for (const int k : {1, 3, 8, 64}) {
+      ExecStats grouped_stats;
+      EXPECT_TRUE(run(k, &grouped_stats) == straight)
+          << "round " << round << " k=" << k;
+      EXPECT_EQ(grouped_stats.memory_accesses, straight_stats.memory_accesses)
+          << "round " << round << " k=" << k;
+    }
+  }
+}
+
 // Reference implementation of the sequential galloping lower bound that
 // TrieIterator::Seek used before the 4-way unroll, counting one comparison
 // per executed probe — the counting contract GallopingLowerBound pins
